@@ -9,12 +9,10 @@ and the classification sweep diff) is what the tests run.
 from .e510_algebra import g1_basis
 from .omega_basis import equivariant_family
 from .scalars import Q
-from .singular_search import (_load_checkpoint, _save_checkpoint,
-                              dominant_weights_up_to, search_module)
+from .singular_search import dominant_weights_up_to, search_cells
 from .sl5_reps import ambient_monomial, weight_str
-from .uminus import PAIRS, d_elem, forms_elem, pbw_product
-from .verma import (VermaModule, add_tensor, proportional,
-                    tensor_from_terms)
+from .uminus import PAIRS, add_scaled, d_elem, forms_elem, pbw_product
+from .verma import VermaModule, proportional, tensor_from_terms
 from .vector_tables import W11_TERMS, W4E_TERMS
 
 # degree-7 vector: inner terms behind the common prefix d12 d13 d14 d15,
@@ -71,7 +69,7 @@ def _w_1b(m, n):
     mod = VermaModule((m, 0, 0, n + 1))
     out = _tensor(mod, d_elem(1, 5), x=(1,) * m, dx=(5,) * (n + 1))
     for j in (2, 3, 4):
-        add_tensor(out, _tensor(mod, d_elem(1, j), x=(1,) * m,
+        add_scaled(out, _tensor(mod, d_elem(1, j), x=(1,) * m,
                                 dx=(j,) + (5,) * n), Q(1))
     return mod, out
 
@@ -80,7 +78,7 @@ def _w_1c(m, n):
     mod = VermaModule((0, 0, m + 1, n))
     out = {}
     for i, j in PAIRS:
-        add_tensor(out, _tensor(mod, d_elem(i, j),
+        add_scaled(out, _tensor(mod, d_elem(i, j),
                                 dw=((i, j),) + ((4, 5),) * m, dx=(5,) * n),
                    Q(1))
     return mod, out
@@ -92,7 +90,7 @@ def _w_2ba(m):
     for j in (2, 3, 4, 5):
         u = forms_elem(((1, 2), (1, j)))
         if u:
-            add_tensor(out, _tensor(mod, u, x=(1,) * m, dx=(j,)), Q(1))
+            add_scaled(out, _tensor(mod, u, x=(1,) * m, dx=(j,)), Q(1))
     return mod, out
 
 
@@ -103,7 +101,7 @@ def _w_2cb(n):
         for h, k in PAIRS:
             u = forms_elem(((1, j), (h, k)))
             if u:
-                add_tensor(out, _tensor(mod, u, dw=((h, k),),
+                add_scaled(out, _tensor(mod, u, dw=((h, k),),
                                         dx=(j,) + (5,) * n), Q(1))
     return mod, out
 
@@ -114,7 +112,7 @@ def _w_2ca():
     for i, j in PAIRS:
         u = forms_elem(((1, 2), (i, j)))
         if u:
-            add_tensor(out, _tensor(mod, u, dw=((i, j),)), Q(1))
+            add_scaled(out, _tensor(mod, u, dw=((i, j),)), Q(1))
     return mod, out
 
 
@@ -125,7 +123,7 @@ def _w_3cba():
         for k, l in PAIRS:
             u = forms_elem(((1, 2), (1, j), (k, l)))
             if u:
-                add_tensor(out, _tensor(mod, u, dx=(j,), dw=((k, l),)), Q(1))
+                add_scaled(out, _tensor(mod, u, dx=(j,), dw=((k, l),)), Q(1))
     return mod, out
 
 
@@ -143,7 +141,7 @@ def _w_4e(n):
         for i in range(4):
             dx.extend([i + 1] * fexp[i])
         dx.extend([5] * (fexp[4] + n))
-        add_tensor(out, _tensor(mod, u, dx=tuple(dx)), Q(1))
+        add_scaled(out, _tensor(mod, u, dx=tuple(dx)), Q(1))
     return mod, out
 
 
@@ -156,7 +154,7 @@ def _w_5cd():
     for i, j in PAIRS:
         u = pbw_product(pre, d_elem(i, j))
         if u:
-            add_tensor(out, _tensor(mod, u, dw=((i, j),)), Q(1))
+            add_scaled(out, _tensor(mod, u, dw=((i, j),)), Q(1))
     return mod, out
 
 
@@ -172,7 +170,7 @@ def _w_7():
     for sign, partials, forms, (da, db) in W7_TERMS:
         u = pbw_product(pre, pbw_product({(partials, ()): Q(sign)},
                                          forms_elem(forms)))
-        add_tensor(out, _tensor(mod, u, dx=(da, db)), Q(1))
+        add_scaled(out, _tensor(mod, u, dx=(da, db)), Q(1))
     return mod, out
 
 
@@ -183,7 +181,7 @@ def _w_11():
     for sign, partials, forms, di in W11_TERMS:
         u = pbw_product(pre, pbw_product({(partials, ()): Q(sign)},
                                          forms_elem(forms)))
-        add_tensor(out, _tensor(mod, u, dx=(di,)), Q(1))
+        add_scaled(out, _tensor(mod, u, dx=(di,)), Q(1))
     return mod, out
 
 
@@ -289,7 +287,7 @@ class VermaMorphism:
     def apply(self, elem):
         out = {}
         for (mono, j), c in elem.items():
-            add_tensor(out, self.target.mult({mono: Q(1)}, self.images[j]), c)
+            add_scaled(out, self.target.mult({mono: Q(1)}, self.images[j]), c)
         return out
 
     def singular_vector(self):
@@ -438,7 +436,7 @@ def expected_instances(weight_budget, degree_max):
 
 
 def classification_sweep(weight_budget, degree_max, entry_cap=200000,
-                         full_g1=False, checkpoint=None, progress=None):
+                         full_g1=False, checkpoint=None):
     """Search every module in budget and diff against the catalog.
 
     Returns a report whose "unexplained" and "missing" lists must both be
@@ -453,17 +451,9 @@ def classification_sweep(weight_budget, degree_max, entry_cap=200000,
     unexplained = []
     cells = [(mu, d) for mu in dominant_weights_up_to(weight_budget)
              for d in range(1, degree_max + 1)]
-    state = _load_checkpoint(checkpoint) if checkpoint is not None else {}
-    for mu, d in cells:
-        key = "%s|%d" % (weight_str(mu), d)
-        if key not in state:
-            state[key] = search_module(mu, d, entry_cap=entry_cap,
-                                       full_g1=full_g1)
-            if checkpoint is not None:
-                _save_checkpoint(checkpoint, state)
-        if progress is not None:
-            progress(key, state[key])
-        for cert in state[key]:
+    results = search_cells(cells, checkpoint, entry_cap, full_g1)
+    for (mu, d), certs in zip(cells, results):
+        for cert in certs:
             nu = tuple(int(t) for t in cert["weight"].split(","))
             sig = (tuple(mu), nu, d)
             entry = {

@@ -10,17 +10,14 @@ import json
 import os
 import random
 import sys
-from itertools import combinations, permutations
+from itertools import combinations
 
+from .errors import ConfigError
 from .linalg import MatrixTooLargeError
 from .scalars import Q
 from .sl5_reps import parse_weight, weight_str
 
 _DEF_ENTRY_CAP = 200000
-
-
-class ConfigError(ValueError):
-    """Bad command line or input file contents."""
 
 
 def _parse_range(text):
@@ -106,12 +103,10 @@ def cmd_search(args):
         certs = []
         for d in degrees:
             certs.extend(search_module(mu, d, nu=nu, entry_cap=args.entry_cap,
-                                       prune_height=args.prune_height,
                                        full_g1=args.full_g1))
     else:
         certs = sweep(mus=[mu], degrees=degrees, checkpoint=args.checkpoint,
-                      entry_cap=args.entry_cap, prune_height=args.prune_height,
-                      full_g1=args.full_g1)
+                      entry_cap=args.entry_cap, full_g1=args.full_g1)
     report = {
         "command": "search",
         "mu": weight_str(mu),
@@ -141,7 +136,7 @@ def cmd_sweep(args):
     certs = sweep(mus=mus, coord_sum=args.budget,
                   degrees=tuple(_parse_range(args.degree)),
                   checkpoint=args.checkpoint, entry_cap=args.entry_cap,
-                  prune_height=args.prune_height, full_g1=args.full_g1)
+                  full_g1=args.full_g1)
     report = {
         "command": "sweep",
         "budget": args.budget,
@@ -190,7 +185,7 @@ def _omega_suite(max_d, samples, seed):
         commutator_identity_residual, dw_product_residual,
         equivariance_residual, omega_direct, omega_recursive,
         omega_symmetrized, ricomega_residual)
-    from .uminus import PAIRS, add_scaled, scale
+    from .uminus import PAIRS
     from .verma import VermaModule
     failures = []
     counts = {}
@@ -485,7 +480,8 @@ def cmd_dual(args):
 # ---------------------------------------------------------------- s5
 
 def cmd_s5_baseline(args):
-    from .s5_verma import rudakov_vectors, s5_from_terms, s5_proportional, search_s5
+    from .s5_verma import rudakov_vectors, s5_from_terms, search_s5
+    from .verma import proportional
     lams = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
             (0, 0, 0, 1)]
     found = []
@@ -505,7 +501,7 @@ def cmd_s5_baseline(args):
             problems.append(cert)
             continue
         name, w = name_w
-        if not s5_proportional(s5_from_terms(cert["vectors"][0]), w):
+        if not proportional(s5_from_terms(cert["vectors"][0]), w):
             problems.append(cert)
             continue
         labeled.append({"label": name, "mu": cert["mu"],
@@ -533,14 +529,10 @@ def cmd_s5_baseline(args):
 def _add_common(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report here")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("E510_THREADS", "1")),
-                   help="reserved; results do not depend on it")
 
 
 def _add_search_flags(p):
     p.add_argument("--entry-cap", type=int, default=_DEF_ENTRY_CAP)
-    p.add_argument("--prune-height", action="store_true")
     p.add_argument("--full-g1", action="store_true",
                    help="check all 40 degree +1 operators, not a spanning set")
     p.add_argument("--checkpoint", default=None)
@@ -628,9 +620,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        sys.stderr.write("error: --threads must be at least 1\n")
-        return 2
     try:
         code, report, render = args.func(args)
     except ConfigError as exc:

@@ -16,7 +16,7 @@ from .sl5_reps import build_irrep
 from .uminus import (EPS, PAIRS, PAIR_INDEX, ONE_MONO, TMATE, add_scaled,
                      d_elem, forms_elem, mono_degree, p_elem, pbw_product,
                      perm_sign, scale)
-from .verma import ad_e_mono, add_tensor
+from .verma import ad_e_mono
 
 
 def canonical_index(pairs):
@@ -140,25 +140,12 @@ def omega(pairs):
     return scale(_omega_key(key), Q(sign))
 
 
-@lru_cache(maxsize=None)
-def _omega_rec_key(key):
-    """omega via the uniform removal recursion, averaged over positions."""
-    d = len(key)
-    if not d:
-        return {ONE_MONO: Q(1)}
-    out = {}
-    for j, f in enumerate(key):
-        rest = key[:j] + key[j + 1:]
-        add_scaled(out, pbw_product(d_elem(*PAIRS[f]), _omega_rec_key(rest)),
-                   Q(-1 if j % 2 else 1, d))
-    return out
-
-
 def omega_recursive(pairs):
+    """omega via the uniform removal recursion, averaged over positions."""
     sign, key = canonical_index(pairs)
     if not sign:
         return {}
-    return scale(_omega_rec_key(key), Q(sign))
+    return scale(_omega_sym_key(key), Q(sign))
 
 
 def omega_symmetrized(pairs, literal_limit=5):
@@ -186,7 +173,12 @@ def omega_symmetrized(pairs, literal_limit=5):
 
 @lru_cache(maxsize=None)
 def _omega_sym_key(key):
-    """First-letter factoring of the full signed permutation average."""
+    """First-letter factoring of the full signed permutation average.
+
+    Read as a recursion, this is also the uniform removal recursion of
+    omega_recursive: remove each letter in turn, with alternating sign,
+    and average over the positions.
+    """
     d = len(key)
     if not d:
         return {ONE_MONO: Q(1)}
@@ -331,17 +323,17 @@ def commutator_identity_residual(p, q, pairs, testmod, elems=None):
 
     out = {}
     for m in elems:
-        add_tensor(out, act_x(testmod.mult(om, m)), Q(1))
-        add_tensor(out, testmod.mult(om, act_x(m)), -par_sign)
+        add_scaled(out, act_x(testmod.mult(om, m)), Q(1))
+        add_scaled(out, testmod.mult(om, act_x(m)), -par_sign)
         for y, rem in j_terms:
             # 1/2 [Y, omega'] + omega' Y collapses to the symmetric average
-            add_tensor(out, testmod.act(y, testmod.mult(rem, m)), Q(-1, 2))
-            add_tensor(out, testmod.mult(rem, testmod.act(y, m)), Q(-1, 2))
+            add_scaled(out, testmod.act(y, testmod.mult(rem, m)), Q(-1, 2))
+            add_scaled(out, testmod.mult(rem, testmod.act(y, m)), Q(-1, 2))
         if rem_abc:
-            add_tensor(out, testmod.mult(pbw_product(p_elem(q), rem_abc), m),
+            add_scaled(out, testmod.mult(pbw_product(p_elem(q), rem_abc), m),
                        Q(1, 2))
         for term in perm_terms:
-            add_tensor(out, testmod.mult(term, m), Q(-1, 4))
+            add_scaled(out, testmod.mult(term, m), Q(-1, 4))
     return out
 
 
@@ -459,7 +451,7 @@ def equivariant_family(module, w, check=True):
             for jj in range(rep_in.dim):
                 got = module.act_e(x, y, images[jj])
                 for ii, cc in cols[jj].items():
-                    add_tensor(got, images[ii], -cc)
+                    add_scaled(got, images[ii], -cc)
                 if got:
                     raise ValueError(
                         "vector does not generate an equivariant family")

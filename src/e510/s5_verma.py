@@ -15,18 +15,10 @@ part is generated by the quadratic component, so nothing else needs
 checking.
 """
 
-from .scalars import Q
+from .scalars import Q, qstr, qparse
 from .uminus import add_scaled, format_monomial, parse_monomial
-from .sl5_reps import (
-    build_irrep, parse_weight, weight_str, is_dominant, eps_to_coords,
-)
-from .linalg import kernel_basis
-from .verma import proportional as s5_proportional  # noqa: F401  (generic)
-from .scalars import qstr, qparse
-
-s5_add = add_scaled
-
-TOOL_VERSION = "0.1.0"
+from .singular_search import search_blocks
+from .verma import InducedModule
 
 
 def quadratic_fields():
@@ -61,12 +53,17 @@ def _first_derivative(a, b, i):
     return out
 
 
-class S5Verma:
+class S5Verma(InducedModule):
     """C[p_1..p_5] (x) F(lambda) with exact generator actions."""
 
-    def __init__(self, lam):
-        self.lam = parse_weight(lam) if isinstance(lam, str) else tuple(lam)
-        self.rep = build_irrep(self.lam)
+    algebra = "S5"
+
+    def monomials(self, d):
+        """Exponent tuples of p-degree d/2 (p_k has degree 2)."""
+        return _exponents_of_total(d // 2) if d % 2 == 0 else []
+
+    def monomial_weight(self, m):
+        return tuple(-x for x in m)
 
     def vacuum(self):
         return {((0, 0, 0, 0, 0), 0): Q(1)}
@@ -75,7 +72,7 @@ class S5Verma:
         out = {}
         for m, cu in u.items():
             for i, cv in coeffs.items():
-                s5_add(out, {(m, i): Q(1)}, cu * cv)
+                add_scaled(out, {(m, i): Q(1)}, cu * cv)
         return out
 
     def mult_p(self, k, elem):
@@ -94,9 +91,9 @@ class S5Verma:
                 m2 = list(m)
                 m2[a - 1] -= 1
                 m2[b - 1] += 1
-                s5_add(out, {(tuple(m2), i): Q(1)}, Q(-m[a - 1]) * c)
+                add_scaled(out, {(tuple(m2), i): Q(1)}, Q(-m[a - 1]) * c)
             for i2, cv in self.rep.mat(a, b)[i].items():
-                s5_add(out, {(m, i2): Q(1)}, c * cv)
+                add_scaled(out, {(m, i2): Q(1)}, c * cv)
         return out
 
     def act_quad(self, field, elem):
@@ -114,7 +111,7 @@ class S5Verma:
                         base[i - 1] -= 1
                         cc = Q(-m[i - 1]) * dc * c0
                         for i2, cv in self.rep.mat(var, k)[idx].items():
-                            s5_add(out, {(tuple(base), i2): Q(1)}, cc * cv)
+                            add_scaled(out, {(tuple(base), i2): Q(1)}, cc * cv)
                 for i in range(1, 6):
                     for j in range(i, 6):
                         mult = m[i - 1] * (m[j - 1] - (1 if i == j else 0))
@@ -133,11 +130,11 @@ class S5Verma:
                         m2[i - 1] -= 1
                         m2[j - 1] -= 1
                         m2[k - 1] += 1
-                        s5_add(out, {(tuple(m2), idx): Q(1)},
-                               Q(mult * const) * c0)
+                        add_scaled(out, {(tuple(m2), idx): Q(1)},
+                                   Q(mult * const) * c0)
         return out
 
-    def act_raisings_and_quads(self, elem):
+    def conditions(self, elem):
         for i in range(1, 5):
             yield ("e%d" % i, self.act_e(i, i + 1, elem))
         for n, field in enumerate(quadratic_fields()):
@@ -149,36 +146,18 @@ class S5Verma:
             raise ValueError("element is not degree-homogeneous")
         return degs.pop()
 
-    def element_weight(self, elem):
-        ws = set()
-        for m, i in elem:
-            rw = self.rep.eps_weights[i]
-            ws.add(tuple(r - x for x, r in zip(m, rw)))
-        if len(ws) != 1:
-            raise ValueError("element is not weight-homogeneous")
-        return ws.pop()
-
-    def element_coords(self, elem):
-        return eps_to_coords(self.element_weight(elem))
-
-    def weight_space(self, d, nu):
-        if d % 2:
-            return []
-        total = d // 2
-        nu = tuple(nu)
-        out = []
-        for m in _exponents_of_total(total):
-            mw = tuple(-x for x in m)
-            for i, rw in enumerate(self.rep.eps_weights):
-                if eps_to_coords(tuple(x + y for x, y in zip(mw, rw))) == nu:
-                    out.append((m, i))
-        out.sort()
-        return out
-
     def is_singular(self, elem):
         if not elem:
             return False
-        return all(not img for _, img in self.act_raisings_and_quads(elem))
+        return all(not img for _, img in self.conditions(elem))
+
+    def terms(self, elem):
+        rows = []
+        for (m, i), c in elem.items():
+            rows.append({"monomial": format_monomial((m, ())), "index": i,
+                         "coeff": qstr(c)})
+        rows.sort(key=lambda t: (t["monomial"], t["index"]))
+        return rows
 
 
 def _exponents_of_total(total):
@@ -193,72 +172,17 @@ def _exponents_of_total(total):
     return out
 
 
-def candidate_weights_s5(module, d):
-    if d % 2:
-        return []
-    seen = set()
-    for m in _exponents_of_total(d // 2):
-        mw = tuple(-x for x in m)
-        for rw in module.rep.eps_weights:
-            c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
-            if is_dominant(c):
-                seen.add(c)
-    return sorted(seen)
-
-
-def s5_terms(elem):
-    rows = []
-    for (m, i), c in elem.items():
-        rows.append({"monomial": format_monomial((m, ())), "index": i,
-                     "coeff": qstr(c)})
-    rows.sort(key=lambda t: (t["monomial"], t["index"]))
-    return rows
-
-
 def s5_from_terms(terms):
     out = {}
     for t in terms:
         mono = parse_monomial(t["monomial"])
-        s5_add(out, {(mono[0], t["index"]): Q(1)}, qparse(t["coeff"]))
+        add_scaled(out, {(mono[0], t["index"]): Q(1)}, qparse(t["coeff"]))
     return out
 
 
 def search_s5(lam, d, entry_cap=200000):
     """Certificates for singular vectors of degree d in the baseline module."""
-    lam = parse_weight(lam) if isinstance(lam, str) else tuple(lam)
-    module = S5Verma(lam)
-    certs = []
-    for nu in candidate_weights_s5(module, d):
-        block = module.weight_space(d, nu)
-        rows = {}
-        for j, pair in enumerate(block):
-            v = {pair: Q(1)}
-            for label, img in module.act_raisings_and_quads(v):
-                for key, c in img.items():
-                    rows.setdefault((label, key), {})[j] = c
-        kern = kernel_basis(list(rows.values()), list(range(len(block))),
-                            entry_cap=entry_cap)
-        if not kern:
-            continue
-        vectors = []
-        for k in kern:
-            out = {}
-            for j, c in k.items():
-                s5_add(out, {block[j]: Q(1)}, c)
-            if not module.is_singular(out):
-                raise AssertionError("kernel vector fails the action re-check")
-            vectors.append(out)
-        certs.append({
-            "algebra": "S5",
-            "mu": weight_str(lam),
-            "degree": d,
-            "weight": weight_str(nu),
-            "block_dim": len(block),
-            "kernel_dim": len(vectors),
-            "vectors": [s5_terms(v) for v in vectors],
-            "tool_version": TOOL_VERSION,
-        })
-    return certs
+    return search_blocks(S5Verma(lam), d, entry_cap=entry_cap)
 
 
 def rudakov_vectors():
@@ -277,16 +201,16 @@ def rudakov_vectors():
     m1 = S5Verma((1, 0, 0, 0))
     r1 = {}
     for i in range(1, 6):
-        s5_add(r1, m1.tensor({unit(i): Q(1)},
-                             m1.rep.coords({ambient_monomial(x=(i,)): Q(1)})),
-               Q(1))
+        add_scaled(r1, m1.tensor({unit(i): Q(1)},
+                                 m1.rep.coords({ambient_monomial(x=(i,)): Q(1)})),
+                   Q(1))
     out["R1"] = ((1, 0, 0, 0), 2, r1)
 
     m2 = S5Verma((0, 1, 0, 0))
     r2 = {}
     for j in range(2, 6):
         coeffs = m2.rep.coords({ambient_monomial(w=((1, j),)): Q(1)})
-        s5_add(r2, m2.tensor({unit(j): Q(1)}, coeffs), Q(1))
+        add_scaled(r2, m2.tensor({unit(j): Q(1)}, coeffs), Q(1))
     out["R2"] = ((0, 1, 0, 0), 2, r2)
 
     m3 = S5Verma((0, 0, 1, 0))
@@ -294,7 +218,7 @@ def rudakov_vectors():
     # p3 (x) x45* + p4 (x) x53* + p5 (x) x34*, with x53* = -x35*
     for i, pair, sgn in ((3, (4, 5), 1), (4, (3, 5), -1), (5, (3, 4), 1)):
         coeffs = m3.rep.coords({ambient_monomial(dw=(pair,)): Q(sgn)})
-        s5_add(r3, m3.tensor({unit(i): Q(1)}, coeffs), Q(1))
+        add_scaled(r3, m3.tensor({unit(i): Q(1)}, coeffs), Q(1))
     out["R3"] = ((0, 0, 1, 0), 2, r3)
 
     m4 = S5Verma((0, 0, 0, 1))
@@ -302,7 +226,7 @@ def rudakov_vectors():
     for i, sgn in ((4, 1), (5, -1)):
         coeffs = m4.rep.coords(
             {ambient_monomial(dx=(9 - i,)): Q(1)})
-        s5_add(r4, m4.tensor({unit(i): Q(1)}, coeffs), Q(sgn))
+        add_scaled(r4, m4.tensor({unit(i): Q(1)}, coeffs), Q(sgn))
     out["R4"] = ((0, 0, 0, 1), 2, r4)
 
     m5 = S5Verma((0, 0, 0, 0))

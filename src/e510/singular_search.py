@@ -9,62 +9,39 @@ raisings, and the degree +1 part is generated from x_5 d_45 by them.
 For a fixed (degree, weight) block the conditions are one sparse linear
 system; its kernel is computed exactly over the rationals.  Any vector in
 the kernel is re-verified through the module action before being reported
-in a certificate.
+in a certificate.  The driver reads only the protocol of
+verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
 """
 
 import json
 import os
 
+from .errors import ConfigError
 from .scalars import Q
-from .uminus import mono_height, mono_weight, enumerate_monomials
-from .sl5_reps import (
-    parse_weight, weight_str, is_dominant, dual_weight, eps_to_coords,
-)
+from .sl5_reps import parse_weight, weight_str, dual_weight
 from .linalg import kernel_basis
-from .verma import VermaModule, tensor_terms, add_tensor
+from .uminus import add_scaled
+from .verma import VermaModule
 
 TOOL_VERSION = "0.1.0"
-
-# raising operators plus the lowest weight vector of the degree +1 part
-_CONDITIONS = tuple(("e%d" % i, ("e", i, i + 1)) for i in range(1, 5)) \
-    + (("x5d45", ("xd", 5, 9)),)
 
 
 def _to_weight(w):
     return parse_weight(w) if isinstance(w, str) else tuple(w)
 
 
-def candidate_weights(module, d, prune_height=False):
-    """Dominant weights with a nonempty (degree d) weight space.
-
-    Any singular vector sits in a finite dimensional sl5-stable degree
-    component, so its weight is dominant; non-dominant blocks need not be
-    searched.  prune_height only scans monomials of maximal 2-form height,
-    a heuristic shrinking of the candidate list (the per-block search is
-    unaffected).
-    """
-    monos = enumerate_monomials(d)
-    if prune_height and monos:
-        hmax = max(mono_height(m) for m in monos)
-        monos = [m for m in monos if mono_height(m) == hmax]
-    seen = set()
-    for mono in monos:
-        mw = mono_weight(mono)
-        for rw in module.rep.eps_weights:
-            c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
-            if is_dominant(c):
-                seen.add(c)
-    return sorted(seen)
+def candidate_weights(module, d):
+    """Dominant weights with a nonempty (degree d) weight space, sorted."""
+    return sorted(module.weight_blocks(d))
 
 
 def singular_block(module, d, nu, entry_cap=200000):
-    """Block basis and exact kernel of the singularity conditions."""
+    """Block basis and exact kernel of the module's singularity conditions."""
     block = module.weight_space(d, tuple(nu))
     rows = {}
     for j, pair in enumerate(block):
-        v = {pair: Q(1)}
-        for label, sym in _CONDITIONS:
-            for key, c in module.act_sym(sym, v).items():
+        for label, img in module.conditions({pair: Q(1)}):
+            for key, c in img.items():
                 rows.setdefault((label, key), {})[j] = c
     kern = kernel_basis(list(rows.values()), list(range(len(block))),
                         entry_cap=entry_cap)
@@ -72,53 +49,51 @@ def singular_block(module, d, nu, entry_cap=200000):
     for k in kern:
         out = {}
         for j, c in k.items():
-            add_tensor(out, {block[j]: Q(1)}, c)
+            add_scaled(out, {block[j]: Q(1)}, c)
         vectors.append(out)
     return block, vectors
 
 
-def make_certificate(mu, d, nu, block_dim, vectors, full_g1):
-    return {
-        "algebra": "E(5,10)",
-        "mu": weight_str(mu),
-        "degree": d,
-        "weight": weight_str(nu),
-        "block_dim": block_dim,
-        "kernel_dim": len(vectors),
-        "vectors": [tensor_terms(v) for v in vectors],
-        "full_g1": bool(full_g1),
-        "tool_version": TOOL_VERSION,
-    }
-
-
-def search_module(mu, d, nu=None, entry_cap=200000, prune_height=False,
-                  full_g1=False):
-    """Certificates for singular vectors of degree d in M(F(mu)).
+def search_blocks(module, d, nu=None, entry_cap=200000, **checks):
+    """Certificates for singular vectors of degree d in an induced module.
 
     One certificate per weight with a nonzero kernel; candidates are all
-    dominant block weights unless nu pins one down.  Every kernel vector is
-    re-verified through the module action (with the 40-element degree +1
-    sweep when full_g1 is set).
+    dominant block weights unless nu pins one (dominant) weight down.  Every
+    kernel vector is re-verified through module.is_singular(vector,
+    **checks), and the certificate records those re-check options.
     """
-    mu = _to_weight(mu)
-    module = VermaModule(mu)
-    if nu is not None:
-        cands = [_to_weight(nu)]
-    else:
-        cands = candidate_weights(module, d, prune_height=prune_height)
+    cands = [_to_weight(nu)] if nu is not None else candidate_weights(module, d)
     certs = []
     for cand in cands:
         block, vectors = singular_block(module, d, cand, entry_cap=entry_cap)
         if not vectors:
             continue
         for v in vectors:
-            if not module.is_singular(v, full_g1=full_g1):
+            if not module.is_singular(v, **checks):
                 raise AssertionError(
                     "kernel vector fails the action re-check at mu=%s d=%d nu=%s"
-                    % (weight_str(mu), d, weight_str(cand)))
-        certs.append(make_certificate(mu, d, cand, len(block), vectors,
-                                      full_g1))
+                    % (weight_str(module.mu), d, weight_str(cand)))
+        certs.append(dict(
+            algebra=module.algebra,
+            mu=weight_str(module.mu),
+            degree=d,
+            weight=weight_str(cand),
+            block_dim=len(block),
+            kernel_dim=len(vectors),
+            vectors=[module.terms(v) for v in vectors],
+            tool_version=TOOL_VERSION,
+            **checks))
     return certs
+
+
+def search_module(mu, d, nu=None, entry_cap=200000, full_g1=False):
+    """Certificates for singular vectors of degree d in M(F(mu)).
+
+    The x_5 d_45 re-check of every kernel vector becomes the 40-element
+    degree +1 sweep when full_g1 is set.
+    """
+    return search_blocks(VermaModule(mu), d, nu=nu,
+                         entry_cap=entry_cap, full_g1=bool(full_g1))
 
 
 def dominant_weights_up_to(coord_sum):
@@ -133,10 +108,21 @@ def dominant_weights_up_to(coord_sum):
 
 
 def _load_checkpoint(path):
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
-    return {}
+    """The saved "mu|degree" -> certificate list map, or {} when absent."""
+    if not (path and os.path.exists(path)):
+        return {}
+    with open(path) as fh:
+        try:
+            state = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError("unreadable checkpoint %s: %s" % (path, exc))
+    if not (isinstance(state, dict) and all(
+            isinstance(certs, list)
+            and all(isinstance(c, dict) for c in certs)
+            for certs in state.values())):
+        raise ConfigError("checkpoint %s is not a map of certificate lists"
+                          % path)
+    return state
 
 
 def _save_checkpoint(path, state):
@@ -148,29 +134,39 @@ def _save_checkpoint(path, state):
     os.replace(tmp, path)
 
 
-def sweep(mus=None, coord_sum=None, degrees=(1, 2, 3, 4), checkpoint=None,
-          entry_cap=200000, prune_height=False, full_g1=False):
-    """Search a grid of modules and degrees, resumable through a checkpoint.
+def search_cells(cells, checkpoint=None, entry_cap=200000, full_g1=False):
+    """Certificate lists of (mu, degree) cells, resumable through a checkpoint.
 
-    The checkpoint file maps "mu|degree" cells to their certificate lists;
-    completed cells are reused on resume, so interrupting and restarting
-    yields byte-identical results.
+    The checkpoint file maps "mu|degree" cells to their certificate lists.
+    A saved cell is reused only when each of its certificates was checked
+    with the requested full_g1 (an empty cell does not depend on it); any
+    other cell is searched again and overwritten.  So interrupting and
+    restarting yields byte-identical results, and a resumed run never mixes
+    in results computed under the other setting.
     """
+    state = _load_checkpoint(checkpoint)
+    out = []
+    for mu, d in cells:
+        key = "%s|%d" % (weight_str(mu), d)
+        certs = state.get(key)
+        if certs is None or any(c.get("full_g1") != bool(full_g1)
+                                for c in certs):
+            certs = state[key] = search_module(
+                mu, d, entry_cap=entry_cap, full_g1=full_g1)
+            _save_checkpoint(checkpoint, state)
+        out.append(certs)
+    return out
+
+
+def sweep(mus=None, coord_sum=None, degrees=(1, 2, 3, 4), checkpoint=None,
+          entry_cap=200000, full_g1=False):
+    """Search a grid of modules and degrees; see search_cells for resuming."""
     if mus is None:
         mus = dominant_weights_up_to(coord_sum if coord_sum is not None else 3)
-    mus = [_to_weight(m) for m in mus]
-    state = _load_checkpoint(checkpoint)
-    certs = []
-    for mu in mus:
-        for d in degrees:
-            key = "%s|%d" % (weight_str(mu), d)
-            if key not in state:
-                state[key] = search_module(
-                    mu, d, entry_cap=entry_cap, prune_height=prune_height,
-                    full_g1=full_g1)
-                _save_checkpoint(checkpoint, state)
-            certs.extend(state[key])
-    return certs
+    cells = [(_to_weight(mu), d) for mu in mus for d in degrees]
+    return [cert for certs in search_cells(cells, checkpoint, entry_cap,
+                                           full_g1)
+            for cert in certs]
 
 
 def dual_pair_check(mu, d, nu, entry_cap=200000):

@@ -116,7 +116,7 @@ def act_ambient(a, b, vec):
     out = {}
     for mono, c in vec.items():
         if a == b:
-            ev = _eps_weight(mono)[a - 1]
+            ev = _mono_eps_weight(mono)[a - 1]
             if ev:
                 s = out.get(mono, 0) + c * ev
                 if s:
@@ -196,10 +196,6 @@ def _mono_eps_weight(mono):
     return tuple(w)
 
 
-def _eps_weight(mono):
-    return _mono_eps_weight(mono)
-
-
 def _mono_profile(mono):
     return tuple(sum(part) for part in mono)
 
@@ -238,7 +234,7 @@ class Irrep:
               (0,) * 9 + (c,),
               (0, 0, 0, 0, d))
         self.basis = [{hw: Q(1)}]
-        self.eps_weights = [_eps_weight(hw)]
+        self.eps_weights = [_mono_eps_weight(hw)]
         self.parents = [None]  # index -> (parent index, lowering op i)
         self._blocks = {self.eps_weights[0]: Echelon()}
         self._blocks[self.eps_weights[0]].insert(self.basis[0], 0)
@@ -258,7 +254,7 @@ class Irrep:
                 img = act_ambient(low + 1, low, self.basis[i])
                 if not img:
                     continue
-                wkey = _eps_weight(next(iter(img)))
+                wkey = _mono_eps_weight(next(iter(img)))
                 block = self._blocks.setdefault(wkey, Echelon())
                 if block.insert(img, len(self.basis)):
                     self.basis.append(img)
@@ -272,7 +268,7 @@ class Irrep:
             return {}
         split = {}
         for mono, c in vec.items():
-            split.setdefault(_eps_weight(mono), {})[mono] = c
+            split.setdefault(_mono_eps_weight(mono), {})[mono] = c
         out = {}
         for wkey, part in split.items():
             block = self._blocks.get(wkey)
@@ -329,7 +325,7 @@ class Irrep:
         blocks = self._split_blocks()
         split = {}
         for mono, c in vec.items():
-            split.setdefault(_eps_weight(mono), {})[mono] = c
+            split.setdefault(_mono_eps_weight(mono), {})[mono] = c
         out = {}
         for wkey, part in split.items():
             combo = blocks[wkey].coords(part)
@@ -349,8 +345,8 @@ class Irrep:
         monos = _profile_monomials(self.weight)
         byw = {}
         for m in monos:
-            byw.setdefault(_eps_weight(m), []).append(m)
-        top = _eps_weight(next(iter(self.basis[0])))
+            byw.setdefault(_mono_eps_weight(m), []).append(m)
+        top = _mono_eps_weight(next(iter(self.basis[0])))
         seeds = []
         for wkey, ms in byw.items():
             # highest weight vectors only live in gl-dominant blocks
@@ -373,7 +369,7 @@ class Irrep:
         closure = []
 
         def _insert(vec, tag):
-            wkey = _eps_weight(next(iter(vec)))
+            wkey = _mono_eps_weight(next(iter(vec)))
             blk = blocks.setdefault(wkey, Echelon())
             return blk.insert(vec, tag)
 

@@ -20,11 +20,8 @@ from .uminus import (
     mono_degree, mono_weight, add_scaled, scale, pbw_product, mono_product,
     p_elem, d_elem, enumerate_monomials, format_monomial, parse_monomial,
 )
-from .sl5_reps import build_irrep, eps_to_coords, parse_weight
+from .sl5_reps import build_irrep, eps_to_coords, is_dominant, parse_weight
 from .e510_algebra import g1_basis, xd_gen
-
-# add_scaled is key-agnostic; alias for tensor dicts keyed (monomial, index)
-add_tensor = add_scaled
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
@@ -126,12 +123,97 @@ def xd_mono(k, f, mono):
     return got
 
 
-class VermaModule:
-    """U(g_-) (x) F(mu) for a dominant sl5 weight mu."""
+class InducedModule:
+    """U(g_-) (x) F(mu) for some negative part g_- and the sl5 irrep F(mu).
+
+    The protocol the singular vector search reads: a subclass names its
+    algebra, lists the degree-d monomials of its PBW basis with their
+    eps-weights, yields its singularity conditions as (label, image) pairs
+    and serializes elements to certificate terms.  The weight bookkeeping
+    shared by both algebras lives here.
+    """
 
     def __init__(self, mu):
         self.mu = parse_weight(mu) if isinstance(mu, str) else tuple(mu)
         self.rep = build_irrep(self.mu)
+        self._blocks = {}
+
+    def weight_blocks(self, d):
+        """Dominant weight -> sorted basis pairs (monomial, rep index), degree d.
+
+        One pass over the degree-d monomials x rep weights, cached on the
+        instance.  Weights compare in fundamental coordinates, so pairs from
+        different trace branches of the concrete realization are collected
+        together, as they must be.  Only dominant weights are kept: a
+        singular vector lies in a finite dimensional sl5-stable degree
+        component, so its weight is dominant, and every caller asks for a
+        dominant weight (the dual of a dominant weight is dominant too).
+        """
+        blocks = self._blocks.get(d)
+        if blocks is None:
+            blocks = {}
+            for mono in self.monomials(d):
+                mw = self.monomial_weight(mono)
+                for i, rw in enumerate(self.rep.eps_weights):
+                    c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
+                    if is_dominant(c):
+                        blocks.setdefault(c, []).append((mono, i))
+            for pairs in blocks.values():
+                pairs.sort()
+            self._blocks[d] = blocks
+        return blocks
+
+    def weight_space(self, d, nu):
+        """Ordered basis pairs (monomial, rep index) of dominant weight nu."""
+        return self.weight_blocks(d).get(tuple(nu), [])
+
+    def _pair_weight(self, mono, i):
+        mw = self.monomial_weight(mono)
+        return tuple(x + y for x, y in zip(mw, self.rep.eps_weights[i]))
+
+    def element_weight(self, elem):
+        """Common raw eps-weight 5-vector (error when inhomogeneous).
+
+        Raw 5-vectors follow the literal symbol weights, under which terms
+        with different p-counts differ by trace multiples even inside one
+        weight-homogeneous element; use element_coords for those.
+        """
+        ws = {self._pair_weight(m, i) for m, i in elem}
+        if len(ws) != 1:
+            raise ValueError("element is not weight-homogeneous")
+        return ws.pop()
+
+    def element_coords(self, elem):
+        """sl5 weight in fundamental coordinates."""
+        cs = {eps_to_coords(self._pair_weight(m, i)) for m, i in elem}
+        if len(cs) != 1:
+            raise ValueError("element is not weight-homogeneous")
+        return cs.pop()
+
+
+# the singularity conditions: the four simple raisings and x_5 d_45, the
+# lowest weight vector of the degree +1 part (see VermaModule.is_singular)
+_CONDITIONS = tuple(("e%d" % i, ("e", i, i + 1)) for i in range(1, 5)) \
+    + (("x5d45", ("xd", 5, 9)),)
+
+
+class VermaModule(InducedModule):
+    """U(g_-) (x) F(mu) for a dominant sl5 weight mu."""
+
+    algebra = "E(5,10)"
+
+    def monomials(self, d):
+        return enumerate_monomials(d)
+
+    def monomial_weight(self, mono):
+        return mono_weight(mono)
+
+    def conditions(self, elem):
+        for label, sym in _CONDITIONS:
+            yield label, self.act_sym(sym, elem)
+
+    def terms(self, elem):
+        return tensor_terms(elem)
 
     def vacuum(self):
         return {(ONE_MONO, 0): Q(1)}
@@ -141,7 +223,7 @@ class VermaModule:
         out = {}
         for m, cu in u.items():
             for i, cv in coeffs.items():
-                add_tensor(out, {(m, i): Q(1)}, cu * cv)
+                add_scaled(out, {(m, i): Q(1)}, cu * cv)
         return out
 
     def mult(self, u, elem):
@@ -150,7 +232,7 @@ class VermaModule:
         for (m, i), c in elem.items():
             for mu_, cu in u.items():
                 for m2, kk in mono_product(mu_, m).items():
-                    add_tensor(out, {(m2, i): Q(1)}, c * cu * kk)
+                    add_scaled(out, {(m2, i): Q(1)}, c * cu * kk)
         return out
 
     def act_e(self, a, b, elem):
@@ -158,9 +240,9 @@ class VermaModule:
         out = {}
         for (m, i), c in elem.items():
             for m2, ca in ad_e_mono(a, b, m).items():
-                add_tensor(out, {(m2, i): Q(1)}, c * ca)
+                add_scaled(out, {(m2, i): Q(1)}, c * ca)
             for i2, cv in self.rep.mat(a, b)[i].items():
-                add_tensor(out, {(m, i2): Q(1)}, c * cv)
+                add_scaled(out, {(m, i2): Q(1)}, c * cv)
         return out
 
     def act_xd(self, k, f, elem):
@@ -169,12 +251,12 @@ class VermaModule:
         for (m, i), c in elem.items():
             A, B = xd_mono(k, f, m)
             for m2, ca in A.items():
-                add_tensor(out, {(m2, i): Q(1)}, c * ca)
+                add_scaled(out, {(m2, i): Q(1)}, c * ca)
             for (a, b), u in B.items():
                 for i2, cv in self.rep.mat(a, b)[i].items():
                     cc = c * cv
                     for m2, cu in u.items():
-                        add_tensor(out, {(m2, i2): Q(1)}, cc * cu)
+                        add_scaled(out, {(m2, i2): Q(1)}, cc * cu)
         return out
 
     def act_sym(self, sym, elem):
@@ -193,7 +275,7 @@ class VermaModule:
         """Action of an algebra element given as a dict symbol -> scalar."""
         out = {}
         for sym, c in x.items():
-            add_tensor(out, self.act_sym(sym, elem), c)
+            add_scaled(out, self.act_sym(sym, elem), c)
         return out
 
     def element_degree(self, elem):
@@ -201,50 +283,6 @@ class VermaModule:
         if len(degs) != 1:
             raise ValueError("element is not degree-homogeneous")
         return degs.pop()
-
-    def element_weight(self, elem):
-        """Common raw eps-weight 5-vector (error when inhomogeneous).
-
-        Raw 5-vectors follow the literal symbol weights, under which terms
-        with different p-counts differ by trace multiples even inside one
-        weight-homogeneous element; use element_coords for those.
-        """
-        ws = set()
-        for m, i in elem:
-            mw = mono_weight(m)
-            rw = self.rep.eps_weights[i]
-            ws.add(tuple(x + y for x, y in zip(mw, rw)))
-        if len(ws) != 1:
-            raise ValueError("element is not weight-homogeneous")
-        return ws.pop()
-
-    def element_coords(self, elem):
-        """sl5 weight in fundamental coordinates."""
-        cs = set()
-        for m, i in elem:
-            mw = mono_weight(m)
-            rw = self.rep.eps_weights[i]
-            cs.add(eps_to_coords(tuple(x + y for x, y in zip(mw, rw))))
-        if len(cs) != 1:
-            raise ValueError("element is not weight-homogeneous")
-        return cs.pop()
-
-    def weight_space(self, d, nu):
-        """Ordered basis pairs (monomial, rep index) of weight nu, degree d.
-
-        Weight comparison is in fundamental coordinates, so pairs from
-        different trace branches of the concrete realization are collected
-        together, as they must be.
-        """
-        nu = tuple(nu)
-        out = []
-        for mono in enumerate_monomials(d):
-            mw = mono_weight(mono)
-            for i, rw in enumerate(self.rep.eps_weights):
-                if eps_to_coords(tuple(x + y for x, y in zip(mw, rw))) == nu:
-                    out.append((mono, i))
-        out.sort()
-        return out
 
     def is_singular(self, elem, full_g1=False):
         """Annihilated by e_1..e_4 and by g_1.
@@ -278,7 +316,7 @@ def tensor_from_terms(terms):
     out = {}
     for t in terms:
         key = (parse_monomial(t["monomial"]), t["index"])
-        add_tensor(out, {key: Q(1)}, qparse(t["coeff"]))
+        add_scaled(out, {key: Q(1)}, qparse(t["coeff"]))
     return out
 
 

@@ -110,6 +110,27 @@ def test_identities_small_sweep(tmp_path):
     assert rep["ok"] and rep["checks"]["routes_exhaustive"] == 55
 
 
-def test_threads_validated(capsys):
-    assert main(["s5-baseline", "--threads", "0"]) == 2
-    capsys.readouterr()
+def test_corrupt_checkpoint_exits_two(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    argv = ["search", "--mu", "0,0,1,0", "--degree", "1",
+            "--checkpoint", str(ck)]
+    for text in ("{x", "[1, 2]", '{"0,0,1,0|1": 3}'):
+        ck.write_text(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checkpoint" in err
+
+
+def test_resume_recomputes_cells_of_other_full_g1(tmp_path):
+    ck, out = tmp_path / "ck.json", tmp_path / "rep.json"
+    argv = ["search", "--mu", "0,0,1,0", "--degree", "1",
+            "--checkpoint", str(ck), "--format", "json",
+            "--output", str(out)]
+    assert main(argv) == 0
+    assert [c["full_g1"] for c in json.loads(out.read_text())
+            ["certificates"]] == [False]
+    assert main(argv + ["--full-g1"]) == 0
+    assert [c["full_g1"] for c in json.loads(out.read_text())
+            ["certificates"]] == [True]
+    assert [c["full_g1"] for c in json.loads(ck.read_text())
+            ["0,0,1,0|1"]] == [True]

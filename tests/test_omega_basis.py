@@ -24,7 +24,7 @@ from e510.omega_basis import (
     ricomega_residual,
     sif_sets,
 )
-from e510.verma import VermaModule, add_tensor
+from e510.verma import VermaModule
 
 
 def elem_diff(a, b):
@@ -262,7 +262,7 @@ def test_commutator_identity_sweep():
             assert commutator_identity_residual(p, q, i, mod) == {}
     # stronger probe: the identity as operators on a degree-1 element
     elem = mod.tensor(d_elem(1, 4), {2: Q(1)})
-    add_tensor(elem, mod.tensor(p_elem(2), {0: Q(1)}), Q(3))
+    add_scaled(elem, mod.tensor(p_elem(2), {0: Q(1)}), Q(3))
     assert commutator_identity_residual(
         5, 4, ((1, 2), (2, 3), (3, 1)), mod, elems=[elem]) == {}
     assert commutator_identity_residual(

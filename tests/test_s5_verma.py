@@ -3,8 +3,10 @@ import random
 from e510.scalars import Q
 from e510.sl5_reps import ambient_monomial
 from e510.s5_verma import (
-    S5Verma, quadratic_fields, rudakov_vectors, search_s5, s5_add,
+    S5Verma, quadratic_fields, rudakov_vectors, search_s5,
 )
+from e510.uminus import add_scaled
+from e510.verma import proportional
 
 
 def test_quadratic_fields_are_divergence_free():
@@ -37,9 +39,9 @@ def test_act_quad_hand_double_derivative():
     v = m.tensor({(1, 1, 0, 0, 0): Q(1)}, xi[5])
     out = m.act_quad({(1, 2, 5): Q(1)}, v)
     exp = {}
-    s5_add(exp, m.tensor({(0, 0, 0, 0, 1): Q(1)}, xi[5]), Q(1))
-    s5_add(exp, m.tensor({(0, 1, 0, 0, 0): Q(1)}, xi[2]), Q(-1))
-    s5_add(exp, m.tensor({(1, 0, 0, 0, 0): Q(1)}, xi[1]), Q(-1))
+    add_scaled(exp, m.tensor({(0, 0, 0, 0, 1): Q(1)}, xi[5]), Q(1))
+    add_scaled(exp, m.tensor({(0, 1, 0, 0, 0): Q(1)}, xi[2]), Q(-1))
+    add_scaled(exp, m.tensor({(1, 0, 0, 0, 0): Q(1)}, xi[1]), Q(-1))
     assert out == exp
 
 
@@ -84,9 +86,9 @@ def test_search_finds_exactly_rudakov():
     }
     assert set(found) == expected
     # each found kernel vector matches the explicit one up to scale
-    from e510.s5_verma import s5_from_terms, s5_proportional
+    from e510.s5_verma import s5_from_terms
     by_cell = {(tuple(lam), deg): w
                for lam, deg, w in rudakov_vectors().values()}
     for (lam, d, _), cert in found.items():
         w = s5_from_terms(cert["vectors"][0])
-        assert s5_proportional(by_cell[(lam, d)], w)
+        assert proportional(by_cell[(lam, d)], w)

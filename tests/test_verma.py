@@ -4,7 +4,7 @@ import pytest
 
 from e510.scalars import Q
 from e510.uminus import (
-    ONE_MONO, PAIR_INDEX, d_elem, p_elem, forms_elem, pbw_product,
+    ONE_MONO, PAIR_INDEX, add_scaled, d_elem, p_elem, forms_elem, pbw_product,
 )
 from e510.sl5_reps import ambient_monomial, build_irrep
 from e510.e510_algebra import (
@@ -12,7 +12,7 @@ from e510.e510_algebra import (
     cartan_gen, g1_basis,
 )
 from e510.verma import (
-    VermaModule, tensor_terms, tensor_from_terms, proportional, add_tensor,
+    VermaModule, tensor_terms, tensor_from_terms, proportional,
 )
 
 
@@ -62,7 +62,7 @@ def test_singular_degree_one_dual_vector_module():
     m = VermaModule((0, 0, 0, 1))
     w = {}
     for j in (2, 3, 4, 5):
-        add_tensor(w, m.tensor(d_elem(1, j), dual_vec(m, j)), Q(1))
+        add_scaled(w, m.tensor(d_elem(1, j), dual_vec(m, j)), Q(1))
     assert m.element_degree(w) == 1
     assert m.element_coords(w) == (1, 0, 0, 0)
     assert m.is_singular(w)
@@ -138,7 +138,7 @@ def test_serialization_roundtrip():
     m = VermaModule((0, 0, 0, 1))
     w = {}
     for j in (2, 3, 4, 5):
-        add_tensor(w, m.tensor(d_elem(1, j), dual_vec(m, j)), Q(1))
+        add_scaled(w, m.tensor(d_elem(1, j), dual_vec(m, j)), Q(1))
     terms = tensor_terms(w)
     assert terms == sorted(terms, key=lambda t: (t["monomial"], t["index"]))
     assert tensor_from_terms(terms) == w
