@@ -285,10 +285,12 @@ class VermaMorphism:
         self.images = images
 
     def apply(self, elem):
-        out = {}
+        """Sum over j of u_j * images[j], u_j the part of elem along v_j."""
+        parts = {}
         for (mono, j), c in elem.items():
-            add_scaled(out, self.target.mult({mono: Q(1)}, self.images[j]), c)
-        return out
+            parts.setdefault(j, {})[mono] = c
+        return self.target.mult_sum(
+            [(u, self.images[j]) for j, u in parts.items()])
 
     def singular_vector(self):
         return self.images[0]

@@ -2,7 +2,11 @@
 
 All coefficient arithmetic in this package is exact.  gmpy2.mpq is used when
 available (much faster); fractions.Fraction otherwise.  Both stringify as
-"p" or "p/q", which the JSON writers rely on.
+"p" or "p/q", which the JSON writers rely on, and both expose .numerator and
+.denominator (as ints do).  The module actions of verma read those: they take
+an input's coefficients to one common denominator, accumulate numerators as
+ints and build one scalar per nonzero output entry, so the scalar type is
+not on their inner loop.
 """
 
 from fractions import Fraction

@@ -20,7 +20,6 @@ from .errors import ConfigError
 from .scalars import Q
 from .sl5_reps import parse_weight, weight_str, dual_weight
 from .linalg import kernel_basis
-from .uminus import add_scaled
 from .verma import VermaModule
 
 TOOL_VERSION = "0.1.0"
@@ -45,12 +44,7 @@ def singular_block(module, d, nu, entry_cap=200000):
                 rows.setdefault((label, key), {})[j] = c
     kern = kernel_basis(list(rows.values()), list(range(len(block))),
                         entry_cap=entry_cap)
-    vectors = []
-    for k in kern:
-        out = {}
-        for j, c in k.items():
-            add_scaled(out, {block[j]: Q(1)}, c)
-        vectors.append(out)
+    vectors = [{block[j]: c for j, c in k.items()} for k in kern]
     return block, vectors
 
 

@@ -312,5 +312,5 @@ def element_from_terms(terms):
     for t in terms:
         forms = tuple(PAIR_INDEX[tuple(p)] for p in t["forms"])
         mono = (tuple(t["partials"]), forms)
-        add_scaled(out, {mono: Q(1)}, qparse(t["coeff"]))
-    return out
+        out[mono] = out.get(mono, 0) + qparse(t["coeff"])
+    return {k: c for k, c in out.items() if c}

@@ -12,13 +12,22 @@ The per-symbol pieces are bookkeeping: single diagonal gl5 symbols and
 single non-closed x_k d_ij terms are not elements of the algebra, and only
 aggregates over traceless (resp. closed) combinations are meaningful.  All
 public entry points take genuine algebra elements, so results are exact.
+
+The actions are fraction-free: an input's coefficients go over one common
+denominator, numerators accumulate as ints keyed by (monomial, rep index),
+and one scalar is built per nonzero entry of the result.  The memoized
+pieces of the g_0 and g_1 actions have integer coefficients by
+construction (signs, exponents and eps values) and are stored as ints.
 """
+
+from math import lcm
+from operator import add
 
 from .scalars import Q, qstr, qparse
 from .uminus import (
-    PAIRS, EPS, TMATE, ZERO_PARTIALS, ONE_MONO,
-    mono_degree, mono_weight, add_scaled, scale, pbw_product, mono_product,
-    p_elem, d_elem, enumerate_monomials, format_monomial, parse_monomial,
+    PAIRS, PAIR_INDEX, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms,
+    mono_degree, mono_weight, add_scaled, scale, pbw_product, p_elem,
+    enumerate_monomials, format_monomial, parse_monomial,
 )
 from .sl5_reps import build_irrep, eps_to_coords, is_dominant, parse_weight
 from .e510_algebra import g1_basis, xd_gen
@@ -28,8 +37,32 @@ _XD_CACHE = {}
 
 
 def _form_elem(f):
-    """The single 2-form generator with pair index f as a U(g_-) element."""
-    return {(ZERO_PARTIALS, (f,)): Q(1)}
+    """The single 2-form generator with pair index f, integer coefficient."""
+    return {(ZERO_PARTIALS, (f,)): 1}
+
+
+def _int_form(i, j):
+    """dx_i ^ dx_j with an integer coefficient; dji = -dij, dii = 0."""
+    if i == j:
+        return {}
+    if i > j:
+        return {(ZERO_PARTIALS, (PAIR_INDEX[(j, i)],)): -1}
+    return _form_elem(PAIR_INDEX[(i, j)])
+
+
+def _den(values):
+    """Least common denominator of some rationals (ints count as n/1)."""
+    return lcm(*{v.denominator for v in values})
+
+
+def _numerators(elem, den):
+    """(key, numerator over den) for every entry of elem."""
+    return [(k, v.numerator * (den // v.denominator)) for k, v in elem.items()]
+
+
+def _scalars(acc, den):
+    """The nonzero integer numerators of acc over den, as exact scalars."""
+    return {k: Q(n, den) for k, n in acc.items() if n}
 
 
 def ad_e_mono(a, b, mono):
@@ -48,22 +81,21 @@ def ad_e_mono(a, b, mono):
         pl = list(parts)
         pl[a - 1] -= 1
         pl[b - 1] += 1
-        add_scaled(out, {(tuple(pl), forms): Q(1)}, Q(-parts[a - 1]))
+        out[(tuple(pl), forms)] = -parts[a - 1]
     for n, f in enumerate(forms):
         l, m = PAIRS[f]
-        repl = {}
         if b == l:
-            add_scaled(repl, d_elem(a, m), Q(1))
-        if b == m:
-            add_scaled(repl, d_elem(l, a), Q(1))
+            repl = _int_form(a, m)
+        elif b == m:
+            repl = _int_form(l, a)
+        else:
+            continue
         if not repl:
             continue
-        word = {(ZERO_PARTIALS, forms[:n]): Q(1)}
-        word = pbw_product(word, repl)
-        word = pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): Q(1)})
-        for (p2, f2), c in word.items():
-            bumped = (tuple(x + y for x, y in zip(parts, p2)), f2)
-            add_scaled(out, {bumped: c}, Q(1))
+        word = pbw_product({(ZERO_PARTIALS, forms[:n]): 1}, repl)
+        word = pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): 1})
+        add_scaled(out, {(tuple(map(add, parts, p2)), f2): c
+                         for (p2, f2), c in word.items()}, 1)
     _AD_E_CACHE[key] = out
     return out
 
@@ -90,9 +122,9 @@ def xd_mono(k, f, mono):
         A1, B1 = xd_mono(k, f, rest)
         A = {}
         if i == k:
-            add_scaled(A, pbw_product(_form_elem(f), {rest: Q(1)}), Q(-1))
-        pi = p_elem(i)
-        add_scaled(A, pbw_product(pi, A1), Q(1))
+            add_scaled(A, pbw_product(_form_elem(f), {rest: 1}), -1)
+        pi = dict.fromkeys(p_elem(i), 1)
+        add_scaled(A, pbw_product(pi, A1), 1)
         B = {}
         for ab, u in B1.items():
             img = pbw_product(pi, u)
@@ -104,18 +136,18 @@ def xd_mono(k, f, mono):
         rest = (parts, forms[1:])
         A1, B1 = xd_mono(k, f, rest)
         dq = _form_elem(q)
-        A = scale(pbw_product(dq, A1), Q(-1))
+        A = scale(pbw_product(dq, A1), -1)
         B = {}
         for ab, u in B1.items():
-            img = scale(pbw_product(dq, u), Q(-1))
+            img = scale(pbw_product(dq, u), -1)
             if img:
                 B[ab] = img
         e = EPS[f][q]
         if e:
             t = TMATE[f][q]
-            add_scaled(A, ad_e_mono(k, t, rest), Q(e))
+            add_scaled(A, ad_e_mono(k, t, rest), e)
             bu = B.setdefault((k, t), {})
-            add_scaled(bu, {rest: Q(1)}, Q(e))
+            add_scaled(bu, {rest: 1}, e)
             if not bu:
                 del B[(k, t)]
         got = (A, B)
@@ -202,6 +234,10 @@ class VermaModule(InducedModule):
 
     algebra = "E(5,10)"
 
+    def __init__(self, mu):
+        super().__init__(mu)
+        self._int_mats = {}
+
     def monomials(self, d):
         return enumerate_monomials(d)
 
@@ -223,41 +259,94 @@ class VermaModule(InducedModule):
         out = {}
         for m, cu in u.items():
             for i, cv in coeffs.items():
-                add_scaled(out, {(m, i): Q(1)}, cu * cv)
+                c = cu * cv
+                if c:
+                    out[(m, i)] = c
         return out
 
     def mult(self, u, elem):
         """Left multiplication by a U(g_-) element."""
-        out = {}
-        for (m, i), c in elem.items():
-            for mu_, cu in u.items():
-                for m2, kk in mono_product(mu_, m).items():
-                    add_scaled(out, {(m2, i): Q(1)}, c * cu * kk)
-        return out
+        return self.mult_sum(((u, elem),))
+
+    def mult_sum(self, pairs):
+        """The sum of the left multiplications u * elem over (u, elem) pairs."""
+        work = []
+        den = 1
+        for u, elem in pairs:
+            if u and elem:
+                du, de = _den(u.values()), _den(elem.values())
+                work.append((u, du, elem, de))
+                den = lcm(den, du * de)
+        acc = {}
+        for u, du, elem, de in work:
+            by_mono = {}
+            for (m, i), n in _numerators(elem, de):
+                by_mono.setdefault(m, []).append((i, n))
+            s = den // (du * de)
+            for (pu, fu), nu in _numerators(u, du):
+                nu *= s
+                for (pm, fm), terms in by_mono.items():
+                    base = tuple(map(add, pu, pm))
+                    for (dp, forms), k in _order_forms(fu, fm):
+                        # dp is ZERO_PARTIALS itself unless a d_p d_q
+                        # contraction produced a p_t
+                        parts = base if dp is ZERO_PARTIALS else \
+                            tuple(map(add, base, dp))
+                        m2 = (parts, forms)
+                        nk = nu * k
+                        for i, n in terms:
+                            key = (m2, i)
+                            acc[key] = acc.get(key, 0) + nk * n
+        return _scalars(acc, den)
+
+    def _int_mat(self, a, b):
+        """x_a p_b on the rep as (den, columns of numerators over den)."""
+        got = self._int_mats.get((a, b))
+        if got is None:
+            cols = self.rep.mat(a, b)
+            den = _den(v for col in cols for v in col.values())
+            got = (den, [dict(_numerators(col, den)) for col in cols])
+            self._int_mats[(a, b)] = got
+        return got
 
     def act_e(self, a, b, elem):
         """A single gl5 symbol x_a p_b; traceless aggregates are genuine."""
-        out = {}
-        for (m, i), c in elem.items():
+        mden, cols = self._int_mat(a, b)
+        eden = _den(elem.values())
+        acc = {}
+        for (m, i), n in _numerators(elem, eden):
+            nm = n * mden
             for m2, ca in ad_e_mono(a, b, m).items():
-                add_scaled(out, {(m2, i): Q(1)}, c * ca)
-            for i2, cv in self.rep.mat(a, b)[i].items():
-                add_scaled(out, {(m, i2): Q(1)}, c * cv)
-        return out
+                key = (m2, i)
+                acc[key] = acc.get(key, 0) + nm * ca
+            for i2, cv in cols[i].items():
+                key = (m, i2)
+                acc[key] = acc.get(key, 0) + n * cv
+        return _scalars(acc, eden * mden)
 
     def act_xd(self, k, f, elem):
         """A single degree +1 symbol x_k d_(pair f)."""
-        out = {}
-        for (m, i), c in elem.items():
-            A, B = xd_mono(k, f, m)
+        eden = _den(elem.values())
+        terms = [(m, i, n, xd_mono(k, f, m))
+                 for (m, i), n in _numerators(elem, eden)]
+        mats = {ab: self._int_mat(*ab)
+                for _, _, _, (_, B) in terms for ab in B}
+        mden = lcm(*(d for d, _ in mats.values()))
+        acc = {}
+        for m, i, n, (A, B) in terms:
+            na = n * mden
             for m2, ca in A.items():
-                add_scaled(out, {(m2, i): Q(1)}, c * ca)
-            for (a, b), u in B.items():
-                for i2, cv in self.rep.mat(a, b)[i].items():
-                    cc = c * cv
+                key = (m2, i)
+                acc[key] = acc.get(key, 0) + na * ca
+            for ab, u in B.items():
+                d, cols = mats[ab]
+                nd = n * (mden // d)
+                for i2, cv in cols[i].items():
+                    cc = nd * cv
                     for m2, cu in u.items():
-                        add_scaled(out, {(m2, i2): Q(1)}, cc * cu)
-        return out
+                        key = (m2, i2)
+                        acc[key] = acc.get(key, 0) + cc * cu
+        return _scalars(acc, eden * mden)
 
     def act_sym(self, sym, elem):
         kind = sym[0]
@@ -316,8 +405,8 @@ def tensor_from_terms(terms):
     out = {}
     for t in terms:
         key = (parse_monomial(t["monomial"]), t["index"])
-        add_scaled(out, {key: Q(1)}, qparse(t["coeff"]))
-    return out
+        out[key] = out.get(key, 0) + qparse(t["coeff"])
+    return {k: c for k, c in out.items() if c}
 
 
 def proportional(a, b):

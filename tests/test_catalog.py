@@ -7,7 +7,7 @@ from e510.catalog import (
     verify_catalog, verify_family,
 )
 from e510.scalars import Q
-from e510.uminus import d_elem
+from e510.uminus import add_scaled, d_elem, p_elem
 from e510.verma import VermaModule, proportional
 
 
@@ -67,6 +67,23 @@ def test_morphism_basics():
     lhs = phi.apply(phi.source.mult(u, hw))
     rhs = phi.target.mult(u, phi.apply(hw))
     assert lhs == rhs
+
+
+def test_apply_groups_terms_by_rep_index():
+    phi = family_morphism("1B")
+    assert phi.source.rep.dim > 1
+    elem = {}
+    for j, c in ((0, Q(2, 3)), (1, Q(-5, 4))):
+        add_scaled(elem, phi.source.tensor(d_elem(1, 3), {j: c}), Q(1))
+        add_scaled(elem, phi.source.tensor(p_elem(2), {j: Q(1, 6)}), c)
+    add_scaled(elem, phi.source.vacuum(), Q(7))
+    assert len({j for _, j in elem}) == 2 and len(elem) == 5
+    want = {}
+    for (mono, j), c in elem.items():
+        add_scaled(want, phi.target.mult({mono: Q(1)}, phi.images[j]), c)
+    got = phi.apply(elem)
+    assert got and got == want
+    assert all(isinstance(v, Q) and v for v in got.values())
 
 
 def test_morphism_rejects_non_singular():

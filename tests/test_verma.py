@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from e510 import verma
 from e510.scalars import Q
 from e510.uminus import (
     ONE_MONO, PAIR_INDEX, add_scaled, d_elem, p_elem, forms_elem, pbw_product,
+    enumerate_monomials, mono_product,
 )
 from e510.sl5_reps import ambient_monomial, build_irrep
 from e510.e510_algebra import (
@@ -150,3 +153,111 @@ def test_proportional():
     assert proportional(w, {k: Q(-3) * c for k, c in w.items()}) == Q(-3)
     assert proportional(w, m.tensor(d_elem(1, 3), {0: Q(1)})) is None
     assert proportional(w, {}) is None
+
+
+# Reference actions: the nested loops over Fraction coefficients that the
+# fraction-free kernel replaces, one singleton add_scaled per product term.
+
+def ref_mult(u, elem):
+    out = {}
+    for (m, i), c in elem.items():
+        for mu_, cu in u.items():
+            for m2, kk in mono_product(mu_, m).items():
+                add_scaled(out, {(m2, i): Q(1)}, c * cu * kk)
+    return out
+
+
+def ref_act_e(module, a, b, elem):
+    out = {}
+    for (m, i), c in elem.items():
+        for m2, ca in verma.ad_e_mono(a, b, m).items():
+            add_scaled(out, {(m2, i): Q(1)}, c * ca)
+        for i2, cv in module.rep.mat(a, b)[i].items():
+            add_scaled(out, {(m, i2): Q(1)}, c * cv)
+    return out
+
+
+def ref_act_xd(module, k, f, elem):
+    out = {}
+    for (m, i), c in elem.items():
+        A, B = verma.xd_mono(k, f, m)
+        for m2, ca in A.items():
+            add_scaled(out, {(m2, i): Q(1)}, c * ca)
+        for (a, b), u in B.items():
+            for i2, cv in module.rep.mat(a, b)[i].items():
+                cc = c * cv
+                for m2, cu in u.items():
+                    add_scaled(out, {(m2, i2): Q(1)}, cc * cu)
+    return out
+
+
+# F(2,0,0,0) has rep matrices with denominators 2, 4 and 8, those of the
+# other two are integral
+PROPERTY_MODULES = {mu: VermaModule(mu)
+                    for mu in ((0, 0, 0, 1), (1, 0, 0, 0), (2, 0, 0, 0))}
+SMALL_MONOS = [m for d in range(4) for m in enumerate_monomials(d)]
+
+scalars = st.builds(Q, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+monos = st.sampled_from(SMALL_MONOS)
+u_elems = st.dictionaries(monos, scalars, max_size=4)
+
+
+def module_elems(mu):
+    keys = st.tuples(monos, st.integers(0, PROPERTY_MODULES[mu].rep.dim - 1))
+    return st.dictionaries(keys, scalars, max_size=5)
+
+
+def exact_and_sparse(out):
+    return all(isinstance(v, Q) and v for v in out.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fraction_free_kernel_matches_reference(data):
+    mu = data.draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    m = PROPERTY_MODULES[mu]
+    elem = data.draw(module_elems(mu))
+    u = data.draw(u_elems)
+    got = m.mult(u, elem)
+    assert got == ref_mult(u, elem) and exact_and_sparse(got)
+    a, b = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    got = m.act_e(a, b, elem)
+    assert got == ref_act_e(m, a, b, elem) and exact_and_sparse(got)
+    k, f = data.draw(st.tuples(st.integers(1, 5), st.integers(0, 9)))
+    got = m.act_xd(k, f, elem)
+    assert got == ref_act_xd(m, k, f, elem) and exact_and_sparse(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mult_sum_matches_reference_and_cancels(data):
+    mu = data.draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    m = PROPERTY_MODULES[mu]
+    pairs = data.draw(st.lists(st.tuples(u_elems, module_elems(mu)),
+                               max_size=3))
+    want = {}
+    for u, elem in pairs:
+        add_scaled(want, ref_mult(u, elem), Q(1))
+    got = m.mult_sum(pairs)
+    assert got == want and exact_and_sparse(got)
+    # (c u) * (-elem / c) cancels u * elem over a different denominator
+    c = data.draw(scalars)
+    cancel = pairs + [
+        ({k: c * v for k, v in u.items()}, {k: -v / c for k, v in elem.items()})
+        for u, elem in pairs]
+    assert m.mult_sum(cancel) == {}
+
+
+def test_action_caches_hold_ints():
+    m = PROPERTY_MODULES[(0, 0, 0, 1)]
+    elem = {(mono, 0): Q(1) for mono in enumerate_monomials(3)}
+    m.act_xd(5, 9, elem)
+    for a in range(1, 6):
+        for b in range(1, 6):
+            m.act_e(a, b, elem)
+    assert verma._AD_E_CACHE and verma._XD_CACHE
+    assert all(type(c) is int
+               for out in verma._AD_E_CACHE.values() for c in out.values())
+    for A, B in verma._XD_CACHE.values():
+        assert all(type(c) is int for c in A.values())
+        assert all(type(c) is int for u in B.values() for c in u.values())
