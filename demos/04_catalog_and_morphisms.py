@@ -9,7 +9,7 @@ extending with lowering words.  Compositions reproduce the higher families.
 
 from e510.catalog import (
     FAMILY_NAMES, family_data, verify_family, family_morphism, compose,
-    composition_identity_reports,
+    compose_vector, composition_identity_reports,
 )
 
 # every family instance carries its module, degree and singular weight
@@ -23,11 +23,12 @@ rec = verify_family("4E", n=1)
 print("4E at n=1 verifies:", rec["ok"], "height", rec["height"])
 
 # morphisms compose; the two degree-1 maps through M(0,0,1,0) hit the
-# degree-2 family on the nose
+# degree-2 family on the nose (compose_vector carries only the singular
+# vector through the chain, which is all this reads)
 outer = family_morphism("1C")
 inner = family_morphism("1A")
 print("1C o 1A lands at",
-      [k for k in compose(outer, inner).singular_vector()][:2], "...")
+      [k for k in compose_vector(outer, inner)][:2], "...")
 
 # all six stacked identities hold with scalar one
 for r in composition_identity_reports():

@@ -315,17 +315,53 @@ def morphism_from_singular(module, w, check=True):
     return VermaMorphism(VermaModule(rep_in.weight), module, images)
 
 
+def _check_composable(factors):
+    for outer, inner in zip(factors, factors[1:]):
+        if outer.source.mu != inner.target.mu:
+            raise ValueError("morphisms are not composable")
+
+
 def compose(outer, inner):
-    """outer o inner; defined when inner's target is outer's source."""
-    if outer.source.mu != inner.target.mu:
-        raise ValueError("morphisms are not composable")
+    """outer o inner; defined when inner's target is outer's source.
+
+    Applies outer to every image of inner, one product per source basis
+    vector; compose_vector computes only the singular vector.
+    """
+    _check_composable((outer, inner))
     return VermaMorphism(inner.source, outer.target,
                          [outer.apply(im) for im in inner.images])
+
+
+def compose_vector(*factors):
+    """The singular vector of the composite of factors, outermost first.
+
+    Equal to the nested compose(...).singular_vector(), with the same
+    composability checks, but it applies each factor to one vector only:
+    the innermost factor's singular vector, carried outwards.
+    """
+    _check_composable(factors)
+    v = factors[-1].singular_vector()
+    for f in reversed(factors[:-1]):
+        v = f.apply(v)
+    return v
 
 
 def family_morphism(family, m=0, n=0, check=True):
     mod, w = known_vector(family, m, n)
     return morphism_from_singular(mod, w, check=check)
+
+
+def morphism_table(check=False):
+    """get(family, m=0, n=0): one run's catalog morphisms, each built once."""
+    built = {}
+
+    def get(fam, m=0, n=0):
+        key = (fam, m, n)
+        if key not in built:
+            built[key] = family_morphism(fam, m, n, check=check)
+        return built[key]
+
+    return get
 
 
 # composition identities: target instance and its factors, outermost first
@@ -340,16 +376,16 @@ COMPOSITION_IDENTITIES = (
 )
 
 
-def composition_identity_reports(check=False):
-    """Each named composition equals its target vector up to a scalar."""
+def composition_identity_reports(get=None):
+    """Each named composition equals its target vector up to a scalar.
+
+    get is a morphism_table (a fresh unchecked one by default).
+    """
+    get = get or morphism_table()
     out = []
     for target, targs, factors in COMPOSITION_IDENTITIES:
-        mod, want = known_vector(target, **targs)
-        phi = None
-        for fam, args in factors:
-            nxt = family_morphism(fam, check=check, **args)
-            phi = nxt if phi is None else compose(phi, nxt)
-        got = phi.singular_vector()
+        _, want = known_vector(target, **targs)
+        got = compose_vector(*(get(fam, **args) for fam, args in factors))
         c = proportional(want, got) if got else None
         out.append({
             "target": target,
@@ -372,34 +408,27 @@ def _morphism_instances():
     return out
 
 
-def composition_sweep(check=False):
+def composition_sweep(get=None):
     """Compose every composable ordered pair of catalog instances.
 
-    Each record reports whether the composition vanishes and, when it does
-    not, which catalog instance it matches up to a scalar.  Note that no
+    Each record reports whether the composite's singular vector (computed
+    by compose_vector; morphisms come from get, a morphism_table, a fresh
+    unchecked one by default) vanishes and, when it does not, which
+    catalog instance it matches up to a scalar.  Note that no
     family provides a degree-1 arrow out of the trivial-weight module into
     M(1,0,0,0): degree-1 singular vectors sit at weight mu + eps_i + eps_j,
     never at mu itself shifted to (0,0,0,0).  Chains through the trivial
     module are therefore reported as found, not matched against any
     preconceived sequence of arrows.
     """
+    get = get or morphism_table()
     insts = _morphism_instances()
-    morphs = {}
-
-    def get(fam, m, n):
-        if (fam, m, n) not in morphs:
-            morphs[(fam, m, n)] = family_morphism(fam, m, n, check=check)
-        return morphs[(fam, m, n)]
-
     records = []
     for of, om, on, omu, olam, odeg in insts:
         for inf, im, inn, imu, ilam, ideg in insts:
             if olam != imu:
                 continue
-            outer = get(of, om, on)
-            inner = get(inf, im, inn)
-            comp = compose(outer, inner)
-            vec = comp.singular_vector()
+            vec = compose_vector(get(of, om, on), get(inf, im, inn))
             rec = {
                 "outer": [of, om, on],
                 "inner": [inf, im, inn],

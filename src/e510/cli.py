@@ -400,12 +400,11 @@ def cmd_identities(args):
 
 def cmd_complexes(args):
     from .catalog import (composition_identity_reports, composition_sweep,
-                          compose, family_morphism)
-    idents = composition_identity_reports(check=args.check)
-    outer = family_morphism("1A", m=0, n=0, check=args.check)
-    inner = family_morphism("1A", m=0, n=1, check=args.check)
-    square_zero = compose(outer, inner).is_zero()
-    records = composition_sweep(check=args.check)
+                          compose, morphism_table)
+    get = morphism_table(check=args.check)
+    idents = composition_identity_reports(get)
+    square_zero = compose(get("1A", 0, 0), get("1A", 0, 1)).is_zero()
+    records = composition_sweep(get)
     unmatched = [r for r in records if not r["zero"] and not r["matches"]]
     report = {
         "command": "complexes",

@@ -10,13 +10,14 @@ morphism coefficients can be read off singular vectors against it.
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 
 from .scalars import Q
 from .sl5_reps import build_irrep
 from .uminus import (EPS, PAIRS, PAIR_INDEX, ONE_MONO, TMATE, add_scaled,
                      d_elem, forms_elem, mono_degree, p_elem, pbw_product,
                      perm_sign, scale)
-from .verma import ad_e_mono
+from .verma import _den, _numerators, ad_e_mono
 
 
 def canonical_index(pairs):
@@ -430,7 +431,10 @@ def equivariant_family(module, w, check=True):
     """Images of a weight-module basis under the map generated by w.
 
     Transports w along the lowering tree of its weight module and verifies
-    that the family intertwines the sl5 action; returns (rep_in, images).
+    that the family intertwines the sl5 action: for each simple raising or
+    lowering E and each j, E images[j] == sum_i M[i, j] images[i] with M
+    the matrix of E on rep_in, compared as integer numerators over one
+    common denominator.  Returns (rep_in, images).
     """
     if not w:
         raise ValueError("zero vector has no morphism")
@@ -445,14 +449,24 @@ def equivariant_family(module, w, check=True):
     for jj in range(1, rep_in.dim):
         par, low = rep_in.parents[jj]
         images[jj] = module.act_e(low + 1, low, images[par])
+    nums = []
+    for im in images:
+        den = _den(im.values())
+        nums.append((den, _numerators(im, den)))
     for aa in range(1, 5):
         for x, y in ((aa, aa + 1), (aa + 1, aa)):
             cols = rep_in.mat(x, y)
             for jj in range(rep_in.dim):
-                got = module.act_e(x, y, images[jj])
-                for ii, cc in cols[jj].items():
-                    add_scaled(got, images[ii], -cc)
-                if got:
+                acc, den = module.act_e_int(x, y, images[jj])
+                subs = [(cc, nums[ii]) for ii, cc in cols[jj].items()]
+                common = lcm(den, *(cc.denominator * d for cc, (d, _) in subs))
+                s = common // den
+                got = {k: n * s for k, n in acc.items()}
+                for cc, (d, terms) in subs:
+                    t = cc.numerator * (common // (cc.denominator * d))
+                    for k, n in terms:
+                        got[k] = got.get(k, 0) - t * n
+                if any(got.values()):
                     raise ValueError(
                         "vector does not generate an equivariant family")
     return rep_in, images

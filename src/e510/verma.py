@@ -311,6 +311,13 @@ class VermaModule(InducedModule):
 
     def act_e(self, a, b, elem):
         """A single gl5 symbol x_a p_b; traceless aggregates are genuine."""
+        return _scalars(*self.act_e_int(a, b, elem))
+
+    def act_e_int(self, a, b, elem):
+        """act_e as (integer numerators keyed like elem, common denominator).
+
+        Numerators may be zero; act_e drops those when it builds scalars.
+        """
         mden, cols = self._int_mat(a, b)
         eden = _den(elem.values())
         acc = {}
@@ -322,7 +329,7 @@ class VermaModule(InducedModule):
             for i2, cv in cols[i].items():
                 key = (m, i2)
                 acc[key] = acc.get(key, 0) + n * cv
-        return _scalars(acc, eden * mden)
+        return acc, eden * mden
 
     def act_xd(self, k, f, elem):
         """A single degree +1 symbol x_k d_(pair f)."""

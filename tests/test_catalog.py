@@ -1,10 +1,11 @@
 import pytest
 
 from e510.catalog import (
-    FAMILY_NAMES, COMPOSITION_IDENTITIES, classification_sweep, compose,
+    FAMILY_NAMES, COMPOSITION_IDENTITIES, _morphism_instances,
+    classification_sweep, compose, compose_vector,
     composition_identity_reports, composition_sweep, expected_instances,
     family_data, family_morphism, known_vector, morphism_from_singular,
-    verify_catalog, verify_family,
+    morphism_table, verify_catalog, verify_family,
 )
 from e510.scalars import Q
 from e510.uminus import add_scaled, d_elem, p_elem
@@ -96,7 +97,34 @@ def test_morphism_rejects_non_singular():
 def test_composition_identities():
     reps = composition_identity_reports()
     assert [r["target"] for r in reps] == [t for t, _, _ in COMPOSITION_IDENTITIES]
-    assert all(r["ok"] for r in reps), reps
+    assert all(r["ok"] and r["scalar"] == "1" for r in reps), reps
+
+
+def test_compose_vector_is_singular_vector_of_compose():
+    get = morphism_table()
+    insts = _morphism_instances()
+    pairs = [(o[:3], i[:3]) for o in insts for i in insts if o[4] == i[3]]
+    assert len(pairs) == 32
+    for o, i in pairs:
+        outer, inner = get(*o), get(*i)
+        assert compose_vector(outer, inner) == \
+            compose(outer, inner).singular_vector(), (o, i)
+
+
+def test_compose_vector_folds_chains():
+    c, b, a = (family_morphism("1C", m=0, n=1), family_morphism("1B"),
+               family_morphism("1A", m=1))
+    got = compose_vector(c, b, a)
+    assert got and got == compose(compose(c, b), a).singular_vector()
+    assert proportional(known_vector("3CBA")[1], got) == Q(1)
+
+
+def test_compose_vector_rejects_non_composable():
+    one_a, four_d = family_morphism("1A"), family_morphism("4D")
+    with pytest.raises(ValueError, match="not composable"):
+        compose_vector(one_a, four_d)
+    with pytest.raises(ValueError, match="not composable"):
+        compose_vector(family_morphism("1C"), one_a, four_d)
 
 
 def test_degree_one_square_vanishes():

@@ -18,6 +18,7 @@ from e510.omega_basis import (
     omega_recursive,
     omega_removed,
     omega_symmetrized,
+    equivariant_family,
     omega_to_pbw,
     pbw_to_omega,
     reconstruct_theta,
@@ -284,6 +285,23 @@ def test_reconstruct_theta_basic():
     bad = mod.tensor(p_elem(1), {0: Q(1)})
     with pytest.raises(ValueError):
         reconstruct_theta(mod, bad)
+
+
+def test_equivariance_check_rejects_non_highest_vector():
+    # d13 (x) v_(e2) has the dominant weight (0,0,1,0) but is not sl5-highest
+    # (e1 sends it to d13 (x) v_(e1)); with check=False only the
+    # equivariance check stands between it and a morphism table
+    mod = VermaModule((1, 0, 0, 0))
+    j = mod.rep.eps_weights.index((0, 1, 0, 0, 0))
+    w = mod.tensor(d_elem(1, 3), {j: Q(1)})
+    assert tuple(mod.element_coords(w)) == (0, 0, 1, 0)
+    assert not mod.is_singular(w)
+    with pytest.raises(ValueError, match="does not generate an equivariant"):
+        equivariant_family(mod, w, check=False)
+    # the highest vector d12 (x) v_(e1) of the same module passes it
+    good = mod.tensor(d_elem(1, 2), {0: Q(1)})
+    rep_in, images = equivariant_family(mod, good, check=False)
+    assert rep_in.weight == (1, 1, 0, 0) and len(images) == rep_in.dim > 1
 
 
 def test_reconstruct_theta_four_forms():
