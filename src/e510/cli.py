@@ -7,12 +7,11 @@ indented, so equal configurations produce byte-identical reports.
 
 import argparse
 import json
-import os
 import random
 import sys
 from itertools import combinations
 
-from .errors import ConfigError
+from .errors import ConfigError, VerificationError
 from .linalg import MatrixTooLargeError
 from .scalars import Q
 from .sl5_reps import parse_weight, weight_str
@@ -20,15 +19,30 @@ from .sl5_reps import parse_weight, weight_str
 _DEF_ENTRY_CAP = 200000
 
 
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError("not an integer: %r" % text)
+
+
 def _parse_range(text):
     """"3" -> [3]; "1..4" -> [1, 2, 3, 4]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError("empty range %r" % text)
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    lo = _parse_int(lo)
+    hi = _parse_int(hi) if sep else lo
+    if hi < lo:
+        raise ConfigError("empty range %r" % text)
+    return list(range(lo, hi + 1))
+
+
+def _check_degrees(degrees):
+    """The degrees, if all are positive integers: degree 0 holds only
+    1 (x) v_mu, which is never singular."""
+    for d in degrees:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise ConfigError("degrees must be positive integers: %r" % (d,))
+    return degrees
 
 
 def _parse_mu(text):
@@ -51,10 +65,6 @@ def _emit(report, fmt, output, render):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _flag_lines(pairs):
-    return "".join("%s: %s\n" % kv for kv in pairs)
 
 
 # ---------------------------------------------------------------- verify
@@ -97,7 +107,7 @@ def cmd_verify_catalog(args):
 def cmd_search(args):
     from .singular_search import search_module, sweep
     mu = _parse_mu(args.mu)
-    degrees = _parse_range(args.degree)
+    degrees = _check_degrees(_parse_range(args.degree))
     if args.weight is not None:
         nu = _parse_mu(args.weight)
         certs = []
@@ -133,14 +143,14 @@ def cmd_search(args):
 def cmd_sweep(args):
     from .singular_search import sweep
     mus = [_parse_mu(t) for t in args.mu] if args.mu else None
-    certs = sweep(mus=mus, coord_sum=args.budget,
-                  degrees=tuple(_parse_range(args.degree)),
+    degrees = _check_degrees(_parse_range(args.degree))
+    certs = sweep(mus=mus, coord_sum=args.budget, degrees=tuple(degrees),
                   checkpoint=args.checkpoint, entry_cap=args.entry_cap,
                   full_g1=args.full_g1)
     report = {
         "command": "sweep",
         "budget": args.budget,
-        "degrees": _parse_range(args.degree),
+        "degrees": degrees,
         "certificates": certs,
         "count": len(certs),
         "ok": True,
@@ -438,26 +448,35 @@ def cmd_complexes(args):
 
 # ---------------------------------------------------------------- dual
 
+def _cert_triples(path):
+    """(mu, degree, weight) of each E(5,10) certificate in a JSON file."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError("unreadable certificate file %s: %s"
+                              % (path, exc))
+    if isinstance(data, dict):
+        data = data.get("certificates", [])
+    try:
+        return [(_parse_mu(c["mu"]), c["degree"], _parse_mu(c["weight"]))
+                for c in data if c.get("algebra") in (None, "E(5,10)")]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError("%s is not a list of certificates: %s: %s"
+                          % (path, type(exc).__name__, exc))
+
+
 def cmd_dual(args):
     from .singular_search import dual_pair_check
-    triples = []
     if args.from_certs:
-        if not os.path.exists(args.from_certs):
-            raise ConfigError("no such certificate file: %s" % args.from_certs)
-        with open(args.from_certs) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict):
-            data = data.get("certificates", [])
-        for cert in data:
-            if cert.get("algebra") not in (None, "E(5,10)"):
-                continue
-            triples.append((cert["mu"], cert["degree"], cert["weight"]))
+        triples = _cert_triples(args.from_certs)
     elif args.mu and args.degree and args.weight:
-        triples.append((args.mu, int(args.degree), args.weight))
+        triples = [(_parse_mu(args.mu), _parse_int(args.degree),
+                    _parse_mu(args.weight))]
     else:
         raise ConfigError("provide --from-certs or all of --mu/--degree/--weight")
-    checks = [dual_pair_check(_parse_mu(mu), d, _parse_mu(nu),
-                              entry_cap=args.entry_cap)
+    _check_degrees([d for _, d, _ in triples])
+    checks = [dual_pair_check(mu, d, nu, entry_cap=args.entry_cap)
               for mu, d, nu in triples]
     report = {
         "command": "dual",
@@ -621,13 +640,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         code, report, render = args.func(args)
-    except ConfigError as exc:
+    except VerificationError as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except MatrixTooLargeError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except OSError as exc:
+        return 1
+    except (ConfigError, MatrixTooLargeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     _emit(report, args.format, args.output, render)

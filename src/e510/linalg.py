@@ -1,51 +1,37 @@
 """Sparse exact linear algebra over the rationals.
 
 Rows are dicts column_key -> value with arbitrary orderable column keys.
-Internally every row is scaled to a primitive integer vector (gcd 1); the
-elimination never divides, so no rational arithmetic happens until kernel
-back-substitution.  All orderings are canonical, which makes results
-byte-for-byte reproducible.
+One fraction-free reduction loop, Echelon._reduce, serves kernels, ranks
+and member coordinates: every row is scaled to an integer vector, and the
+elimination never divides except by the gcd that keeps rows primitive.
+Scalars are built only by kernel back-substitution and by coords.  All
+orderings are canonical, which makes results byte-for-byte reproducible.
 """
 
 from math import gcd
 
-from .scalars import Q
+from .scalars import Q, _den, _numerators
+
+_SELF = object()  # coords' tag for the vector being expressed
 
 
 class MatrixTooLargeError(RuntimeError):
     """Raised before building a search block that exceeds the entry cap."""
 
 
-def _row_to_int(row):
-    """Primitive integer version of a rational row (returns a new dict)."""
-    if not row:
-        return {}
-    denleast = 1
-    for v in row.values():
-        denleast = denleast * v.denominator // gcd(denleast, int(v.denominator))
-    out = {}
+def _make_primitive(row, combo):
+    """Divide row and combo, in place, by the gcd of all their entries."""
+    parts = (row,) if combo is None else (row, combo)
     g = 0
-    for k, v in row.items():
-        n = int(v.numerator) * (denleast // int(v.denominator))
-        if n:
-            out[k] = n
-            g = gcd(g, n)
+    for part in parts:
+        for v in part.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
     if g > 1:
-        for k in out:
-            out[k] //= g
-    return out
-
-
-def _make_primitive(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        for k in row:
-            row[k] //= g
-    return row
+        for part in parts:
+            for k in part:
+                part[k] //= g
 
 
 def _eliminate(residual, pivval, coefficient, pivrow):
@@ -59,78 +45,62 @@ def _eliminate(residual, pivval, coefficient, pivrow):
             residual[k] = s
         else:
             residual.pop(k, None)
-    return residual
 
 
 class Echelon:
-    """Incremental row echelon over Q with member-coordinate tracking.
+    """Incremental fraction-free row echelon with member-coordinate tracking.
 
-    Rows are stored monic at their leading column.  When rows are inserted
-    with a tag, coords() can later express any vector of the span as a
-    combination of the tagged members.
+    Each pivot holds (row, combo), both integer dicts, with row equal to
+    sum(combo[t] * member_t) over the inserted members.  A member inserted
+    with a tag lets coords() express any vector of the span in the tagged
+    members; tag None tracks no combinations (kernels, ranks, contains), and
+    an echelon uses either tags for all its members or None for all.
     """
 
     def __init__(self):
-        self.pivots = {}  # leading column -> (monic row, combo dict tag -> Q)
+        self.pivots = {}  # leading column -> (primitive int row, int combo)
 
     def rank(self):
         return len(self.pivots)
 
-    def _reduce(self, row, combo):
-        # invariant: current row == original row - sum combo[t] * member_t
+    def _reduce(self, row, tag):
+        # the integer row starts as den * member_tag, and every step keeps
+        # row == sum(combo[t] * member_t)
+        den = _den(row.values())
+        row = {k: n for k, n in _numerators(row, den) if n}
+        combo = None if tag is None else {tag: den}
+        _make_primitive(row, combo)
         while row:
             lead = min(row)
             hit = self.pivots.get(lead)
             if hit is None:
                 break
             prow, pcombo = hit
-            c = row.pop(lead)
-            for k, v in prow.items():
-                if k == lead:
-                    continue
-                s = row.get(k, 0) - c * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
+            pivval, c = prow[lead], row[lead]
+            _eliminate(row, pivval, c, prow)
             if combo is not None:
-                for t, v in pcombo.items():
-                    s = combo.get(t, 0) + c * v
-                    if s:
-                        combo[t] = s
-                    else:
-                        combo.pop(t, None)
+                _eliminate(combo, pivval, c, pcombo)
+            _make_primitive(row, combo)
         return row, combo
 
     def insert(self, row, tag):
         """Add a vector as the member called tag; True if it was independent."""
-        row = {k: Q(1) * v for k, v in row.items() if v}
-        row, combo = self._reduce(row, {})
+        row, combo = self._reduce(row, tag)
         if not row:
             return False
-        lead = min(row)
-        m = row.pop(lead)
-        stored = {lead: Q(1)}
-        for k, v in row.items():
-            stored[k] = v / m
-        pcombo = {tag: 1 / m}
-        for t, v in combo.items():
-            pcombo[t] = -v / m
-        self.pivots[lead] = (stored, pcombo)
+        self.pivots[min(row)] = (row, combo)
         return True
 
     def coords(self, row):
         """Coordinates of row w.r.t. the tagged members, or None if outside."""
-        row = {k: Q(1) * v for k, v in row.items() if v}
-        row, combo = self._reduce(row, {})
+        row, combo = self._reduce(row, _SELF)
         if row:
             return None
-        return combo
+        own = combo.pop(_SELF)
+        return {t: Q(-c, own) for t, c in combo.items()}
 
     def contains(self, row):
-        row = {k: Q(1) * v for k, v in row.items() if v}
-        row, _ = self._reduce(row, None)
-        return not row
+        return not self._reduce(row, None)[0]
 
 
 def kernel_basis(rows, column_order, entry_cap=None):
@@ -150,29 +120,18 @@ def kernel_basis(rows, column_order, entry_cap=None):
                 "search block has %d stored entries (cap %d); raise the cap "
                 "to proceed" % (entries, entry_cap))
     colpos = {c: i for i, c in enumerate(column_order)}
-    introws = sorted((_row_to_int(r) for r in rows),
-                     key=lambda r: (len(r), sorted(colpos[c] for c in r)))
-    pivots = {}  # col position -> row (keyed by col position)
-    for row in introws:
-        row = {colpos[c]: v for c, v in row.items()}
-        while row:
-            lead = min(row)
-            pivrow = pivots.get(lead)
-            if pivrow is None:
-                break
-            rv = row.pop(lead)
-            _eliminate(row, pivrow[lead], rv,
-                       {k: v for k, v in pivrow.items() if k != lead})
-            _make_primitive(row)
-        if row:
-            pivots[min(row)] = _make_primitive(row)
+    ech = Echelon()
+    for row in sorted(({colpos[c]: v for c, v in r.items() if v} for r in rows),
+                      key=lambda r: (len(r), sorted(r))):
+        ech.insert(row, None)
 
+    pivots = ech.pivots
     free = [i for i in range(len(column_order)) if i not in pivots]
     basis = []
     for f in free:
         x = {f: Q(1)}
         for p in sorted(pivots, reverse=True):
-            prow = pivots[p]
+            prow = pivots[p][0]
             acc = Q(0)
             for c, v in prow.items():
                 if c != p and c in x:
@@ -185,22 +144,3 @@ def kernel_basis(rows, column_order, entry_cap=None):
         basis.append((first, vec))
     basis.sort(key=lambda t: t[0])
     return [vec for _, vec in basis]
-
-
-def rank_of(rows, column_order):
-    colpos = {c: i for i, c in enumerate(column_order)}
-    pivots = {}
-    for r in rows:
-        row = {colpos[c]: v for c, v in _row_to_int(r).items()}
-        while row:
-            lead = min(row)
-            pivrow = pivots.get(lead)
-            if pivrow is None:
-                break
-            rv = row.pop(lead)
-            _eliminate(row, pivrow[lead], rv,
-                       {k: v for k, v in pivrow.items() if k != lead})
-            _make_primitive(row)
-        if row:
-            pivots[min(row)] = _make_primitive(row)
-    return len(pivots)

@@ -12,12 +12,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import lcm
 
-from .scalars import Q
+from .scalars import Q, _den, _numerators
 from .sl5_reps import build_irrep
 from .uminus import (EPS, PAIRS, PAIR_INDEX, ONE_MONO, TMATE, add_scaled,
                      d_elem, forms_elem, mono_degree, p_elem, pbw_product,
                      perm_sign, scale)
-from .verma import _den, _numerators, ad_e_mono
+from .verma import ad_e_mono
 
 
 def canonical_index(pairs):

@@ -3,13 +3,15 @@
 All coefficient arithmetic in this package is exact.  gmpy2.mpq is used when
 available (much faster); fractions.Fraction otherwise.  Both stringify as
 "p" or "p/q", which the JSON writers rely on, and both expose .numerator and
-.denominator (as ints do).  The module actions of verma read those: they take
-an input's coefficients to one common denominator, accumulate numerators as
-ints and build one scalar per nonzero output entry, so the scalar type is
+.denominator (as ints do).  The module actions of verma and the echelon of
+linalg read those through _den, _numerators and _scalars: they take an
+input's coefficients to one common denominator, compute on the numerators
+as ints and build one scalar per nonzero output entry, so the scalar type is
 not on their inner loop.
 """
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as Q
@@ -35,3 +37,18 @@ def qparse(s: str):
         p, q = s.split("/")
         return Q(int(p), int(q))
     return Q(int(s))
+
+
+def _den(values):
+    """Least common denominator of some rationals (ints count as n/1)."""
+    return lcm(*{v.denominator for v in values})
+
+
+def _numerators(elem, den):
+    """(key, numerator over den) for every entry of elem."""
+    return [(k, v.numerator * (den // v.denominator)) for k, v in elem.items()]
+
+
+def _scalars(acc, den):
+    """The nonzero integer numerators of acc over den, as exact scalars."""
+    return {k: Q(n, den) for k, n in acc.items() if n}

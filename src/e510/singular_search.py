@@ -16,7 +16,7 @@ verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
 import json
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, VerificationError
 from .scalars import Q
 from .sl5_reps import parse_weight, weight_str, dual_weight
 from .linalg import kernel_basis
@@ -64,9 +64,8 @@ def search_blocks(module, d, nu=None, entry_cap=200000, **checks):
             continue
         for v in vectors:
             if not module.is_singular(v, **checks):
-                raise AssertionError(
-                    "kernel vector fails the action re-check at mu=%s d=%d nu=%s"
-                    % (weight_str(module.mu), d, weight_str(cand)))
+                raise VerificationError(weight_str(module.mu), d,
+                                        weight_str(cand), checks)
         certs.append(dict(
             algebra=module.algebra,
             mu=weight_str(module.mu),

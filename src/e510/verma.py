@@ -23,7 +23,7 @@ construction (signs, exponents and eps values) and are stored as ints.
 from math import lcm
 from operator import add
 
-from .scalars import Q, qstr, qparse
+from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
 from .uminus import (
     PAIRS, PAIR_INDEX, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms,
     mono_degree, mono_weight, add_scaled, scale, pbw_product, p_elem,
@@ -48,21 +48,6 @@ def _int_form(i, j):
     if i > j:
         return {(ZERO_PARTIALS, (PAIR_INDEX[(j, i)],)): -1}
     return _form_elem(PAIR_INDEX[(i, j)])
-
-
-def _den(values):
-    """Least common denominator of some rationals (ints count as n/1)."""
-    return lcm(*{v.denominator for v in values})
-
-
-def _numerators(elem, den):
-    """(key, numerator over den) for every entry of elem."""
-    return [(k, v.numerator * (den // v.denominator)) for k, v in elem.items()]
-
-
-def _scalars(acc, den):
-    """The nonzero integer numerators of acc over den, as exact scalars."""
-    return {k: Q(n, den) for k, n in acc.items() if n}
 
 
 def ad_e_mono(a, b, mono):

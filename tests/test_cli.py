@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e510.cli import ConfigError, _parse_mu, _parse_range, main
+from e510.sl5_reps import parse_weight
 
 
 def test_range_parsing():
@@ -134,3 +136,72 @@ def test_resume_recomputes_cells_of_other_full_g1(tmp_path):
             ["certificates"]] == [True]
     assert [c["full_g1"] for c in json.loads(ck.read_text())
             ["0,0,1,0|1"]] == [True]
+
+
+def test_unparsable_numbers_exit_two(tmp_path, capsys):
+    for argv in (["search", "--mu", "0,0,0,1", "--degree", "x"],
+                 ["search", "--mu", "0,0,0,1", "--degree", "1..x"],
+                 ["verify-catalog", "--m", "a"],
+                 ["dual", "--mu", "0,0,0,1", "--degree", "x",
+                  "--weight", "0,0,1,0"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+    certs = tmp_path / "certs.json"
+    for text in ("{x", '[{"mu": "0,0,0,1"}]', "3", '[{"mu": 1}]',
+                 '[{"mu": "0,0,0,1", "degree": 1, "weight": "0,1"}]'):
+        certs.write_text(text)
+        assert main(["dual", "--from-certs", str(certs)]) == 2, text
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_degree_zero_rejected(tmp_path, capsys):
+    certs = tmp_path / "certs.json"
+    certs.write_text(
+        '[{"mu": "0,0,0,1", "degree": 0, "weight": "0,0,0,1"}]')
+    for argv in (["search", "--mu", "0,0,0,1", "--degree", "0"],
+                 ["search", "--mu", "0,0,0,1", "--degree", "0..1"],
+                 ["sweep", "--budget", "0", "--degree", "0"],
+                 ["dual", "--mu", "0,0,0,1", "--degree", "0",
+                  "--weight", "0,0,0,1"],
+                 ["dual", "--from-certs", str(certs)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive" in captured.err
+
+
+def test_recheck_failure_exits_one(monkeypatch, capsys):
+    from e510.verma import VermaModule
+    monkeypatch.setattr(VermaModule, "is_singular",
+                        lambda self, elem, full_g1=False: False)
+    assert main(["search", "--mu", "0,0,1,0", "--degree", "1",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: kernel vector fails")
+    assert "full_g1=False" in captured.err
+    assert "mu=0,0,1,0 d=1 nu=0,0,0,0" in captured.err
+
+
+_NUMBERISH = st.one_of(st.text(max_size=8),
+                       st.text(alphabet="0123456789.,-+ x_", max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMBERISH)
+def test_parse_range_fuzz(text):
+    try:
+        got = _parse_range(text)
+    except ConfigError:
+        return
+    assert got and all(isinstance(d, int) for d in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMBERISH)
+def test_parse_weight_fuzz(text):
+    try:
+        got = parse_weight(text)
+    except ValueError:
+        return
+    assert len(got) == 4 and all(isinstance(x, int) for x in got)

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from e510.scalars import Q
-from e510.linalg import Echelon, MatrixTooLargeError, kernel_basis, rank_of
+from e510.linalg import Echelon, MatrixTooLargeError, kernel_basis
 
 
 def test_kernel_hand_example():
@@ -61,7 +63,10 @@ def test_entry_cap():
 
 def test_rank_of():
     rows = [{0: Q(1), 1: Q(1)}, {1: Q(1), 2: Q(1)}, {0: Q(1), 2: Q(-1)}]
-    assert rank_of(rows, [0, 1, 2]) == 2
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row, None)
+    assert ech.rank() == 2
 
 
 def test_echelon_coords():
@@ -101,3 +106,110 @@ def test_echelon_coords_random():
         assert combo is not None
         full = {t: combo.get(t, Q(0)) for t, _ in members}
         assert full == {t: c for t, c in coeffs.items()}
+
+
+class _FractionEchelon:
+    """Reference: the rational echelon with monic pivot rows and Fraction
+    combinations that the fraction-free Echelon replaced."""
+
+    def __init__(self):
+        self.pivots = {}  # leading column -> (monic row, combo dict tag -> Q)
+
+    def rank(self):
+        return len(self.pivots)
+
+    def _reduce(self, row, combo):
+        # invariant: current row == original row - sum combo[t] * member_t
+        while row:
+            lead = min(row)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                break
+            prow, pcombo = hit
+            c = row.pop(lead)
+            for k, v in prow.items():
+                if k == lead:
+                    continue
+                s = row.get(k, 0) - c * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+            if combo is not None:
+                for t, v in pcombo.items():
+                    s = combo.get(t, 0) + c * v
+                    if s:
+                        combo[t] = s
+                    else:
+                        combo.pop(t, None)
+        return row, combo
+
+    def insert(self, row, tag):
+        """Add a vector as the member called tag; True if it was independent."""
+        row = {k: Q(1) * v for k, v in row.items() if v}
+        row, combo = self._reduce(row, {})
+        if not row:
+            return False
+        lead = min(row)
+        m = row.pop(lead)
+        stored = {lead: Q(1)}
+        for k, v in row.items():
+            stored[k] = v / m
+        pcombo = {tag: 1 / m}
+        for t, v in combo.items():
+            pcombo[t] = -v / m
+        self.pivots[lead] = (stored, pcombo)
+        return True
+
+    def coords(self, row):
+        """Coordinates of row w.r.t. the tagged members, or None if outside."""
+        row = {k: Q(1) * v for k, v in row.items() if v}
+        row, combo = self._reduce(row, {})
+        if row:
+            return None
+        return combo
+
+    def contains(self, row):
+        row = {k: Q(1) * v for k, v in row.items() if v}
+        row, _ = self._reduce(row, None)
+        return not row
+
+
+_FRAC = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+_VEC = st.dictionaries(st.integers(0, 5), _FRAC, max_size=4)
+# tag kinds as the irreps use them: 0, basis indices, (0, i) / (1, k)
+_TAG = st.one_of(st.just(0), st.integers(1, 40),
+                 st.tuples(st.sampled_from((0, 1)), st.integers(0, 20)))
+
+
+@st.composite
+def _members(draw):
+    """Sparse rational vectors, some combinations of earlier ones, each
+    with a distinct tag."""
+    vecs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if vecs and draw(st.booleans()):
+            vec = {}
+            for i in draw(st.lists(st.integers(0, len(vecs) - 1),
+                                   min_size=1, max_size=3)):
+                c = draw(_FRAC)
+                for k, v in vecs[i].items():
+                    vec[k] = vec.get(k, 0) + c * v
+        else:
+            vec = draw(_VEC)
+        vecs.append(vec)
+    tags = draw(st.lists(_TAG, min_size=len(vecs), max_size=len(vecs),
+                         unique=True))
+    return list(zip(vecs, tags))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_members(), st.lists(_VEC, max_size=3))
+def test_echelon_matches_fraction_reference(members, probes):
+    new, ref = Echelon(), _FractionEchelon()
+    for vec, tag in members:
+        assert new.insert(vec, tag) == ref.insert(vec, tag)
+        assert new.rank() == ref.rank()
+    for vec in [v for v, _ in members] + probes:
+        assert new.coords(vec) == ref.coords(vec)
+        assert new.contains(vec) == ref.contains(vec)
