@@ -498,8 +498,8 @@ def cmd_dual(args):
 # ---------------------------------------------------------------- s5
 
 def cmd_s5_baseline(args):
-    from .s5_verma import rudakov_vectors, s5_from_terms, search_s5
-    from .verma import proportional
+    from .s5_verma import rudakov_vectors, search_s5
+    from .verma import proportional, tensor_from_terms
     lams = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
             (0, 0, 0, 1)]
     found = []
@@ -519,7 +519,7 @@ def cmd_s5_baseline(args):
             problems.append(cert)
             continue
         name, w = name_w
-        if not proportional(s5_from_terms(cert["vectors"][0]), w):
+        if not proportional(tensor_from_terms(cert["vectors"][0]), w):
             problems.append(cert)
             continue
         labeled.append({"label": name, "mu": cert["mu"],

@@ -3,20 +3,25 @@
 The negative part is the abelian span of p_1..p_5 (each of degree 2, to
 match the grading conventions used elsewhere), the zero part is sl5, and
 the positive part is generated by the 70 divergence-free quadratic fields
-x_a x_b p_k.  Modules are C[p] (x) F(lambda), elements are dicts
-(exponent 5-tuple, rep index) -> scalar.
+x_a x_b p_k.  The p_k are the central g_-2 of E(5,10), so C[p] is the
+form-free part of U(g_-): modules are C[p] (x) F(lambda), with elements
+dicts ((parts, ()), rep index) -> scalar, and everything but the quadratic
+fields comes from verma.InducedModule.
 
 A quadratic field X acts on p^M (x) v in closed form by commuting it past
 the p's: single derivatives leave linear (gl5) symbols acting on the rep
 factor, double derivatives leave constant fields multiplying back in.
+Those two parts are the (A, B) pieces of InducedModule.act_pieces.
 Singularity means annihilation by e_1..e_4 and by all 70 quadratic fields;
 the annihilator of a vector is operator-bracket-closed, and the positive
 part is generated by the quadratic component, so nothing else needs
 checking.
 """
 
-from .scalars import Q, qstr, qparse
-from .uminus import add_scaled, format_monomial, parse_monomial
+from functools import lru_cache
+
+from .scalars import Q
+from .uminus import _partials_of_total, add_scaled, p_elem
 from .singular_search import search_blocks
 from .verma import InducedModule
 
@@ -53,131 +58,69 @@ def _first_derivative(a, b, i):
     return out
 
 
+@lru_cache(maxsize=None)
+def _quad_pieces(field_key, parts):
+    """x_a x_b p_k on p^parts (x) v as the integer pair (A, B) of act_pieces.
+
+    Commuting the field past the p's: one derivative leaves the linear
+    symbol x_var p_k acting on the rep factor (into B under (var, k)), two
+    derivatives leave a constant field multiplying back in (into A).
+    """
+    a, b, k = field_key
+    A, B = {}, {}
+    for i in range(1, 6):
+        if not parts[i - 1]:
+            continue
+        base = list(parts)
+        base[i - 1] -= 1
+        base = (tuple(base), ())
+        for var, dc in _first_derivative(a, b, i):
+            u = B.setdefault((var, k), {})
+            u[base] = u.get(base, 0) - parts[i - 1] * dc
+    for i in range(1, 6):
+        for j in range(i, 6):
+            mult = parts[i - 1] * (parts[j - 1] - (1 if i == j else 0))
+            if i == j:
+                mult //= 2
+            if not mult:
+                continue
+            # (ad p_j)(ad p_i)(x_a x_b p_k) as a constant field
+            const = sum(dc for var, dc in _first_derivative(a, b, i)
+                        if var == j)
+            if not const:
+                continue
+            m2 = list(parts)
+            m2[i - 1] -= 1
+            m2[j - 1] -= 1
+            m2[k - 1] += 1
+            m2 = (tuple(m2), ())
+            A[m2] = A.get(m2, 0) + mult * const
+    return A, B
+
+
 class S5Verma(InducedModule):
     """C[p_1..p_5] (x) F(lambda) with exact generator actions."""
 
     algebra = "S5"
 
     def monomials(self, d):
-        """Exponent tuples of p-degree d/2 (p_k has degree 2)."""
-        return _exponents_of_total(d // 2) if d % 2 == 0 else []
+        """The form-free PBW monomials of degree d (p_k has degree 2)."""
+        if d % 2:
+            return []
+        return sorted((parts, ()) for parts in _partials_of_total(d // 2))
 
-    def monomial_weight(self, m):
-        return tuple(-x for x in m)
-
-    def vacuum(self):
-        return {((0, 0, 0, 0, 0), 0): Q(1)}
-
-    def tensor(self, u, coeffs):
-        out = {}
-        for m, cu in u.items():
-            for i, cv in coeffs.items():
-                add_scaled(out, {(m, i): Q(1)}, cu * cv)
-        return out
-
-    def mult_p(self, k, elem):
-        out = {}
-        for (m, i), c in elem.items():
-            m2 = list(m)
-            m2[k - 1] += 1
-            out[(tuple(m2), i)] = c
-        return out
-
-    def act_e(self, a, b, elem):
-        """gl5 symbol x_a p_b; [x_a p_b, p_c] = -delta_ca p_b on monomials."""
-        out = {}
-        for (m, i), c in elem.items():
-            if m[a - 1]:
-                m2 = list(m)
-                m2[a - 1] -= 1
-                m2[b - 1] += 1
-                add_scaled(out, {(tuple(m2), i): Q(1)}, Q(-m[a - 1]) * c)
-            for i2, cv in self.rep.mat(a, b)[i].items():
-                add_scaled(out, {(m, i2): Q(1)}, c * cv)
-        return out
+    def pieces(self, field_key, mono):
+        return _quad_pieces(field_key, mono[0])
 
     def act_quad(self, field, elem):
         """A quadratic field (dict (a,b,k) -> scalar) on an element."""
-        out = {}
-        for (m, idx), c in elem.items():
-            for (a, b, k), cf in field.items():
-                c0 = c * cf
-                for i in range(1, 6):
-                    if not m[i - 1]:
-                        continue
-                    # one derivative: a linear symbol acts on the rep factor
-                    for var, dc in _first_derivative(a, b, i):
-                        base = list(m)
-                        base[i - 1] -= 1
-                        cc = Q(-m[i - 1]) * dc * c0
-                        for i2, cv in self.rep.mat(var, k)[idx].items():
-                            add_scaled(out, {(tuple(base), i2): Q(1)}, cc * cv)
-                for i in range(1, 6):
-                    for j in range(i, 6):
-                        mult = m[i - 1] * (m[j - 1] - (1 if i == j else 0))
-                        if i == j:
-                            mult //= 2
-                        if not mult:
-                            continue
-                        # (ad p_j)(ad p_i)(x_a x_b p_k) as a constant field
-                        const = 0
-                        for var, dc in _first_derivative(a, b, i):
-                            if var == j:
-                                const += dc
-                        if not const:
-                            continue
-                        m2 = list(m)
-                        m2[i - 1] -= 1
-                        m2[j - 1] -= 1
-                        m2[k - 1] += 1
-                        add_scaled(out, {(tuple(m2), idx): Q(1)},
-                                   Q(mult * const) * c0)
-        return out
+        return self.act_pieces(field, elem)
 
     def conditions(self, elem):
         for i in range(1, 5):
             yield ("e%d" % i, self.act_e(i, i + 1, elem))
         for n, field in enumerate(quadratic_fields()):
             yield ("q%d" % n, self.act_quad(field, elem))
-
-    def element_degree(self, elem):
-        degs = {2 * sum(m) for m, _ in elem}
-        if len(degs) != 1:
-            raise ValueError("element is not degree-homogeneous")
-        return degs.pop()
-
-    def is_singular(self, elem):
-        if not elem:
-            return False
-        return all(not img for _, img in self.conditions(elem))
-
-    def terms(self, elem):
-        rows = []
-        for (m, i), c in elem.items():
-            rows.append({"monomial": format_monomial((m, ())), "index": i,
-                         "coeff": qstr(c)})
-        rows.sort(key=lambda t: (t["monomial"], t["index"]))
-        return rows
-
-
-def _exponents_of_total(total):
-    out = []
-    for m1 in range(total + 1):
-        for m2 in range(total - m1 + 1):
-            for m3 in range(total - m1 - m2 + 1):
-                for m4 in range(total - m1 - m2 - m3 + 1):
-                    out.append((m1, m2, m3, m4,
-                                total - m1 - m2 - m3 - m4))
-    out.sort()
-    return out
-
-
-def s5_from_terms(terms):
-    out = {}
-    for t in terms:
-        mono = parse_monomial(t["monomial"])
-        add_scaled(out, {(mono[0], t["index"]): Q(1)}, qparse(t["coeff"]))
-    return out
 
 
 def search_s5(lam, d, entry_cap=200000):
@@ -195,7 +138,7 @@ def rudakov_vectors():
     def unit(i):
         m = [0] * 5
         m[i - 1] = 1
-        return tuple(m)
+        return (tuple(m), ())
 
     out = {}
     m1 = S5Verma((1, 0, 0, 0))
@@ -232,6 +175,6 @@ def rudakov_vectors():
     m5 = S5Verma((0, 0, 0, 0))
     out["R5"] = ((0, 0, 0, 0), 2, m5.tensor({unit(5): Q(1)}, {0: Q(1)}))
 
-    r6 = m1.mult_p(5, r1)
+    r6 = m1.mult(p_elem(5), r1)
     out["R6"] = ((1, 0, 0, 0), 4, r6)
     return out

@@ -20,7 +20,7 @@ from .errors import ConfigError, VerificationError
 from .scalars import Q
 from .sl5_reps import parse_weight, weight_str, dual_weight
 from .linalg import kernel_basis
-from .verma import VermaModule
+from .verma import VermaModule, tensor_from_terms
 
 TOOL_VERSION = "0.1.0"
 
@@ -100,21 +100,46 @@ def dominant_weights_up_to(coord_sum):
     return sorted(out)
 
 
+def _is_cert_of(cert, key):
+    """Whether cert is a well-formed E(5,10) certificate of the cell key."""
+    try:
+        parse_weight(cert["mu"])
+        parse_weight(cert["weight"])
+        vectors = cert["vectors"]
+        if not (isinstance(vectors, list)
+                and all(isinstance(terms, list) for terms in vectors)):
+            return False
+        for terms in vectors:
+            tensor_from_terms(terms)
+        return (all(type(cert[n]) is int
+                    for n in ("degree", "block_dim", "kernel_dim"))
+                and key == "%s|%d" % (cert["mu"], cert["degree"])
+                and cert["algebra"] == VermaModule.algebra
+                and cert["kernel_dim"] == len(vectors)
+                and type(cert["full_g1"]) is bool)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError):
+        return False
+
+
 def _load_checkpoint(path):
-    """The saved "mu|degree" -> certificate list map, or {} when absent."""
+    """The saved "mu|degree" -> certificate list map, or {} when absent.
+
+    Every saved certificate must be a well-formed certificate of its cell;
+    anything else raises ConfigError.
+    """
     if not (path and os.path.exists(path)):
         return {}
     with open(path) as fh:
         try:
             state = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("unreadable checkpoint %s: %s" % (path, exc))
     if not (isinstance(state, dict) and all(
-            isinstance(certs, list)
-            and all(isinstance(c, dict) for c in certs)
-            for certs in state.values())):
-        raise ConfigError("checkpoint %s is not a map of certificate lists"
-                          % path)
+            isinstance(certs, list) and all(_is_cert_of(c, key) for c in certs)
+            for key, certs in state.items())):
+        raise ConfigError("checkpoint %s is not a map of cells to their "
+                          "certificate lists" % path)
     return state
 
 

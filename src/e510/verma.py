@@ -30,7 +30,7 @@ from .uminus import (
     enumerate_monomials, format_monomial, parse_monomial,
 )
 from .sl5_reps import build_irrep, eps_to_coords, is_dominant, parse_weight
-from .e510_algebra import g1_basis, xd_gen
+from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
@@ -143,17 +143,21 @@ def xd_mono(k, f, mono):
 class InducedModule:
     """U(g_-) (x) F(mu) for some negative part g_- and the sl5 irrep F(mu).
 
-    The protocol the singular vector search reads: a subclass names its
-    algebra, lists the degree-d monomials of its PBW basis with their
-    eps-weights, yields its singularity conditions as (label, image) pairs
-    and serializes elements to certificate terms.  The weight bookkeeping
-    shared by both algebras lives here.
+    Elements are dicts (PBW monomial of U(g_-), rep index) -> scalar.  A
+    subclass supplies the protocol: an algebra tag, monomials(d) (the
+    degree-d PBW monomials of its negative part), conditions(elem) (the
+    singularity conditions as (label, image) pairs) and pieces(sym, mono)
+    (its degree +1 symbols on one monomial, see act_pieces).  Everything
+    that does not depend on the algebra lives here: weights, degrees,
+    serialization, left multiplication, the gl5 action and the one action
+    kernel of the positive part.
     """
 
     def __init__(self, mu):
         self.mu = parse_weight(mu) if isinstance(mu, str) else tuple(mu)
         self.rep = build_irrep(self.mu)
         self._blocks = {}
+        self._int_mats = {}
 
     def weight_blocks(self, d):
         """Dominant weight -> sorted basis pairs (monomial, rep index), degree d.
@@ -184,6 +188,9 @@ class InducedModule:
         """Ordered basis pairs (monomial, rep index) of dominant weight nu."""
         return self.weight_blocks(d).get(tuple(nu), [])
 
+    def monomial_weight(self, mono):
+        return mono_weight(mono)
+
     def _pair_weight(self, mono, i):
         mw = self.monomial_weight(mono)
         return tuple(x + y for x, y in zip(mw, self.rep.eps_weights[i]))
@@ -207,31 +214,11 @@ class InducedModule:
             raise ValueError("element is not weight-homogeneous")
         return cs.pop()
 
-
-# the singularity conditions: the four simple raisings and x_5 d_45, the
-# lowest weight vector of the degree +1 part (see VermaModule.is_singular)
-_CONDITIONS = tuple(("e%d" % i, ("e", i, i + 1)) for i in range(1, 5)) \
-    + (("x5d45", ("xd", 5, 9)),)
-
-
-class VermaModule(InducedModule):
-    """U(g_-) (x) F(mu) for a dominant sl5 weight mu."""
-
-    algebra = "E(5,10)"
-
-    def __init__(self, mu):
-        super().__init__(mu)
-        self._int_mats = {}
-
-    def monomials(self, d):
-        return enumerate_monomials(d)
-
-    def monomial_weight(self, mono):
-        return mono_weight(mono)
-
-    def conditions(self, elem):
-        for label, sym in _CONDITIONS:
-            yield label, self.act_sym(sym, elem)
+    def element_degree(self, elem):
+        degs = {mono_degree(m) for m, _ in elem}
+        if len(degs) != 1:
+            raise ValueError("element is not degree-homogeneous")
+        return degs.pop()
 
     def terms(self, elem):
         return tensor_terms(elem)
@@ -316,16 +303,27 @@ class VermaModule(InducedModule):
                 acc[key] = acc.get(key, 0) + n * cv
         return acc, eden * mden
 
-    def act_xd(self, k, f, elem):
-        """A single degree +1 symbol x_k d_(pair f)."""
-        eden = _den(elem.values())
-        terms = [(m, i, n, xd_mono(k, f, m))
-                 for (m, i), n in _numerators(elem, eden)]
-        mats = {ab: self._int_mat(*ab)
-                for _, _, _, (_, B) in terms for ab in B}
+    def act_pieces(self, x, elem):
+        """x (a dict symbol -> scalar) on elem, through the subclass's pieces.
+
+        pieces(sym, mono) is a pair (A, B) of integer data: sym sends
+        mono (x) v to A (x) v + sum_{a,b} B[a,b] (x) (x_a p_b v), with A
+        and the B values in U(g_-).  The numerators of x, of elem and of
+        the rep matrices go over one common denominator.
+        """
+        xden, eden = _den(x.values()), _den(elem.values())
+        enums = _numerators(elem, eden)
+        terms = []
+        mat_keys = set()
+        for sym, nx in _numerators(x, xden):
+            for (m, i), n in enums:
+                A, B = self.pieces(sym, m)
+                mat_keys.update(B)
+                terms.append((m, i, nx * n, A, B))
+        mats = {ab: self._int_mat(*ab) for ab in mat_keys}
         mden = lcm(*(d for d, _ in mats.values()))
         acc = {}
-        for m, i, n, (A, B) in terms:
+        for m, i, n, A, B in terms:
             na = n * mden
             for m2, ca in A.items():
                 key = (m2, i)
@@ -338,7 +336,37 @@ class VermaModule(InducedModule):
                     for m2, cu in u.items():
                         key = (m2, i2)
                         acc[key] = acc.get(key, 0) + cc * cu
-        return _scalars(acc, eden * mden)
+        return _scalars(acc, xden * eden * mden)
+
+    def is_singular(self, elem):
+        """Nonzero and annihilated by every singularity condition."""
+        return bool(elem) and all(not img for _, img in self.conditions(elem))
+
+
+# the singularity conditions: the four simple raisings and x_5 d_45, the
+# lowest weight vector of the degree +1 part (see VermaModule.is_singular)
+_CONDITIONS = tuple(("e%d" % i, ("e", i, i + 1)) for i in range(1, 5)) \
+    + (("x5d45", ("xd", 5, 9)),)
+
+
+class VermaModule(InducedModule):
+    """U(g_-) (x) F(mu) for a dominant sl5 weight mu."""
+
+    algebra = "E(5,10)"
+
+    def monomials(self, d):
+        return enumerate_monomials(d)
+
+    def conditions(self, elem):
+        for label, sym in _CONDITIONS:
+            yield label, self.act_sym(sym, elem)
+
+    def pieces(self, sym, mono):
+        return xd_mono(sym[1], sym[2], mono)
+
+    def act_xd(self, k, f, elem):
+        """A single degree +1 symbol x_k d_(pair f)."""
+        return self.act_pieces({("xd", k, f): 1}, elem)
 
     def act_sym(self, sym, elem):
         kind = sym[0]
@@ -359,28 +387,17 @@ class VermaModule(InducedModule):
             add_scaled(out, self.act_sym(sym, elem), c)
         return out
 
-    def element_degree(self, elem):
-        degs = {mono_degree(m) for m, _ in elem}
-        if len(degs) != 1:
-            raise ValueError("element is not degree-homogeneous")
-        return degs.pop()
-
     def is_singular(self, elem, full_g1=False):
         """Annihilated by e_1..e_4 and by g_1.
 
-        By default only x_5 d_45 is applied on the g_1 side: together with
-        the raising conditions this kills all of g_1, since the annihilator
-        is closed under bracketing with raisings and g_1 is generated from
-        x_5 d_45 by them.  full_g1 sweeps all 40 basis elements instead.
+        By default only x_5 d_45 is applied on the g_1 side (the conditions):
+        together with the raising conditions this kills all of g_1, since
+        the annihilator is closed under bracketing with raisings and g_1 is
+        generated from x_5 d_45 by them.  full_g1 sweeps all 40 basis
+        elements as well.
         """
-        if not elem:
-            return False
-        for i in range(1, 5):
-            if self.act_e(i, i + 1, elem):
-                return False
-        if full_g1:
-            return all(not self.act(x, elem) for x in g1_basis())
-        return not self.act(xd_gen(5, 4, 5), elem)
+        return super().is_singular(elem) and not (full_g1 and any(
+            self.act(x, elem) for x in g1_basis()))
 
 
 def tensor_terms(elem):

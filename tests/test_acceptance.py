@@ -5,6 +5,7 @@ identity sweeps and the command line together; the unit suites cover the
 same machinery piecewise.
 """
 
+import hashlib
 import json
 from collections import Counter
 
@@ -114,6 +115,8 @@ def test_composition_complexes(tmp_path):
     assert rep["degree_one_square_zero"] is True
     assert rep["nonzero_pairs"] == 7
     assert rep["unmatched_pairs"] == []
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e8d7916a33a1c57ddae593622c1afc561d4a7a3956b15e8d1e46c028ef2914b5")
 
 
 @pytest.mark.long

@@ -121,6 +121,72 @@ def test_corrupt_checkpoint_exits_two(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "checkpoint" in err
+    # well-formed JSON whose certificates are not certificates of their cell
+    search = ["search", "--mu", "0,0,0,0", "--degree", "1",
+              "--checkpoint", str(ck), "--format", "json"]
+    classify = ["classify", "--budget", "0", "--max-degree", "1",
+                "--checkpoint", str(ck)]
+    for cert in ({"full_g1": False}, {"full_g1": False, "weight": "x"}):
+        ck.write_text(json.dumps({"0,0,0,0|1": [cert]}))
+        for argv in (search, classify):
+            assert main(argv) == 2, (cert, argv)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "checkpoint" in captured.err
+    ck.unlink()
+    assert main(search) == 0
+    assert json.loads(ck.read_text()) == {"0,0,0,0|1": [_good_cert()]}
+    capsys.readouterr()
+    bad = [("algebra", "S5"), ("mu", "0,0,0,1"), ("degree", 2),
+           ("degree", True), ("weight", "0,1"), ("weight", 7),
+           ("block_dim", "1"), ("kernel_dim", 2), ("vectors", "x"),
+           ("vectors", [{"monomial": "d12"}]),
+           ("vectors", [[{"monomial": "q", "index": 0, "coeff": "1"}]]),
+           ("vectors", [[{"monomial": "d12", "index": 0, "coeff": "1/0"}]]),
+           ("full_g1", 0)]
+    for field, value in bad:
+        cert = _good_cert()
+        cert[field] = value
+        ck.write_text(json.dumps({"0,0,0,0|1": [cert]}))
+        assert main(search) == 2, (field, value)
+        assert "checkpoint" in capsys.readouterr().err
+    ck.write_text(json.dumps({"0,0,0,0|2": [_good_cert()]}))
+    assert main(search) == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
+def _good_cert():
+    """The certificate search --mu 0,0,0,0 --degree 1 saves."""
+    return {"algebra": "E(5,10)", "mu": "0,0,0,0", "degree": 1,
+            "weight": "0,1,0,0", "block_dim": 1, "kernel_dim": 1,
+            "vectors": [[{"monomial": "d12", "index": 0, "coeff": "1"}]],
+            "tool_version": "0.1.0", "full_g1": False}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=8), kids, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _JSON.map(json.dumps),
+    st.dictionaries(st.sampled_from(["0,0,0,0|1", "0,0,0,0|x", "1|1"]),
+                    st.lists(st.dictionaries(
+                        st.sampled_from(sorted(_good_cert())), _JSON,
+                        max_size=9), max_size=2),
+                    max_size=2).map(json.dumps),
+    st.text(max_size=20)))
+def test_load_checkpoint_fuzz(tmp_path_factory, text):
+    ck = tmp_path_factory.mktemp("ck") / "ck.json"
+    ck.write_text(text, encoding="utf-8", errors="surrogatepass")
+    code = main(["search", "--mu", "0,0,0,0", "--degree", "1",
+                 "--checkpoint", str(ck), "--format", "json",
+                 "--output", str(ck.with_suffix(".out"))])
+    assert code in (0, 2)
 
 
 def test_resume_recomputes_cells_of_other_full_g1(tmp_path):
