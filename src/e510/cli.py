@@ -109,6 +109,8 @@ def cmd_search(args):
     mu = _parse_mu(args.mu)
     degrees = _check_degrees(_parse_range(args.degree))
     if args.weight is not None:
+        if args.checkpoint is not None:
+            raise ConfigError("--checkpoint does not apply with --weight")
         nu = _parse_mu(args.weight)
         certs = []
         for d in degrees:
@@ -576,7 +578,8 @@ def build_parser():
     p.add_argument("--mu", required=True, help="highest weight a,b,c,d")
     p.add_argument("--degree", required=True, help="degree N or range a..b")
     p.add_argument("--weight", default=None,
-                   help="restrict to one candidate weight a,b,c,d")
+                   help="restrict to one candidate weight a,b,c,d "
+                        "(not with --checkpoint)")
     _add_search_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_search)

@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 from math import lcm
 
 from .scalars import Q, _den, _numerators
+from .e510_algebra import bracket, d_gen, xd_gen
 from .sl5_reps import build_irrep
 from .uminus import (EPS, PAIRS, PAIR_INDEX, ONE_MONO, TMATE, add_scaled,
                      d_elem, forms_elem, mono_degree, p_elem, pbw_product,
@@ -274,21 +275,6 @@ def equivariance_residual(a, b, pairs):
     return out
 
 
-def _xd_sym(p, q):
-    """x_p d_pq as a module action triple (k, form index, coefficient)."""
-    if p < q:
-        return p, PAIR_INDEX[(p, q)], Q(1)
-    return p, PAIR_INDEX[(q, p)], Q(-1)
-
-
-def _g0_of_bracket(p, q, pair):
-    """[x_p d_pq, d_pair] as a dict of gl symbols."""
-    from .e510_algebra import bracket, d_gen
-
-    k, f, c = _xd_sym(p, q)
-    return bracket({("xd", k, f): c}, d_gen(*pair))
-
-
 def commutator_identity_residual(p, q, pairs, testmod, elems=None):
     """[x_p d_pq, omega_I] minus its structural expansion, as an operator.
 
@@ -299,7 +285,7 @@ def commutator_identity_residual(p, q, pairs, testmod, elems=None):
     if p == q:
         raise ValueError("p and q must differ")
     pairs = tuple(tuple(pp) for pp in pairs)
-    k, f, cx = _xd_sym(p, q)
+    x = xd_gen(p, p, q)
     om = omega(pairs)
     par_sign = Q(-1 if len(pairs) % 2 else 1)
     a, b, c3 = sorted(set(range(1, 6)) - {p, q})
@@ -311,21 +297,17 @@ def commutator_identity_residual(p, q, pairs, testmod, elems=None):
             perm_terms.append(pbw_product(p_elem(al), rem))
     j_terms = []
     for pr in pairs:
-        y = _g0_of_bracket(p, q, pr)
+        y = bracket(x, d_gen(*pr))
         rem = omega_removed(pairs, (pr,))
         if y and rem:
             j_terms.append((y, rem))
     if elems is None:
         elems = [{(ONE_MONO, j): Q(1)} for j in range(testmod.rep.dim)]
 
-    def act_x(e):
-        r = testmod.act_xd(k, f, e)
-        return r if cx == 1 else {kk: cx * vv for kk, vv in r.items()}
-
     out = {}
     for m in elems:
-        add_scaled(out, act_x(testmod.mult(om, m)), Q(1))
-        add_scaled(out, testmod.mult(om, act_x(m)), -par_sign)
+        add_scaled(out, testmod.act(x, testmod.mult(om, m)), Q(1))
+        add_scaled(out, testmod.mult(om, testmod.act(x, m)), -par_sign)
         for y, rem in j_terms:
             # 1/2 [Y, omega'] + omega' Y collapses to the symmetric average
             add_scaled(out, testmod.act(y, testmod.mult(rem, m)), Q(-1, 2))

@@ -11,11 +11,12 @@ fields comes from verma.InducedModule.
 A quadratic field X acts on p^M (x) v in closed form by commuting it past
 the p's: single derivatives leave linear (gl5) symbols acting on the rep
 factor, double derivatives leave constant fields multiplying back in.
-Those two parts are the (A, B) pieces of InducedModule.act_pieces.
-Singularity means annihilation by e_1..e_4 and by all 70 quadratic fields;
-the annihilator of a vector is operator-bracket-closed, and the positive
-part is generated by the quadratic component, so nothing else needs
-checking.
+Those two parts are the (A, B) pieces of InducedModule.act_pieces, and a
+field is applied with InducedModule.act.  The 70 fields are S5Verma's
+POSITIVE generators, so singularity means annihilation by e_1..e_4 and by
+all of them (InducedModule.conditions); the annihilator of a vector is
+operator-bracket-closed, and the positive part is generated by the
+quadratic component, so nothing else needs checking.
 """
 
 from functools import lru_cache
@@ -102,6 +103,8 @@ class S5Verma(InducedModule):
     """C[p_1..p_5] (x) F(lambda) with exact generator actions."""
 
     algebra = "S5"
+    POSITIVE = tuple(("q%d" % n, field)
+                     for n, field in enumerate(quadratic_fields()))
 
     def monomials(self, d):
         """The form-free PBW monomials of degree d (p_k has degree 2)."""
@@ -111,16 +114,6 @@ class S5Verma(InducedModule):
 
     def pieces(self, field_key, mono):
         return _quad_pieces(field_key, mono[0])
-
-    def act_quad(self, field, elem):
-        """A quadratic field (dict (a,b,k) -> scalar) on an element."""
-        return self.act_pieces(field, elem)
-
-    def conditions(self, elem):
-        for i in range(1, 5):
-            yield ("e%d" % i, self.act_e(i, i + 1, elem))
-        for n, field in enumerate(quadratic_fields()):
-            yield ("q%d" % n, self.act_quad(field, elem))
 
 
 def search_s5(lam, d, entry_cap=200000):

@@ -10,8 +10,9 @@ through a memoized recursion that peels one generator at a time:
 
 The per-symbol pieces are bookkeeping: single diagonal gl5 symbols and
 single non-closed x_k d_ij terms are not elements of the algebra, and only
-aggregates over traceless (resp. closed) combinations are meaningful.  All
-public entry points take genuine algebra elements, so results are exact.
+aggregates over traceless (resp. closed) combinations are meaningful.
+InducedModule.act applies a genuine algebra element, a dict symbol ->
+scalar, so its results are exact.
 
 The actions are fraction-free: an input's coefficients go over one common
 denominator, numerators accumulate as ints keyed by (monomial, rep index),
@@ -145,12 +146,12 @@ class InducedModule:
 
     Elements are dicts (PBW monomial of U(g_-), rep index) -> scalar.  A
     subclass supplies the protocol: an algebra tag, monomials(d) (the
-    degree-d PBW monomials of its negative part), conditions(elem) (the
-    singularity conditions as (label, image) pairs) and pieces(sym, mono)
-    (its degree +1 symbols on one monomial, see act_pieces).  Everything
-    that does not depend on the algebra lives here: weights, degrees,
-    serialization, left multiplication, the gl5 action and the one action
-    kernel of the positive part.
+    degree-d PBW monomials of its negative part), pieces(sym, mono) (its
+    positive symbols on one monomial, see act_pieces) and POSITIVE, the
+    (label, element) pairs that together with e_1..e_4 generate the
+    positive part.  Everything that does not depend on the algebra lives
+    here: weights, degrees, serialization, left multiplication, the gl5
+    action, the one action kernel of the positive part, act and conditions.
     """
 
     def __init__(self, mu):
@@ -338,54 +339,55 @@ class InducedModule:
                         acc[key] = acc.get(key, 0) + cc * cu
         return _scalars(acc, xden * eden * mden)
 
+    def act(self, x, elem):
+        """An algebra element x (a dict symbol -> scalar) on elem.
+
+        gl5 symbols ("e", a, b) act through act_e, the negative part
+        ("p", i) and ("d", f) by one left multiplication, and every other
+        symbol in one act_pieces pass.
+        """
+        gl, neg, pos = [], {}, {}
+        for sym, c in x.items():
+            kind = sym[0]
+            if kind == "e":
+                gl.append((sym[1], sym[2], c))
+            elif kind == "p":
+                add_scaled(neg, p_elem(sym[1]), c)
+            elif kind == "d":
+                add_scaled(neg, _form_elem(sym[1]), c)
+            else:
+                pos[sym] = c
+        out = self.act_pieces(pos, elem) if pos else {}
+        if neg:
+            add_scaled(out, self.mult(neg, elem), 1)
+        for a, b, c in gl:
+            add_scaled(out, self.act_e(a, b, elem), c)
+        return out
+
+    def conditions(self, elem):
+        """(label, image) pairs: e_1..e_4, then the POSITIVE generators."""
+        for i in range(1, 5):
+            yield "e%d" % i, self.act_e(i, i + 1, elem)
+        for label, x in self.POSITIVE:
+            yield label, self.act_pieces(x, elem)
+
     def is_singular(self, elem):
         """Nonzero and annihilated by every singularity condition."""
         return bool(elem) and all(not img for _, img in self.conditions(elem))
-
-
-# the singularity conditions: the four simple raisings and x_5 d_45, the
-# lowest weight vector of the degree +1 part (see VermaModule.is_singular)
-_CONDITIONS = tuple(("e%d" % i, ("e", i, i + 1)) for i in range(1, 5)) \
-    + (("x5d45", ("xd", 5, 9)),)
 
 
 class VermaModule(InducedModule):
     """U(g_-) (x) F(mu) for a dominant sl5 weight mu."""
 
     algebra = "E(5,10)"
+    # x_5 d_45, the lowest weight vector of the degree +1 part
+    POSITIVE = (("x5d45", {("xd", 5, 9): 1}),)
 
     def monomials(self, d):
         return enumerate_monomials(d)
 
-    def conditions(self, elem):
-        for label, sym in _CONDITIONS:
-            yield label, self.act_sym(sym, elem)
-
     def pieces(self, sym, mono):
         return xd_mono(sym[1], sym[2], mono)
-
-    def act_xd(self, k, f, elem):
-        """A single degree +1 symbol x_k d_(pair f)."""
-        return self.act_pieces({("xd", k, f): 1}, elem)
-
-    def act_sym(self, sym, elem):
-        kind = sym[0]
-        if kind == "p":
-            return self.mult(p_elem(sym[1]), elem)
-        if kind == "d":
-            return self.mult(_form_elem(sym[1]), elem)
-        if kind == "e":
-            return self.act_e(sym[1], sym[2], elem)
-        if kind == "xd":
-            return self.act_xd(sym[1], sym[2], elem)
-        raise ValueError("unknown symbol %r" % (sym,))
-
-    def act(self, x, elem):
-        """Action of an algebra element given as a dict symbol -> scalar."""
-        out = {}
-        for sym, c in x.items():
-            add_scaled(out, self.act_sym(sym, elem), c)
-        return out
 
     def is_singular(self, elem, full_g1=False):
         """Annihilated by e_1..e_4 and by g_1.

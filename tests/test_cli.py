@@ -236,6 +236,14 @@ def test_degree_zero_rejected(tmp_path, capsys):
         assert "positive" in captured.err
 
 
+def test_weight_with_checkpoint_rejected(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    assert main(["search", "--mu", "0,0,0,1", "--degree", "1",
+                 "--weight", "1,0,0,0", "--checkpoint", str(ck)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not ck.exists()
+
+
 def test_recheck_failure_exits_one(monkeypatch, capsys):
     from e510.verma import VermaModule
     monkeypatch.setattr(VermaModule, "is_singular",

@@ -21,6 +21,10 @@ GOLDEN_SHA256 = {
         "49c73938a91b38e1ddc5ea9dbc89f70bc45340775f62b0ad494562ebe8fb591d",
     ("dual", "--mu", "0,0,1,1", "--degree", "2", "--weight", "0,1,0,0"):
         "fd0470ae91c8371c964639fec2c943704751291994b0a2c4c752fcd71183de6b",
+    ("search", "--mu", "0,0,0,1", "--degree", "1..2", "--full-g1"):
+        "d8879c2192932e6a12efcceffd120e1a7af747a305355f114a46d00bfab72716",
+    ("identities", "--suite", "omega", "--max-d", "2", "--samples", "10"):
+        "5469e7a24ad9f4a6a3a49e9a4691d26b0cbfdc06c10d9de831e10de977f94bb9",
 }
 
 

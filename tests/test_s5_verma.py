@@ -30,7 +30,7 @@ def test_act_quad_hand_single_derivative():
     x3 = m.rep.coords({ambient_monomial(x=(3,)): Q(1)})
     x2 = m.rep.coords({ambient_monomial(x=(2,)): Q(1)})
     v = m.tensor({((1, 0, 0, 0, 0), ()): Q(1)}, x3)
-    out = m.act_quad({(1, 2, 3): Q(1)}, v)
+    out = m.act({(1, 2, 3): Q(1)}, v)
     exp = m.tensor({((0, 0, 0, 0, 0), ()): Q(-1)}, x2)
     assert out == exp
 
@@ -39,7 +39,7 @@ def test_act_quad_hand_double_derivative():
     m = S5Verma((1, 0, 0, 0))
     xi = {i: m.rep.coords({ambient_monomial(x=(i,)): Q(1)}) for i in (1, 2, 5)}
     v = m.tensor({((1, 1, 0, 0, 0), ()): Q(1)}, xi[5])
-    out = m.act_quad({(1, 2, 5): Q(1)}, v)
+    out = m.act({(1, 2, 5): Q(1)}, v)
     exp = {}
     add_scaled(exp, m.tensor({((0, 0, 0, 0, 1), ()): Q(1)}, xi[5]), Q(1))
     add_scaled(exp, m.tensor({((0, 1, 0, 0, 0), ()): Q(1)}, xi[2]), Q(-1))
@@ -64,7 +64,7 @@ def test_weight_homogeneity_of_action():
         mono = tuple(rng.randrange(3) for _ in range(5))
         v = {((mono, ()), rng.randrange(m.rep.dim)): Q(1)}
         field = rng.choice(fields)
-        out = m.act_quad(field, v)
+        out = m.act(field, v)
         if out:
             m.element_weight(out)  # raises if mixed
 
@@ -192,7 +192,7 @@ def test_shared_kernel_matches_reference(data):
     got = m.act_e(a, b, elem)
     assert got == ref_act_e(m, a, b, elem) and exact_and_sparse(got)
     field = data.draw(st.sampled_from(FIELDS))
-    got = m.act_quad(field, elem)
+    got = m.act(field, elem)
     assert got == ref_act_quad(m, field, elem) and exact_and_sparse(got)
     # a combination of fields acts as the sum of its parts
     other = data.draw(st.sampled_from(FIELDS))
@@ -202,5 +202,5 @@ def test_shared_kernel_matches_reference(data):
         combo[key] = combo.get(key, 0) + c * v
     want = ref_act_quad(m, field, elem)
     add_scaled(want, ref_act_quad(m, other, elem), c)
-    got = m.act_quad({k: v for k, v in combo.items() if v}, elem)
+    got = m.act({k: v for k, v in combo.items() if v}, elem)
     assert got == want and exact_and_sparse(got)

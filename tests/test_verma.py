@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from e510 import verma
 from e510.scalars import Q
 from e510.uminus import (
-    ONE_MONO, PAIR_INDEX, add_scaled, d_elem, p_elem, forms_elem, pbw_product,
-    enumerate_monomials, mono_product,
+    ONE_MONO, PAIR_INDEX, ZERO_PARTIALS, add_scaled, d_elem, p_elem,
+    forms_elem, pbw_product, enumerate_monomials, mono_product,
 )
 from e510.sl5_reps import ambient_monomial, build_irrep
 from e510.e510_algebra import (
@@ -224,8 +224,76 @@ def test_fraction_free_kernel_matches_reference(data):
     got = m.act_e(a, b, elem)
     assert got == ref_act_e(m, a, b, elem) and exact_and_sparse(got)
     k, f = data.draw(st.tuples(st.integers(1, 5), st.integers(0, 9)))
-    got = m.act_xd(k, f, elem)
+    got = m.act({("xd", k, f): 1}, elem)
     assert got == ref_act_xd(m, k, f, elem) and exact_and_sparse(got)
+
+
+def scaled_sum(refs):
+    """The sum of c * image over (c, image) pairs."""
+    out = {}
+    for c, img in refs:
+        add_scaled(out, img, c)
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_act_on_g1_basis_matches_reference(data):
+    mu = data.draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    m = PROPERTY_MODULES[mu]
+    elem = data.draw(module_elems(mu))
+    basis = g1_basis()
+    assert sum(len(x) == 2 for x in basis) == 20
+    for x in basis:
+        got = m.act(x, elem)
+        want = scaled_sum((c, ref_act_xd(m, k, f, elem))
+                          for (_, k, f), c in x.items())
+        assert got == want and exact_and_sparse(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_act_on_cartan_and_negative_part(data):
+    mu = data.draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    m = PROPERTY_MODULES[mu]
+    elem = data.draw(module_elems(mu))
+    x = cartan_gen(data.draw(st.integers(1, 4)))
+    got = m.act(x, elem)
+    want = scaled_sum((c, ref_act_e(m, a, b, elem))
+                      for (_, a, b), c in x.items())
+    assert got == want and exact_and_sparse(got)
+    # a combination of p_i and d_ij acts as left multiplication by it
+    syms = st.one_of(st.tuples(st.just("p"), st.integers(1, 5)),
+                     st.tuples(st.just("d"), st.integers(0, 9)))
+    x = data.draw(st.dictionaries(syms, scalars, min_size=1, max_size=4))
+    u = {}
+    for (kind, n), c in x.items():
+        add_scaled(u, p_elem(n) if kind == "p" else
+                   {(ZERO_PARTIALS, (n,)): Q(1)}, c)
+    got = m.act(x, elem)
+    assert got == ref_mult(u, elem) and exact_and_sparse(got)
+
+
+def test_act_on_g1_element_is_one_kernel_pass():
+    m = VermaModule((0, 0, 0, 1))
+    seen = []
+    kernel = m.act_pieces
+    m.act_pieces = lambda x, elem: seen.append(x) or kernel(x, elem)
+    elem = {(mono, 0): Q(1) for mono in enumerate_monomials(2)}
+    for x in g1_basis():
+        m.act(x, elem)
+    assert seen == list(g1_basis())
+
+
+def test_condition_labels():
+    from e510.s5_verma import S5Verma
+    raisings = ["e1", "e2", "e3", "e4"]
+    m = PROPERTY_MODULES[(0, 0, 0, 1)]
+    assert [label for label, _ in m.conditions(m.vacuum())] \
+        == raisings + ["x5d45"]
+    s5 = S5Verma((1, 0, 0, 0))
+    assert [label for label, _ in s5.conditions(s5.vacuum())] \
+        == raisings + ["q%d" % n for n in range(70)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,7 +319,7 @@ def test_mult_sum_matches_reference_and_cancels(data):
 def test_action_caches_hold_ints():
     m = PROPERTY_MODULES[(0, 0, 0, 1)]
     elem = {(mono, 0): Q(1) for mono in enumerate_monomials(3)}
-    m.act_xd(5, 9, elem)
+    m.act({("xd", 5, 9): 1}, elem)
     for a in range(1, 6):
         for b in range(1, 6):
             m.act_e(a, b, elem)
