@@ -136,7 +136,7 @@ def _w_4e(n):
     mod = VermaModule((0, 0, 0, n + 3))
     out = {}
     for sign, partials, forms, fexp in W4E_TERMS:
-        u = pbw_product({(partials, ()): Q(sign)}, forms_elem(forms))
+        u = pbw_product({(partials, ()): sign}, forms_elem(forms))
         dx = []
         for i in range(4):
             dx.extend([i + 1] * fexp[i])
@@ -168,7 +168,7 @@ def _w_7():
     pre = forms_elem(_PREFIX)
     out = {}
     for sign, partials, forms, (da, db) in W7_TERMS:
-        u = pbw_product(pre, pbw_product({(partials, ()): Q(sign)},
+        u = pbw_product(pre, pbw_product({(partials, ()): sign},
                                          forms_elem(forms)))
         add_scaled(out, _tensor(mod, u, dx=(da, db)), Q(1))
     return mod, out
@@ -179,7 +179,7 @@ def _w_11():
     pre = forms_elem(_PREFIX)
     out = {}
     for sign, partials, forms, di in W11_TERMS:
-        u = pbw_product(pre, pbw_product({(partials, ()): Q(sign)},
+        u = pbw_product(pre, pbw_product({(partials, ()): sign},
                                          forms_elem(forms)))
         add_scaled(out, _tensor(mod, u, dx=(di,)), Q(1))
     return mod, out

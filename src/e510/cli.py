@@ -78,9 +78,11 @@ def cmd_verify_catalog(args):
     else:
         raise ConfigError("unknown family %r (choose from %s or all)"
                           % (args.family, ", ".join(FAMILY_NAMES)))
-    recs = verify_catalog(fams, tuple(_parse_range(args.m)),
-                          tuple(_parse_range(args.n)),
-                          full_g1=not args.skip_g1)
+    ms, ns = tuple(_parse_range(args.m)), tuple(_parse_range(args.n))
+    if min(ms + ns) < 0:
+        raise ConfigError("family parameters must be nonnegative: --m %s "
+                          "--n %s" % (args.m, args.n))
+    recs = verify_catalog(fams, ms, ns, full_g1=not args.skip_g1)
     report = {
         "command": "verify-catalog",
         "records": recs,
@@ -455,7 +457,7 @@ def _cert_triples(path):
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("unreadable certificate file %s: %s"
                               % (path, exc))
     if isinstance(data, dict):

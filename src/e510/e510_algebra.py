@@ -15,7 +15,8 @@ raises DegreeError.
 """
 
 from .scalars import Q
-from .uminus import PAIRS, PAIR_INDEX, EPS, TMATE, perm_sign
+from .uminus import (PAIRS, EPS, TMATE, add_scaled, form_step, oriented,
+                     perm_sign)
 from .linalg import Echelon
 
 GRADE = {"p": -2, "d": -1, "e": 0, "xd": 1}
@@ -35,15 +36,6 @@ def parity_of(elem):
     if len(ps) > 1:
         raise ValueError("element has mixed parity")
     return ps.pop() if ps else 0
-
-
-def _norm_pair(i, j):
-    """((min,max) pair index, sign) of an oriented pair; None when i == j."""
-    if i == j:
-        return None
-    if i < j:
-        return PAIR_INDEX[(i, j)], 1
-    return PAIR_INDEX[(j, i)], -1
 
 
 def _sym_bracket(x, y):
@@ -85,8 +77,9 @@ def _sym_bracket(x, y):
             # -[x_a p_b, d_lm] with Lie derivative action on the form
             _, f = x
             _, a, b = y
-            for s, c in _e_on_form(a, b, f):
-                out[s] = out.get(s, 0) - c
+            step = form_step(a, b, f)
+            if step:
+                out[("d", step[0])] = -step[1]
             return out
         if ky == "xd":
             # [d_p, x_k d_q] = eps(p,q) x_k p_t  (symmetric in the two forms)
@@ -111,26 +104,12 @@ def _sym_bracket(x, y):
             _, k, f = y
             if b == k:
                 out[("xd", a, f)] = out.get(("xd", a, f), 0) + 1
-            for s, c in _e_on_form(a, b, f):
-                key = ("xd", k, s[1])
-                out[key] = out.get(key, 0) + c
+            step = form_step(a, b, f)
+            if step:
+                key = ("xd", k, step[0])
+                out[key] = out.get(key, 0) + step[1]
             return {s: v for s, v in out.items() if v}
     raise DegreeError("bracket of %s and %s is unsupported" % (x, y))
-
-
-def _e_on_form(a, b, f):
-    """Lie derivative of d_lm by x_a p_b: list of (("d", f'), coeff)."""
-    l, m = PAIRS[f]
-    out = []
-    if b == l:
-        np = _norm_pair(a, m)
-        if np:
-            out.append((("d", np[0]), np[1]))
-    if b == m:
-        np = _norm_pair(l, a)
-        if np:
-            out.append((("d", np[0]), np[1]))
-    return out
 
 
 def bracket(x, y):
@@ -138,13 +117,7 @@ def bracket(x, y):
     out = {}
     for sx, cx in x.items():
         for sy, cy in y.items():
-            c = cx * cy
-            for s, k in _sym_bracket(sx, sy).items():
-                v = out.get(s, 0) + c * k
-                if v:
-                    out[s] = v
-                else:
-                    out.pop(s, None)
+            add_scaled(out, _sym_bracket(sx, sy), cx * cy)
     return out
 
 
@@ -152,19 +125,8 @@ def jacobi_residual(x, y, z):
     """[x,[y,z]] - [[x,y],z] - (-1)^(|x||y|) [y,[x,z]]."""
     px, py = parity_of(x), parity_of(y)
     out = bracket(x, bracket(y, z))
-    for s, c in bracket(bracket(x, y), z).items():
-        v = out.get(s, 0) - c
-        if v:
-            out[s] = v
-        else:
-            out.pop(s, None)
-    sign = -1 if (px and py) else 1
-    for s, c in bracket(y, bracket(x, z)).items():
-        v = out.get(s, 0) - sign * c
-        if v:
-            out[s] = v
-        else:
-            out.pop(s, None)
+    add_scaled(out, bracket(bracket(x, y), z), -1)
+    add_scaled(out, bracket(y, bracket(x, z)), 1 if (px and py) else -1)
     return out
 
 
@@ -173,17 +135,17 @@ def p_gen(i):
 
 
 def d_gen(i, j):
-    np = _norm_pair(i, j)
-    if np is None:
+    o = oriented(i, j)
+    if o is None:
         return {}
-    return {("d", np[0]): Q(np[1])}
+    return {("d", o[0]): Q(o[1])}
 
 
 def xd_gen(k, i, j):
-    np = _norm_pair(i, j)
-    if np is None:
+    o = oriented(i, j)
+    if o is None:
         return {}
-    return {("xd", k, np[0]): Q(np[1])}
+    return {("xd", k, o[0]): Q(o[1])}
 
 
 def e_gen(a, b):

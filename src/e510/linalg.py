@@ -16,7 +16,8 @@ _SELF = object()  # coords' tag for the vector being expressed
 
 
 class MatrixTooLargeError(RuntimeError):
-    """Raised before building a search block that exceeds the entry cap."""
+    """Raised when a search block's assembled rows exceed the entry cap,
+    before elimination."""
 
 
 def _make_primitive(row, combo):

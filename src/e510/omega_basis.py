@@ -15,9 +15,9 @@ from math import lcm
 from .scalars import Q, _den, _numerators
 from .e510_algebra import bracket, d_gen, xd_gen
 from .sl5_reps import build_irrep
-from .uminus import (EPS, PAIRS, PAIR_INDEX, ONE_MONO, TMATE, add_scaled,
-                     d_elem, forms_elem, mono_degree, p_elem, pbw_product,
-                     perm_sign, scale)
+from .uminus import (EPS, PAIRS, ONE_MONO, TMATE, add_scaled, d_elem,
+                     forms_elem, mono_degree, oriented, p_elem, pair_eps,
+                     pair_mate, pbw_product, perm_sign, scale)
 from .verma import ad_e_mono
 
 
@@ -30,12 +30,11 @@ def canonical_index(pairs):
     forms = []
     sign = 1
     for i, j in pairs:
-        if i == j:
+        o = oriented(i, j)
+        if o is None:
             return 0, None
-        if i > j:
-            i, j = j, i
-            sign = -sign
-        forms.append(PAIR_INDEX[(i, j)])
+        forms.append(o[0])
+        sign *= o[1]
     if len(set(forms)) != len(forms):
         return 0, None
     sign *= perm_sign(forms)
@@ -44,20 +43,6 @@ def canonical_index(pairs):
 
 def index_pairs(key):
     return tuple(PAIRS[f] for f in key)
-
-
-def pair_eps(p1, p2):
-    """Sign of the permutation (i,j,k,l,t) of [5]; zero on repeats."""
-    i, j = p1
-    k, l = p2
-    if len({i, j, k, l}) != 4:
-        return 0
-    return perm_sign((i, j, k, l, 15 - i - j - k - l))
-
-
-def pair_mate(p1, p2):
-    """The index of [5] outside two disjoint pairs."""
-    return 15 - p1[0] - p1[1] - p2[0] - p2[1]
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +307,7 @@ def commutator_identity_residual(p, q, pairs, testmod, elems=None):
 
 def _partial_omega_elem(parts, key):
     """The element partials^parts * omega_key."""
-    return pbw_product({(parts, ()): Q(1)}, _omega_key(key))
+    return pbw_product({(parts, ()): 1}, _omega_key(key))
 
 
 def _parts_to_rs(parts):
@@ -338,15 +323,8 @@ def pbw_to_omega(u):
         return {}
     if len({mono_degree(m) for m in u}) != 1:
         raise ValueError("element is not homogeneous")
-    work = dict(u)
-    out = {}
-    while work:
-        h = max(len(m[1]) for m in work)
-        batch = [(m, c) for m, c in work.items() if len(m[1]) == h]
-        for (parts, forms), c in batch:
-            out[(_parts_to_rs(parts), forms)] = c
-            add_scaled(work, _partial_omega_elem(parts, forms), -c)
-    return out
+    return {k: coords[0] for k, coords in
+            _expand_partial_omega({(m, 0): c for m, c in u.items()}).items()}
 
 
 def omega_to_pbw(coeffs):
@@ -385,8 +363,13 @@ class ThetaFamily:
         return {i: sign * c for i, c in coords.items()}
 
 
-def _expand_partial_omega(module, elem):
-    """Expansion of a module element over partial-omega tensor terms."""
+def _expand_partial_omega(elem):
+    """Expansion of a module element over partial-omega tensor terms.
+
+    partials^R * omega_I has the monomial (R, I) as its only term of top
+    height, so the top-height terms are read off and peeled, one height at
+    a time.  Returns (rs, key) -> coordinates on the rep index.
+    """
     work = dict(elem)
     out = {}
     while work:
@@ -464,7 +447,7 @@ def reconstruct_theta(module, w, check=True):
     d = module.element_degree(w)
     maps = {}
     for jj in range(rep_in.dim):
-        for ukey, coords in _expand_partial_omega(module, images[jj]).items():
+        for ukey, coords in _expand_partial_omega(images[jj]).items():
             maps.setdefault(ukey, {})[jj] = coords
     return ThetaFamily(module, rep_in, d, maps)
 
@@ -509,28 +492,14 @@ def _eval_refs(theta, refs):
     out = {}
     for c, rs, key in refs:
         cols = theta.maps.get((rs, key))
-        if not cols:
-            continue
-        for col, coords in cols.items():
-            dst = out.setdefault(col, {})
-            for i, v in coords.items():
-                w = dst.get(i, 0) + c * v
-                if w:
-                    dst[i] = w
-                elif i in dst:
-                    del dst[i]
+        if cols:
+            _map_add(out, cols, c)
     return out
 
 
 def _map_add(dst, src, c):
     for col, coords in src.items():
-        d2 = dst.setdefault(col, {})
-        for i, v in coords.items():
-            w = d2.get(i, 0) + c * v
-            if w:
-                d2[i] = w
-            elif i in d2:
-                del d2[i]
+        add_scaled(dst.setdefault(col, {}), coords, c)
 
 
 def _map_rep_act(theta, p, gamma, m):

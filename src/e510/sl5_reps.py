@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .scalars import Q
 from .linalg import Echelon
-from .uminus import PAIRS, PAIR_INDEX
+from .uminus import PAIRS, PAIR_INDEX, add_scaled, form_step
 
 # block order inside an ambient monomial key
 _X, _W, _WD, _XD = 0, 1, 2, 3
@@ -98,31 +98,12 @@ def gt_pattern_count(w) -> int:
     return count(top)
 
 
-def _pair_step(i, j, b, a):
-    """e_ab applied to the wedge symbol with indices (i, j): list of
-    ((i', j'), sign) with i' < j', empty when the image vanishes."""
-    out = []
-    if b == i:
-        if a != j:
-            out.append(((a, j), 1) if a < j else ((j, a), -1))
-    if b == j:
-        if a != i:
-            out.append(((i, a), 1) if i < a else ((a, i), -1))
-    return out
-
-
 def act_ambient(a, b, vec):
     """Action of the gl5 element x_a p_b on an ambient vector."""
     out = {}
     for mono, c in vec.items():
         if a == b:
-            ev = _mono_eps_weight(mono)[a - 1]
-            if ev:
-                s = out.get(mono, 0) + c * ev
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+            _bump(out, mono, c * _mono_eps_weight(mono)[a - 1])
             continue
         xs, ws, wds, xds = mono
         # Sym(C^5): x_b -> x_a
@@ -134,24 +115,20 @@ def act_ambient(a, b, vec):
             _bump(out, (tuple(nx), ws, wds, xds), c * k)
         # Sym(L): derivation over each wedge factor
         for f, e in enumerate(ws):
-            if not e:
-                continue
-            i, j = PAIRS[f]
-            for pq, sgn in _pair_step(i, j, b, a):
+            step = form_step(a, b, f) if e else None
+            if step:
                 nw = list(ws)
                 nw[f] -= 1
-                nw[PAIR_INDEX[pq]] += 1
-                _bump(out, (xs, tuple(nw), wds, xds), c * e * sgn)
+                nw[step[0]] += 1
+                _bump(out, (xs, tuple(nw), wds, xds), c * e * step[1])
         # Sym(L*): e_ab . x*_kl = -delta_ak x*_bl - delta_al x*_kb
         for f, e in enumerate(wds):
-            if not e:
-                continue
-            k_, l_ = PAIRS[f]
-            for pq, sgn in _dual_pair_step(k_, l_, a, b):
+            step = form_step(b, a, f) if e else None
+            if step:
                 nw = list(wds)
                 nw[f] -= 1
-                nw[PAIR_INDEX[pq]] += 1
-                _bump(out, (xs, ws, tuple(nw), xds), -c * e * sgn)
+                nw[step[0]] += 1
+                _bump(out, (xs, ws, tuple(nw), xds), -c * e * step[1])
         # Sym(C^5*): e_ab . x*_a = -x*_b
         k = xds[a - 1]
         if k:
@@ -159,17 +136,6 @@ def act_ambient(a, b, vec):
             nx[a - 1] -= 1
             nx[b - 1] += 1
             _bump(out, (xs, ws, wds, tuple(nx)), -c * k)
-    return out
-
-
-def _dual_pair_step(k, l, a, b):
-    out = []
-    if a == k:
-        if b != l:
-            out.append(((b, l), 1) if b < l else ((l, b), -1))
-    if a == l:
-        if b != k:
-            out.append(((k, b), 1) if k < b else ((b, k), -1))
     return out
 
 
@@ -297,8 +263,7 @@ class Irrep:
         cols = self.mat(a, b)
         out = {}
         for j, c in coeffs.items():
-            for i, v in cols[j].items():
-                _bump(out, i, c * v)
+            add_scaled(out, cols[j], c)
         return out
 
     def coord_weight(self, idx):

@@ -1,4 +1,4 @@
-"""PBW arithmetic in U(g_-) for g = E(5,10).
+"""PBW arithmetic in U(g_-) for g = E(5,10), and the index rules of g_-.
 
 g_- = g_-2 + g_-1 with g_-2 spanned by the five even elements p1..p5 (the
 coordinate vector fields, central in g_-) and g_-1 by the ten odd elements
@@ -16,13 +16,21 @@ indices repeat.  PBW monomials are p1^m1..p5^m5 d_{q1}..d_{qk} with the
 A monomial is ((m1,..,m5), (f1,..,fk)) with fi the positions of the 2-forms
 in that order; an element is a dict monomial -> scalar.  Degree counts p_i
 twice and each 2-form once; height is the number of 2-forms.
+
+The rules every layer reads are defined here once: oriented turns an
+oriented pair (i, j) into a form index and a sign (dji = -dij, dii = 0),
+pair_eps and pair_mate give eps and t, and form_step is x_a p_b on a
+2-form, the pair with index b replaced by a.  U(g_-) has integer structure
+constants, so the generators d_elem, p_elem and forms_elem and all their
+products have int coefficients; exact scalars enter with the caller's own
+coefficients.
 """
 
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .scalars import Q, qstr, qparse
+from .scalars import qstr, qparse
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
          (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
@@ -43,20 +51,54 @@ def perm_sign(seq) -> int:
     return -1 if inv & 1 else 1
 
 
+def pair_eps(p1, p2):
+    """Sign of the permutation (i,j,k,l,t) of [5]; zero on repeats."""
+    i, j = p1
+    k, l = p2
+    if len({i, j, k, l}) != 4:
+        return 0
+    return perm_sign((i, j, k, l, pair_mate(p1, p2)))
+
+
+def pair_mate(p1, p2):
+    """The index of [5] outside two disjoint pairs."""
+    return 15 - p1[0] - p1[1] - p2[0] - p2[1]
+
+
 def _build_eps():
-    eps = [[0] * 10 for _ in range(10)]
-    mate = [[0] * 10 for _ in range(10)]
-    for p, (i, j) in enumerate(PAIRS):
-        for q, (k, l) in enumerate(PAIRS):
-            if len({i, j, k, l}) != 4:
-                continue
-            t = 15 - i - j - k - l
-            eps[p][q] = perm_sign((i, j, k, l, t))
-            mate[p][q] = t
+    eps = [[pair_eps(p, q) for q in PAIRS] for p in PAIRS]
+    mate = [[pair_mate(p, q) if e else 0 for q, e in zip(PAIRS, row)]
+            for p, row in zip(PAIRS, eps)]
     return eps, mate
 
 
 EPS, TMATE = _build_eps()
+
+
+def oriented(i, j):
+    """(form index, sign) with dij = sign * d_(PAIRS[index]).
+
+    None when i == j, since dii = 0.
+    """
+    if i == j:
+        return None
+    if i < j:
+        return PAIR_INDEX[(i, j)], 1
+    return PAIR_INDEX[(j, i)], -1
+
+
+def form_step(a, b, f):
+    """x_a p_b on the 2-form d_(pair f), index b replaced by a.
+
+    The image has at most one term: (form index, sign), or None when b is
+    not in the pair or the image degenerates.
+    """
+    l, m = PAIRS[f]
+    if b == l:
+        return oriented(a, m)
+    if b == m:
+        return oriented(l, a)
+    return None
 
 
 def mono_degree(mono) -> int:
@@ -187,24 +229,21 @@ def pbw_product(a, b):
 
 def d_elem(i, j):
     """The generator dx_i ^ dx_j as an element; dji = -dij, dii = 0."""
-    if i == j:
+    o = oriented(i, j)
+    if o is None:
         return {}
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -1
-    return {(ZERO_PARTIALS, (PAIR_INDEX[(i, j)],)): Q(sign)}
+    return {(ZERO_PARTIALS, (o[0],)): o[1]}
 
 
 def p_elem(i):
     parts = [0] * 5
     parts[i - 1] = 1
-    return {(tuple(parts), ()): Q(1)}
+    return {(tuple(parts), ()): 1}
 
 
 def forms_elem(pairs):
     """Product d_{pairs[0]} d_{pairs[1]} ... of oriented pairs, normal ordered."""
-    out = {ONE_MONO: Q(1)}
+    out = {ONE_MONO: 1}
     for i, j in pairs:
         out = pbw_product(out, d_elem(i, j))
     return out

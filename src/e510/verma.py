@@ -17,8 +17,9 @@ scalar, so its results are exact.
 The actions are fraction-free: an input's coefficients go over one common
 denominator, numerators accumulate as ints keyed by (monomial, rep index),
 and one scalar is built per nonzero entry of the result.  The memoized
-pieces of the g_0 and g_1 actions have integer coefficients by
-construction (signs, exponents and eps values) and are stored as ints.
+pieces of the g_0 and g_1 actions are built from the integer generators
+and index rules of uminus (signs, exponents and eps values), so they are
+stored as ints.
 """
 
 from math import lcm
@@ -26,8 +27,8 @@ from operator import add
 
 from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
 from .uminus import (
-    PAIRS, PAIR_INDEX, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms,
-    mono_degree, mono_weight, add_scaled, scale, pbw_product, p_elem,
+    PAIRS, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms, mono_degree,
+    mono_weight, add_scaled, scale, pbw_product, d_elem, p_elem, form_step,
     enumerate_monomials, format_monomial, parse_monomial,
 )
 from .sl5_reps import build_irrep, eps_to_coords, is_dominant, parse_weight
@@ -35,20 +36,6 @@ from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
-
-
-def _form_elem(f):
-    """The single 2-form generator with pair index f, integer coefficient."""
-    return {(ZERO_PARTIALS, (f,)): 1}
-
-
-def _int_form(i, j):
-    """dx_i ^ dx_j with an integer coefficient; dji = -dij, dii = 0."""
-    if i == j:
-        return {}
-    if i > j:
-        return {(ZERO_PARTIALS, (PAIR_INDEX[(j, i)],)): -1}
-    return _form_elem(PAIR_INDEX[(i, j)])
 
 
 def ad_e_mono(a, b, mono):
@@ -69,16 +56,12 @@ def ad_e_mono(a, b, mono):
         pl[b - 1] += 1
         out[(tuple(pl), forms)] = -parts[a - 1]
     for n, f in enumerate(forms):
-        l, m = PAIRS[f]
-        if b == l:
-            repl = _int_form(a, m)
-        elif b == m:
-            repl = _int_form(l, a)
-        else:
+        step = form_step(a, b, f)
+        if step is None:
             continue
-        if not repl:
-            continue
-        word = pbw_product({(ZERO_PARTIALS, forms[:n]): 1}, repl)
+        g, sign = step
+        word = pbw_product({(ZERO_PARTIALS, forms[:n]): sign},
+                           {(ZERO_PARTIALS, (g,)): 1})
         word = pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): 1})
         add_scaled(out, {(tuple(map(add, parts, p2)), f2): c
                          for (p2, f2), c in word.items()}, 1)
@@ -108,8 +91,8 @@ def xd_mono(k, f, mono):
         A1, B1 = xd_mono(k, f, rest)
         A = {}
         if i == k:
-            add_scaled(A, pbw_product(_form_elem(f), {rest: 1}), -1)
-        pi = dict.fromkeys(p_elem(i), 1)
+            add_scaled(A, pbw_product(d_elem(*PAIRS[f]), {rest: 1}), -1)
+        pi = p_elem(i)
         add_scaled(A, pbw_product(pi, A1), 1)
         B = {}
         for ab, u in B1.items():
@@ -121,7 +104,7 @@ def xd_mono(k, f, mono):
         q = forms[0]
         rest = (parts, forms[1:])
         A1, B1 = xd_mono(k, f, rest)
-        dq = _form_elem(q)
+        dq = d_elem(*PAIRS[q])
         A = scale(pbw_product(dq, A1), -1)
         B = {}
         for ab, u in B1.items():
@@ -354,7 +337,7 @@ class InducedModule:
             elif kind == "p":
                 add_scaled(neg, p_elem(sym[1]), c)
             elif kind == "d":
-                add_scaled(neg, _form_elem(sym[1]), c)
+                add_scaled(neg, d_elem(*PAIRS[sym[1]]), c)
             else:
                 pos[sym] = c
         out = self.act_pieces(pos, elem) if pos else {}
@@ -421,7 +404,10 @@ def tensor_from_terms(terms):
 
 
 def proportional(a, b):
-    """The nonzero scalar c with b == c * a, or None."""
+    """The nonzero exact scalar c with b == c * a, or None.
+
+    c is built as a Q, so int-valued U(g_-) elements give an exact ratio.
+    """
     if not a or not b:
         return None
     k = next(iter(a))
@@ -429,9 +415,7 @@ def proportional(a, b):
         k = next(iter(b))
         if k not in a:
             return None
-    c = b[k] / a[k] if k in a and k in b else None
-    if c is None or not c:
-        return None
-    if b == {kk: c * v for kk, v in a.items()}:
+    c = Q(b[k]) / a[k]
+    if c and b == {kk: c * v for kk, v in a.items()}:
         return c
     return None

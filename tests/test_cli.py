@@ -32,6 +32,22 @@ def test_config_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_certificate_file_exits_two(tmp_path, capsys):
+    certs = tmp_path / "certs.json"
+    certs.write_text("[" * 100000 + "]" * 100000)
+    assert main(["dual", "--from-certs", str(certs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "certificate" in err
+
+
+def test_negative_catalog_parameters_exit_two(capsys):
+    for argv in (["--family", "1A", "--m=-1..0"],
+                 ["--family", "1C", "--n=-2"]):
+        assert main(["verify-catalog"] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

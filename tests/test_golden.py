@@ -5,10 +5,13 @@ A change that alters a report on purpose must update its digest here.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from e510.catalog import FAMILY_NAMES, known_vector
 from e510.cli import main
+from e510.verma import tensor_terms
 
 GOLDEN_SHA256 = {
     ("s5-baseline",):
@@ -25,6 +28,27 @@ GOLDEN_SHA256 = {
         "d8879c2192932e6a12efcceffd120e1a7af747a305355f114a46d00bfab72716",
     ("identities", "--suite", "omega", "--max-d", "2", "--samples", "10"):
         "5469e7a24ad9f4a6a3a49e9a4691d26b0cbfdc06c10d9de831e10de977f94bb9",
+    # the 1C family reaches the dual-wedge branch of the ambient sl5 action
+    ("verify-catalog", "--family", "1C", "--m", "0..1", "--n", "0..1"):
+        "6972e0638a7262a27aa2d26cdb440a817e250ddb9999445d60a3dd278307855f",
+}
+
+# SHA-256 of json.dumps(tensor_terms(w), sort_keys=True) for the catalog
+# vector w of each family at m = n = 0
+KNOWN_VECTOR_SHA256 = {
+    "1A": "ae4f572d01f017d60513732817ef07a9d6883aed942eee73190ebba2c89b408c",
+    "1B": "267e5a8fe165fc8cd74251ba64f98558d66df491c4be63578bd433aafd7227df",
+    "1C": "69bca3786c9e24bf8318b9fd2539f80a332c9fb54787b9c6fd06e6662c6ed557",
+    "2BA": "40781abc384f518d0bd5565a8e99da598bbe13868aed75c5e5cc56a316671b89",
+    "2CB": "18b2ddf5a722a73a85735bd08753c32381ed8e77d2d1333dc9c64cc0bf1670c1",
+    "2CA": "acf798aae9a564a8d535175afb16e3aa99700f625209e532d6cf9fa7e0eb2b69",
+    "3CBA": "66d989a90cbc70bed3a2d83cf6b0ad017c4448baa9782939d402cd5af75c7c5f",
+    "4D": "01c7ab78a48b0f8c1b3555fe7b9d768601c73e0275305cb08465e1c9fd38c1bd",
+    "4E": "0f841c5cdb057b2692d38d3db95d276598381072bf7e75d1a2e8d7730f33d73a",
+    "5CD": "8a0ef14e9b51bd99c83fa4330660565288ba05a1bcad7867085ecbbac35d0c4b",
+    "5EA": "55fe7396596bfc9a75b735031cb1e63f8faeac4a5ba60bf05be508158783fa36",
+    "7": "e6bebfdd55245c3e1b764cde550d8eb5feb4c7edee4f0647c6f5a8b6f7176afc",
+    "11": "244e2015f378627467eb01f2c4b7b7f060c423df961d93fc5781260493f0d6b8",
 }
 
 
@@ -33,3 +57,11 @@ def test_report_is_byte_identical(tmp_path, argv):
     out = tmp_path / "rep.json"
     assert main(list(argv) + ["--format", "json", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+def test_known_vectors_are_byte_identical():
+    assert sorted(KNOWN_VECTOR_SHA256) == sorted(FAMILY_NAMES)
+    for family, want in KNOWN_VECTOR_SHA256.items():
+        _, w = known_vector(family, 0, 0)
+        blob = json.dumps(tensor_terms(w), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == want, family

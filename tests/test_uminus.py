@@ -1,9 +1,15 @@
+import hashlib
 import random
 
-from e510.scalars import Q
+from hypothesis import given, settings, strategies as st
+
+from e510.e510_algebra import bracket
+from e510.scalars import Q, qstr
+from e510.sl5_reps import _profile_monomials, act_ambient
 from e510.uminus import (
-    EPS, TMATE, PAIR_INDEX, PAIRS, ONE_MONO,
+    EPS, TMATE, PAIR_INDEX, PAIRS, ONE_MONO, ZERO_PARTIALS,
     d_elem, p_elem, forms_elem, pbw_product, add_scaled, scale,
+    oriented, form_step, pair_eps, pair_mate,
     degree, height, mono_weight, dim_u_minus, enumerate_monomials,
     parse_monomial, format_monomial, format_element,
     element_terms, element_from_terms,
@@ -147,3 +153,172 @@ def test_parse_format_roundtrip():
 def test_oriented_generators():
     assert d_elem(2, 1) == scale(d_elem(1, 2), Q(-1))
     assert d_elem(3, 3) == {}
+
+
+def test_generators_have_int_coefficients():
+    gens = [p_elem(i) for i in range(1, 6)] + \
+           [d_elem(i, j) for i in range(1, 6) for j in range(1, 6)] + \
+           [forms_elem([(1, 2), (3, 4), (2, 1)]),
+            forms_elem([(1, 2), (3, 4), (1, 5)])]
+    for g in gens:
+        assert all(type(c) is int for c in g.values())
+    assert forms_elem([(1, 2), (3, 4), (1, 5)])
+
+
+def test_eps_and_mate_tables_come_from_pair_rules():
+    for p, pp in enumerate(PAIRS):
+        for q, qq in enumerate(PAIRS):
+            assert EPS[p][q] == pair_eps(pp, qq)
+            assert TMATE[p][q] == (pair_mate(pp, qq) if EPS[p][q] else 0)
+
+
+# The index rules that oriented and form_step replace, kept verbatim from
+# sl5_reps, e510_algebra and verma as references.
+
+def _pair_step(i, j, b, a):
+    """e_ab applied to the wedge symbol with indices (i, j): list of
+    ((i', j'), sign) with i' < j', empty when the image vanishes."""
+    out = []
+    if b == i:
+        if a != j:
+            out.append(((a, j), 1) if a < j else ((j, a), -1))
+    if b == j:
+        if a != i:
+            out.append(((i, a), 1) if i < a else ((a, i), -1))
+    return out
+
+
+def _dual_pair_step(k, l, a, b):
+    out = []
+    if a == k:
+        if b != l:
+            out.append(((b, l), 1) if b < l else ((l, b), -1))
+    if a == l:
+        if b != k:
+            out.append(((k, b), 1) if k < b else ((b, k), -1))
+    return out
+
+
+def _norm_pair(i, j):
+    """((min,max) pair index, sign) of an oriented pair; None when i == j."""
+    if i == j:
+        return None
+    if i < j:
+        return PAIR_INDEX[(i, j)], 1
+    return PAIR_INDEX[(j, i)], -1
+
+
+def _e_on_form(a, b, f):
+    """Lie derivative of d_lm by x_a p_b: list of (("d", f'), coeff)."""
+    l, m = PAIRS[f]
+    out = []
+    if b == l:
+        np = _norm_pair(a, m)
+        if np:
+            out.append((("d", np[0]), np[1]))
+    if b == m:
+        np = _norm_pair(l, a)
+        if np:
+            out.append((("d", np[0]), np[1]))
+    return out
+
+
+def _form_elem(f):
+    """The single 2-form generator with pair index f, integer coefficient."""
+    return {(ZERO_PARTIALS, (f,)): 1}
+
+
+def _int_form(i, j):
+    """dx_i ^ dx_j with an integer coefficient; dji = -dij, dii = 0."""
+    if i == j:
+        return {}
+    if i > j:
+        return {(ZERO_PARTIALS, (PAIR_INDEX[(j, i)],)): -1}
+    return _form_elem(PAIR_INDEX[(i, j)])
+
+
+def test_oriented_matches_references():
+    for i in range(1, 6):
+        for j in range(1, 6):
+            assert oriented(i, j) == _norm_pair(i, j)
+            assert d_elem(i, j) == _int_form(i, j)
+
+
+def test_form_step_matches_references():
+    for a in range(1, 6):
+        for b in range(1, 6):
+            for f, (i, j) in enumerate(PAIRS):
+                step = form_step(a, b, f)
+                assert _e_on_form(a, b, f) == \
+                    ([(("d", step[0]), step[1])] if step else [])
+                assert _pair_step(i, j, b, a) == \
+                    ([(PAIRS[step[0]], step[1])] if step else [])
+                dual = form_step(b, a, f)
+                assert _dual_pair_step(i, j, a, b) == \
+                    ([(PAIRS[dual[0]], dual[1])] if dual else [])
+
+
+def _digest(rows):
+    h = hashlib.sha256()
+    for key, out in rows:
+        h.update(repr((key, sorted((k, qstr(v)) for k, v in out.items())))
+                 .encode())
+    return h.hexdigest()
+
+
+def test_users_of_form_step_match_recorded_outputs():
+    """act_ambient, bracket and ad_e_mono on every input of a fixed range,
+    against SHA-256 digests of their outputs when each module still held
+    its own copy of the index rules above."""
+    from e510.verma import ad_e_mono
+    rows = []
+    for prof in ((0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)):
+        for mono in _profile_monomials(prof):
+            for a in range(1, 6):
+                for b in range(1, 6):
+                    rows.append(((a, b, mono), act_ambient(a, b, {mono: 1})))
+    assert _digest(rows) == \
+        "0967052b54f6bc3f4b2309c276b9dd22a928f564fadf81b438d1bff81a918961"
+    syms = ([("p", i) for i in range(1, 6)] + [("d", f) for f in range(10)]
+            + [("e", a, b) for a in range(1, 6) for b in range(1, 6)]
+            + [("xd", k, f) for k in range(1, 6) for f in range(10)])
+    rows = [((x, y), bracket({x: 1}, {y: 1}))
+            for x in syms for y in syms if {x[0], y[0]} != {"xd"}]
+    assert _digest(rows) == \
+        "a4b71c24106b305afd6fbbc59941e3f76f2d9b9bc464d4662d1ed9ba536a6f38"
+    rows = [((a, b, mono), ad_e_mono(a, b, mono))
+            for d in range(5) for mono in enumerate_monomials(d)
+            for a in range(1, 6) for b in range(1, 6)]
+    assert _digest(rows) == \
+        "f173e5a63871e365ab78749c7c42888e8aab2652c366cce5bf481ac51c8d1f1f"
+
+
+def _ref_generator(g):
+    """A generator with Fraction coefficients: ("p", i) or ("d", i, j)."""
+    if g[0] == "p":
+        parts = [0] * 5
+        parts[g[1] - 1] = 1
+        return {(tuple(parts), ()): Q(1)}
+    _, i, j = g
+    if i == j:
+        return {}
+    if i > j:
+        return {(ZERO_PARTIALS, (PAIR_INDEX[(j, i)],)): Q(-1)}
+    return {(ZERO_PARTIALS, (PAIR_INDEX[(i, j)],)): Q(1)}
+
+
+GENERATORS = st.one_of(
+    st.tuples(st.just("p"), st.integers(1, 5)),
+    st.tuples(st.just("d"), st.integers(1, 5), st.integers(1, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GENERATORS, min_size=1, max_size=7))
+def test_integer_words_match_fraction_reference(word):
+    got = {ONE_MONO: 1}
+    ref = {ONE_MONO: Q(1)}
+    for g in word:
+        got = pbw_product(got, p_elem(g[1]) if g[0] == "p" else d_elem(*g[1:]))
+        ref = pbw_product(ref, _ref_generator(g))
+    assert got == ref
+    assert all(type(c) is int for c in got.values())

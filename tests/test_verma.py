@@ -153,6 +153,9 @@ def test_proportional():
     assert proportional(w, {k: Q(-3) * c for k, c in w.items()}) == Q(-3)
     assert proportional(w, m.tensor(d_elem(1, 3), {0: Q(1)})) is None
     assert proportional(w, {}) is None
+    # integer-valued U(g_-) elements give an exact ratio, not a float
+    ratio = proportional(d_elem(1, 2), d_elem(2, 1))
+    assert ratio == Q(-1) and type(ratio) is Q
 
 
 # Reference actions: the nested loops over Fraction coefficients that the
