@@ -8,7 +8,7 @@ linear 2-forms x_k d_ij.  Everything below is exact rational arithmetic.
 """
 
 from e510.e510_algebra import (
-    bracket, p_gen, d_gen, e_gen, cartan_gen, xd_gen, g1_basis,
+    bracket, p_gen, d_gen, e_gen, cartan_gen, g1_basis,
     jacobi_residual, closed_two_form_space,
 )
 

@@ -414,10 +414,11 @@ def cmd_identities(args):
 
 def cmd_complexes(args):
     from .catalog import (composition_identity_reports, composition_sweep,
-                          compose, morphism_table)
+                          compose_vector, morphism_table)
     get = morphism_table(check=args.check)
     idents = composition_identity_reports(get)
-    square_zero = compose(get("1A", 0, 0), get("1A", 0, 1)).is_zero()
+    # a morphism of Verma modules is zero when its singular vector is
+    square_zero = not compose_vector(get("1A", 0, 0), get("1A", 0, 1))
     records = composition_sweep(get)
     unmatched = [r for r in records if not r["zero"] and not r["matches"]]
     report = {

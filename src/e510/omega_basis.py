@@ -16,8 +16,8 @@ from .scalars import Q, _den, _numerators
 from .e510_algebra import bracket, d_gen, xd_gen
 from .sl5_reps import build_irrep
 from .uminus import (EPS, PAIRS, ONE_MONO, TMATE, add_scaled, d_elem,
-                     forms_elem, mono_degree, oriented, p_elem, pair_eps,
-                     pair_mate, pbw_product, perm_sign, scale)
+                     form_step, forms_elem, mono_degree, oriented, p_elem,
+                     pair_eps, pair_mate, pbw_product, perm_sign, scale)
 from .verma import ad_e_mono
 
 
@@ -135,18 +135,23 @@ def omega_recursive(pairs):
     return scale(_omega_sym_key(key), Q(sign))
 
 
-def omega_symmetrized(pairs, literal_limit=5):
+# omega_symmetrized expands the permutation sum literally up to this many
+# factors
+_LITERAL_LIMIT = 5
+
+
+def omega_symmetrized(pairs):
     """Signed average of the form word over all orderings.
 
-    Up to literal_limit factors the permutation sum is expanded term by
+    Up to _LITERAL_LIMIT factors the permutation sum is expanded term by
     term; beyond that the identical sum is evaluated by factoring on the
-    first letter, which only regroups the terms.
+    first letter, which only regroups the terms (omega_recursive).
     """
     sign, key = canonical_index(pairs)
     if not sign:
         return {}
     d = len(key)
-    if d <= literal_limit:
+    if d <= _LITERAL_LIMIT:
         out = {}
         fact = 1
         for n in range(2, d + 1):
@@ -252,11 +257,12 @@ def equivariance_residual(a, b, pairs):
     out = {}
     for mono, c in omega(pairs).items():
         add_scaled(out, ad_e_mono(a, b, mono), c)
-    for n, (k, l) in enumerate(pairs):
-        if k == b:
-            add_scaled(out, omega(pairs[:n] + ((a, l),) + pairs[n + 1:]), Q(-1))
-        if l == b:
-            add_scaled(out, omega(pairs[:n] + ((k, a),) + pairs[n + 1:]), Q(-1))
+    for n, pr in enumerate(pairs):
+        o = oriented(*pr)
+        step = o and form_step(a, b, o[0])
+        if step:
+            moved = pairs[:n] + (PAIRS[step[0]],) + pairs[n + 1:]
+            add_scaled(out, omega(moved), Q(-o[1] * step[1]))
     return out
 
 
@@ -475,15 +481,13 @@ def _rotated(p, gamma, rs, key):
         if r == gamma:
             out.append((Q(1), tuple(sorted(rs[:n] + (p,) + rs[n + 1:])), key))
     base = index_pairs(key)
-    for n, (kk, ll) in enumerate(base):
-        if kk == p:
-            sign, key2 = canonical_index(base[:n] + ((gamma, ll),) + base[n + 1:])
+    for n, f in enumerate(key):
+        step = form_step(gamma, p, f)
+        if step:
+            sign, key2 = canonical_index(
+                base[:n] + (PAIRS[step[0]],) + base[n + 1:])
             if sign:
-                out.append((Q(-sign), rs, key2))
-        if ll == p:
-            sign, key2 = canonical_index(base[:n] + ((kk, gamma),) + base[n + 1:])
-            if sign:
-                out.append((Q(-sign), rs, key2))
+                out.append((Q(-sign * step[1]), rs, key2))
     return out
 
 
@@ -529,7 +533,7 @@ def _core(theta, p, cyc, e5, t_rs, key_pairs):
     return res
 
 
-def fundamental_equation_residuals(theta, perms=None):
+def fundamental_equation_residuals(theta):
     """Nonzero residual records of the four structural equations.
 
     Returns a list of (name, (p,q,a,b,c), key, column, coords) entries over
@@ -537,12 +541,10 @@ def fundamental_equation_residuals(theta, perms=None):
     certifies that every equation holds on every source basis column.
     """
     d = theta.degree
-    if perms is None:
-        perms = list(permutations(range(1, 6)))
     jkeys = list(combinations(range(10), d - 1)) if d >= 1 else []
     kkeys = list(combinations(range(10), d - 3)) if d >= 3 else []
     out = []
-    for p, q, a, b, c in perms:
+    for p, q, a, b, c in permutations(range(1, 6)):
         e5 = perm_sign((p, q, a, b, c))
         cyc = ((a, b, c), (b, c, a), (c, a, b))
         for key in jkeys:

@@ -18,11 +18,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     Q = Fraction
 
-ZERO = Q(0)
-ONE = Q(1)
-HALF = Q(1, 2)
-
-
 def qstr(x) -> str:
     """Canonical string form of a rational: "p" or "p/q" with q > 0."""
     f = Fraction(x)

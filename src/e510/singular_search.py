@@ -25,10 +25,6 @@ from .verma import VermaModule, tensor_from_terms
 TOOL_VERSION = "0.1.0"
 
 
-def _to_weight(w):
-    return parse_weight(w) if isinstance(w, str) else tuple(w)
-
-
 def candidate_weights(module, d):
     """Dominant weights with a nonempty (degree d) weight space, sorted."""
     return sorted(module.weight_blocks(d))
@@ -56,7 +52,7 @@ def search_blocks(module, d, nu=None, entry_cap=200000, **checks):
     kernel vector is re-verified through module.is_singular(vector,
     **checks), and the certificate records those re-check options.
     """
-    cands = [_to_weight(nu)] if nu is not None else candidate_weights(module, d)
+    cands = [tuple(nu)] if nu is not None else candidate_weights(module, d)
     certs = []
     for cand in cands:
         block, vectors = singular_block(module, d, cand, entry_cap=entry_cap)
@@ -181,7 +177,7 @@ def sweep(mus=None, coord_sum=None, degrees=(1, 2, 3, 4), checkpoint=None,
     """Search a grid of modules and degrees; see search_cells for resuming."""
     if mus is None:
         mus = dominant_weights_up_to(coord_sum if coord_sum is not None else 3)
-    cells = [(_to_weight(mu), d) for mu in mus for d in degrees]
+    cells = [(tuple(mu), d) for mu in mus for d in degrees]
     return [cert for certs in search_cells(cells, checkpoint, entry_cap,
                                            full_g1)
             for cert in certs]
@@ -194,7 +190,7 @@ def dual_pair_check(mu, d, nu, entry_cap=200000):
     M(F(mu*)) -> M(F(nu*)) of the same degree, so the kernel dimensions at
     (mu, d, nu) and (nu*, d, mu*) must agree.
     """
-    mu, nu = _to_weight(mu), _to_weight(nu)
+    mu, nu = tuple(mu), tuple(nu)
     direct = search_module(mu, d, nu=nu, entry_cap=entry_cap)
     mirrored = search_module(dual_weight(nu), d, nu=dual_weight(mu),
                              entry_cap=entry_cap)

@@ -15,9 +15,19 @@ vector is a dict monomial -> scalar.  Basis construction closes the highest
 weight vector under f_1..f_4, keeping an exact echelon per weight block, and
 records for each basis vector which lowering operator produced it from which
 earlier vector (used to transport vectors along module morphisms).
+
+Irrep.project takes the F-component of an ambient vector of F's multidegree
+by orthogonal projection under the monomial form <x^A, x^B> = delta_AB * A!,
+A! the product of the factorials of all exponents.  The form is positive
+definite and contravariant: x_a p_b and x_b p_a are adjoint on every factor,
+the signs of form_step on the wedges and the negated dual actions included.
+F occurs once in its multidegree space, whose F-highest weight space is the
+single monomial above, so the orthogonal complement of F is its only
+invariant complement.
 """
 
 from functools import lru_cache
+from math import factorial
 
 from .scalars import Q
 from .linalg import Echelon
@@ -166,27 +176,6 @@ def _mono_profile(mono):
     return tuple(sum(part) for part in mono)
 
 
-@lru_cache(maxsize=None)
-def _profile_monomials(profile):
-    """Every ambient monomial with the given per-factor degrees."""
-    from itertools import combinations_with_replacement as cwr
-
-    def exps(slots, total):
-        out = []
-        for combo in cwr(range(slots), total):
-            e = [0] * slots
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-        return out
-
-    return tuple((a, b, c, d)
-                 for a in exps(5, profile[0])
-                 for b in exps(10, profile[1])
-                 for c in exps(10, profile[2])
-                 for d in exps(5, profile[3]))
-
-
 class Irrep:
     """A concrete F(a,b,c,d) with basis, weights and cached actions."""
 
@@ -206,7 +195,10 @@ class Irrep:
         self._blocks[self.eps_weights[0]].insert(self.basis[0], 0)
         self._close()
         self._mats = {}
-        self._split = None
+        self._grams = {}
+        self._by_weight = {}
+        for j, wkey in enumerate(self.eps_weights):
+            self._by_weight.setdefault(wkey, []).append(j)
         if len(self.basis) != weyl_dim(self.weight):
             raise AssertionError(
                 "closure dimension %d disagrees with Weyl formula %d for %s"
@@ -273,9 +265,14 @@ class Irrep:
         """Coordinates of the component of an ambient vector along this module.
 
         The space of ambient vectors with this module's multidegree splits as
-        the module plus an invariant complement (the other isotypic pieces);
-        project splits vec accordingly and returns the module component in
-        basis coordinates.  Agrees with coords on vectors already in the span.
+        the module plus the other isotypic pieces.  Under the monomial form
+        <x^A, x^B> = delta_AB * A! (positive definite, with x_a p_b adjoint to
+        x_b p_a) the orthogonal complement of the module is invariant, and as
+        F occurs once in that space it is the only invariant complement: the
+        orthogonal projection is the isotypic one.  Per weight w it solves
+        G_w c = (<b_i, vec>)_i, G_w the Gram matrix of the basis vectors b_i
+        of weight w, and returns c in basis coordinates.  Agrees with coords
+        on vectors already in the span.
         """
         if not vec:
             return {}
@@ -287,74 +284,44 @@ class Irrep:
             raise ValueError(
                 "multidegree %s does not match the realization of F%s"
                 % (prof, self.weight))
-        blocks = self._split_blocks()
         split = {}
         for mono, c in vec.items():
             split.setdefault(_mono_eps_weight(mono), {})[mono] = c
         out = {}
         for wkey, part in split.items():
-            combo = blocks[wkey].coords(part)
-            if combo is None:
-                raise AssertionError("multidegree decomposition misses a vector")
-            for (kind, idx), v in combo.items():
-                if kind == 0:
-                    _bump(out, idx, v)
-        return {k: v for k, v in out.items() if v}
+            if wkey in self._by_weight:
+                out.update(self._gram(wkey).coords(
+                    {i: _form(self.basis[i], part)
+                     for i in self._by_weight[wkey]}))
+        return {k: v for k, v in sorted(out.items()) if v}
 
-    def _split_blocks(self):
-        """Weight -> echelon over the whole multidegree space; module basis
-        vectors carry tags (0, i), complement vectors tags (1, k)."""
-        if self._split is not None:
-            return self._split
-        from .linalg import kernel_basis
-        monos = _profile_monomials(self.weight)
-        byw = {}
-        for m in monos:
-            byw.setdefault(_mono_eps_weight(m), []).append(m)
-        top = _mono_eps_weight(next(iter(self.basis[0])))
-        seeds = []
-        for wkey, ms in byw.items():
-            # highest weight vectors only live in gl-dominant blocks
-            if any(wkey[i] < wkey[i + 1] for i in range(4)):
-                continue
-            rows = {}
-            for i in range(1, 5):
-                for m in ms:
-                    for im, v in act_ambient(i, i + 1, {m: Q(1)}).items():
-                        rows.setdefault((i, im), {})[m] = v
-            hws = kernel_basis(rows.values(), ms)
-            if wkey == top:
-                if len(hws) != 1:
-                    raise AssertionError(
-                        "extreme weight multiplicity %d; complement is not "
-                        "canonical" % len(hws))
-                continue
-            seeds.extend(hws)
-        blocks = {}
-        closure = []
+    def _gram(self, wkey):
+        """The Gram matrix of one weight's basis vectors, as an echelon whose
+        member j is column j."""
+        ech = self._grams.get(wkey)
+        if ech is None:
+            idx = self._by_weight[wkey]
+            ech = self._grams[wkey] = Echelon()
+            for j in idx:
+                ech.insert({i: _form(self.basis[i], self.basis[j])
+                            for i in idx}, j)
+        return ech
 
-        def _insert(vec, tag):
-            wkey = _mono_eps_weight(next(iter(vec)))
-            blk = blocks.setdefault(wkey, Echelon())
-            return blk.insert(vec, tag)
 
-        for v in seeds:
-            if _insert(v, (1, len(closure))):
-                closure.append(v)
-        i = 0
-        while i < len(closure):
-            for low in range(1, 5):
-                img = act_ambient(low + 1, low, closure[i])
-                if img and _insert(img, (1, len(closure))):
-                    closure.append(img)
-            i += 1
-        for idx, v in enumerate(self.basis):
-            if not _insert(v, (0, idx)):
-                raise AssertionError("module meets its invariant complement")
-        if sum(b.rank() for b in blocks.values()) != len(monos):
-            raise AssertionError("isotypic decomposition misses the space")
-        self._split = blocks
-        return blocks
+def _form(u, v):
+    """The monomial form <u, v> of two ambient vectors."""
+    if len(v) < len(u):
+        u, v = v, u
+    return sum(c * v[m] * _mono_norm(m) for m, c in u.items() if m in v)
+
+
+def _mono_norm(mono):
+    """<x^A, x^A> = A!, over the exponents of all four factors."""
+    n = 1
+    for part in mono:
+        for e in part:
+            n *= factorial(e)
+    return n
 
 
 @lru_cache(maxsize=None)

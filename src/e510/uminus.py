@@ -30,8 +30,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .scalars import qstr, qparse
-
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
          (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
 PAIR_INDEX = {pq: n for n, pq in enumerate(PAIRS)}
@@ -322,34 +320,3 @@ def parse_monomial(text: str):
         raise ValueError("form factors must be strictly increasing in %r" % text)
     return (tuple(parts), tuple(forms))
 
-
-def format_element(elem) -> str:
-    if not elem:
-        return "0"
-    bits = []
-    for mono in sorted(elem):
-        c = elem[mono]
-        bits.append("(%s) %s" % (qstr(c), format_monomial(mono)))
-    return " + ".join(bits)
-
-
-def element_terms(elem):
-    """JSON form: list of {"partials": .., "forms": .., "coeff": ..}."""
-    out = []
-    for mono in sorted(elem):
-        parts, forms = mono
-        out.append({
-            "partials": list(parts),
-            "forms": [list(PAIRS[f]) for f in forms],
-            "coeff": qstr(elem[mono]),
-        })
-    return out
-
-
-def element_from_terms(terms):
-    out = {}
-    for t in terms:
-        forms = tuple(PAIR_INDEX[tuple(p)] for p in t["forms"])
-        mono = (tuple(t["partials"]), forms)
-        out[mono] = out.get(mono, 0) + qparse(t["coeff"])
-    return {k: c for k, c in out.items() if c}

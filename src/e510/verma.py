@@ -31,7 +31,7 @@ from .uminus import (
     mono_weight, add_scaled, scale, pbw_product, d_elem, p_elem, form_step,
     enumerate_monomials, format_monomial, parse_monomial,
 )
-from .sl5_reps import build_irrep, eps_to_coords, is_dominant, parse_weight
+from .sl5_reps import build_irrep, eps_to_coords, is_dominant
 from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
@@ -138,7 +138,7 @@ class InducedModule:
     """
 
     def __init__(self, mu):
-        self.mu = parse_weight(mu) if isinstance(mu, str) else tuple(mu)
+        self.mu = tuple(mu)
         self.rep = build_irrep(self.mu)
         self._blocks = {}
         self._int_mats = {}

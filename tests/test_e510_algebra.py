@@ -7,7 +7,7 @@ from e510.linalg import Echelon
 from e510.sl5_reps import build_irrep, eps_to_coords
 from e510.e510_algebra import (
     DegreeError, bracket, jacobi_residual, g1_basis, closed_two_form_space,
-    p_gen, d_gen, xd_gen, e_gen, raising_gen, lowering_gen, cartan_gen,
+    p_gen, d_gen, xd_gen, e_gen, lowering_gen, cartan_gen,
     parse_generator, sym_weight,
 )
 

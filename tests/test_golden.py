@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from e510.catalog import FAMILY_NAMES, known_vector
+from e510.catalog import FAMILIES, FAMILY_NAMES, _param_grid, known_vector
 from e510.cli import main
 from e510.verma import tensor_terms
 
@@ -51,6 +51,12 @@ KNOWN_VECTOR_SHA256 = {
     "11": "244e2015f378627467eb01f2c4b7b7f060c423df961d93fc5781260493f0d6b8",
 }
 
+# SHA-256 over json.dumps([family, m, n, tensor_terms(w)], sort_keys=True) of
+# the catalog vector w of every instance verify-catalog checks by default
+# (m, n in 0..2 where the family has those parameters), in family order
+GRID_SHA256 = \
+    "2173f2ece3a94bfd49db2635c4576fe9a056982526526f4e73b778711f8333d3"
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=" ".join)
 def test_report_is_byte_identical(tmp_path, argv):
@@ -65,3 +71,16 @@ def test_known_vectors_are_byte_identical():
         _, w = known_vector(family, 0, 0)
         blob = json.dumps(tensor_terms(w), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == want, family
+
+
+def test_known_vector_grid_is_byte_identical():
+    h = hashlib.sha256()
+    count = 0
+    for family in FAMILY_NAMES:
+        for m, n in _param_grid(FAMILIES[family][0], (0, 1, 2), (0, 1, 2)):
+            _, w = known_vector(family, m, n)
+            h.update(json.dumps([family, m, n, tensor_terms(w)],
+                                sort_keys=True).encode())
+            count += 1
+    assert count == 45
+    assert h.hexdigest() == GRID_SHA256

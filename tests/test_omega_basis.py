@@ -7,7 +7,6 @@ import pytest
 from e510.scalars import Q
 from e510.uminus import PAIR_INDEX, add_scaled, d_elem, forms_elem, p_elem, pbw_product
 from e510.omega_basis import (
-    canonical_index,
     commutator_identity_residual,
     crossing_number,
     dw_product_residual,
@@ -140,8 +139,7 @@ def test_routes_agree_random_larger():
     # the factored evaluation matches the literal permutation sum
     key = (0, 2, 5, 8, 9)
     pairs = tuple(PAIRS[f] for f in key)
-    assert omega_symmetrized(pairs, literal_limit=5) == \
-        omega_symmetrized(pairs, literal_limit=0)
+    assert omega_symmetrized(pairs) == omega_recursive(pairs)
 
 
 def test_omega_removed():

@@ -1,8 +1,16 @@
+import random
+from collections import Counter
+from functools import lru_cache
+from math import factorial
+
+from hypothesis import given, settings, strategies as st
+
+from e510.linalg import Echelon, kernel_basis
 from e510.scalars import Q
 from e510.sl5_reps import (
     build_irrep, weyl_dim, gt_pattern_count, dual_weight, eps_to_coords,
     highest_weight_vectors, act_ambient, ambient_monomial, parse_weight,
-    weight_str,
+    weight_str, _bump, _mono_eps_weight, _mono_profile,
 )
 
 # hand-evaluated Weyl product formula values
@@ -165,3 +173,202 @@ def test_project_splits_monomials():
         else:
             residue.pop(k, None)
     assert residue and rep.project(residue) == {}
+
+
+# The projection as it was before the Gram solve, kept verbatim (methods
+# made functions of the irrep) as the reference for Irrep.project: it builds
+# the invariant complement from the highest weight vectors of the other
+# isotypic pieces and splits each weight block along it.
+
+@lru_cache(maxsize=None)
+def _profile_monomials(profile):
+    """Every ambient monomial with the given per-factor degrees."""
+    from itertools import combinations_with_replacement as cwr
+
+    def exps(slots, total):
+        out = []
+        for combo in cwr(range(slots), total):
+            e = [0] * slots
+            for i in combo:
+                e[i] += 1
+            out.append(tuple(e))
+        return out
+
+    return tuple((a, b, c, d)
+                 for a in exps(5, profile[0])
+                 for b in exps(10, profile[1])
+                 for c in exps(10, profile[2])
+                 for d in exps(5, profile[3]))
+
+
+def ref_project(rep, vec):
+    if not vec:
+        return {}
+    profiles = {_mono_profile(m) for m in vec}
+    if len(profiles) != 1:
+        raise ValueError("projection needs a single multidegree")
+    prof = profiles.pop()
+    if prof != rep.weight:
+        raise ValueError(
+            "multidegree %s does not match the realization of F%s"
+            % (prof, rep.weight))
+    blocks = _ref_split_blocks(rep.weight)
+    split = {}
+    for mono, c in vec.items():
+        split.setdefault(_mono_eps_weight(mono), {})[mono] = c
+    out = {}
+    for wkey, part in split.items():
+        combo = blocks[wkey].coords(part)
+        if combo is None:
+            raise AssertionError("multidegree decomposition misses a vector")
+        for (kind, idx), v in combo.items():
+            if kind == 0:
+                _bump(out, idx, v)
+    return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _ref_split_blocks(weight):
+    rep = build_irrep(weight)
+    monos = _profile_monomials(rep.weight)
+    byw = {}
+    for m in monos:
+        byw.setdefault(_mono_eps_weight(m), []).append(m)
+    top = _mono_eps_weight(next(iter(rep.basis[0])))
+    seeds = []
+    for wkey, ms in byw.items():
+        # highest weight vectors only live in gl-dominant blocks
+        if any(wkey[i] < wkey[i + 1] for i in range(4)):
+            continue
+        rows = {}
+        for i in range(1, 5):
+            for m in ms:
+                for im, v in act_ambient(i, i + 1, {m: Q(1)}).items():
+                    rows.setdefault((i, im), {})[m] = v
+        hws = kernel_basis(rows.values(), ms)
+        if wkey == top:
+            if len(hws) != 1:
+                raise AssertionError(
+                    "extreme weight multiplicity %d; complement is not "
+                    "canonical" % len(hws))
+            continue
+        seeds.extend(hws)
+    blocks = {}
+    closure = []
+
+    def _insert(vec, tag):
+        wkey = _mono_eps_weight(next(iter(vec)))
+        blk = blocks.setdefault(wkey, Echelon())
+        return blk.insert(vec, tag)
+
+    for v in seeds:
+        if _insert(v, (1, len(closure))):
+            closure.append(v)
+    i = 0
+    while i < len(closure):
+        for low in range(1, 5):
+            img = act_ambient(low + 1, low, closure[i])
+            if img and _insert(img, (1, len(closure))):
+                closure.append(img)
+        i += 1
+    for idx, v in enumerate(rep.basis):
+        if not _insert(v, (0, idx)):
+            raise AssertionError("module meets its invariant complement")
+    if sum(b.rank() for b in blocks.values()) != len(monos):
+        raise AssertionError("isotypic decomposition misses the space")
+    return blocks
+
+
+PROJECT_PROFILES = ((1, 1, 1, 1), (0, 0, 2, 1), (0, 0, 3, 1), (2, 0, 1, 1),
+                    (0, 2, 0, 2))
+
+
+def test_project_matches_reference_on_every_monomial():
+    for prof in PROJECT_PROFILES:
+        rep = build_irrep(prof)
+        for mono in _profile_monomials(prof):
+            assert rep.project({mono: Q(1)}) == ref_project(rep, {mono: Q(1)})
+
+
+@st.composite
+def _profile_vectors(draw):
+    prof = draw(st.sampled_from(PROJECT_PROFILES))
+    monos = _profile_monomials(prof)
+    picks = draw(st.lists(st.integers(0, len(monos) - 1), min_size=1,
+                          max_size=6))
+    vec = {}
+    for i in picks:
+        c = Q(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+        if c:
+            vec[monos[i]] = c
+    return prof, vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(_profile_vectors())
+def test_project_matches_reference_on_combinations(case):
+    prof, vec = case
+    rep = build_irrep(prof)
+    got = rep.project(vec)
+    assert got == ref_project(rep, vec)
+    assert all(v and isinstance(v, Q) for v in got.values())
+
+
+def _pairing(u, v):
+    """<x^A, x^B> = delta_AB * A!, A! over every exponent of the monomial."""
+    total = 0
+    for m, c in u.items():
+        if m in v:
+            norm = 1
+            for part in m:
+                for e in part:
+                    norm *= factorial(e)
+            total += c * v[m] * norm
+    return total
+
+
+def test_monomial_form_is_contravariant():
+    # x_a p_b and x_b p_a are adjoint; v runs over the image of u (where
+    # the pairing is nonzero) and one unrelated monomial
+    rng = random.Random(7)
+    for prof in PROJECT_PROFILES:
+        monos = _profile_monomials(prof)
+        for u in rng.sample(monos, 30):
+            for a in range(1, 6):
+                for b in range(1, 6):
+                    if a == b:
+                        continue
+                    img = act_ambient(a, b, {u: Q(1)})
+                    for v in list(img) + [rng.choice(monos)]:
+                        assert (_pairing(img, {v: Q(1)})
+                                == _pairing({u: Q(1)},
+                                            act_ambient(b, a, {v: Q(1)})))
+
+
+def test_highest_weight_monomial_is_alone_in_its_weight():
+    # F(lambda) occurs once in its multidegree space: the lambda weight
+    # space there is the highest weight monomial alone.  Counted over every
+    # monomial of the 81 profiles with coordinates <= 2; eps-weights add
+    # over the four factors, so the counts are built factor by factor.
+    factor_counts = {}
+    for k in range(4):
+        for n in range(3):
+            prof = tuple(n if i == k else 0 for i in range(4))
+            factor_counts[k, n] = Counter(
+                _mono_eps_weight(m) for m in _profile_monomials(prof))
+    for prof in [(a, b, c, d) for a in range(3) for b in range(3)
+                 for c in range(3) for d in range(3)]:
+        counts = Counter({(0,) * 5: 1})
+        for k, n in enumerate(prof):
+            nxt = Counter()
+            for w1, n1 in counts.items():
+                for w2, n2 in factor_counts[k, n].items():
+                    nxt[tuple(x + y for x, y in zip(w1, w2))] += n1 * n2
+            counts = nxt
+        if max(prof) <= 1:
+            assert counts == Counter(
+                _mono_eps_weight(m) for m in _profile_monomials(prof))
+        a, b, c, d = prof
+        top = _mono_eps_weight(((a, 0, 0, 0, 0), (b,) + (0,) * 9,
+                                (0,) * 9 + (c,), (0, 0, 0, 0, d)))
+        assert counts[top] == 1, prof

@@ -1,18 +1,17 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from e510 import verma
 from e510.scalars import Q
 from e510.uminus import (
-    ONE_MONO, PAIR_INDEX, ZERO_PARTIALS, add_scaled, d_elem, p_elem,
-    forms_elem, pbw_product, enumerate_monomials, mono_product,
+    ONE_MONO, ZERO_PARTIALS, add_scaled, d_elem, p_elem, pbw_product,
+    enumerate_monomials, mono_product,
 )
-from e510.sl5_reps import ambient_monomial, build_irrep
+from e510.sl5_reps import ambient_monomial
 from e510.e510_algebra import (
-    bracket, d_gen, p_gen, xd_gen, e_gen, raising_gen, lowering_gen,
-    cartan_gen, g1_basis,
+    bracket, d_gen, p_gen, xd_gen, raising_gen, lowering_gen, cartan_gen,
+    g1_basis,
 )
 from e510.verma import (
     VermaModule, tensor_terms, tensor_from_terms, proportional,
