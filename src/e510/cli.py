@@ -45,6 +45,13 @@ def _check_degrees(degrees):
     return degrees
 
 
+def _check_budget(budget):
+    """A negative weight budget selects no module, so nothing is checked."""
+    if budget < 0:
+        raise ConfigError("--budget must be nonnegative: %d" % budget)
+    return budget
+
+
 def _parse_mu(text):
     try:
         mu = parse_weight(text)
@@ -148,9 +155,9 @@ def cmd_sweep(args):
     from .singular_search import sweep
     mus = [_parse_mu(t) for t in args.mu] if args.mu else None
     degrees = _check_degrees(_parse_range(args.degree))
-    certs = sweep(mus=mus, coord_sum=args.budget, degrees=tuple(degrees),
-                  checkpoint=args.checkpoint, entry_cap=args.entry_cap,
-                  full_g1=args.full_g1)
+    certs = sweep(mus=mus, coord_sum=_check_budget(args.budget),
+                  degrees=tuple(degrees), checkpoint=args.checkpoint,
+                  entry_cap=args.entry_cap, full_g1=args.full_g1)
     report = {
         "command": "sweep",
         "budget": args.budget,
@@ -174,7 +181,8 @@ def cmd_sweep(args):
 
 def cmd_classify(args):
     from .catalog import classification_sweep
-    report = classification_sweep(args.budget, args.max_degree,
+    _check_degrees([args.max_degree])
+    report = classification_sweep(_check_budget(args.budget), args.max_degree,
                                   entry_cap=args.entry_cap,
                                   full_g1=args.full_g1,
                                   checkpoint=args.checkpoint)

@@ -14,7 +14,9 @@ Ambient monomials are 4-tuples of exponent tuples (5, 10, 10, 5 slots); a
 vector is a dict monomial -> scalar.  Basis construction closes the highest
 weight vector under f_1..f_4, keeping an exact echelon per weight block, and
 records for each basis vector which lowering operator produced it from which
-earlier vector (used to transport vectors along module morphisms).
+earlier vector (used to transport vectors along module morphisms).  The
+closure starts from a monomial and acts with integers, so the basis
+vectors are integral: their coefficients are ints.
 
 Irrep.project takes the F-component of an ambient vector of F's multidegree
 by orthogonal projection under the monomial form <x^A, x^B> = delta_AB * A!,
@@ -188,7 +190,7 @@ class Irrep:
               (b,) + (0,) * 9,
               (0,) * 9 + (c,),
               (0, 0, 0, 0, d))
-        self.basis = [{hw: Q(1)}]
+        self.basis = [{hw: 1}]
         self.eps_weights = [_mono_eps_weight(hw)]
         self.parents = [None]  # index -> (parent index, lowering op i)
         self._blocks = {self.eps_weights[0]: Echelon()}

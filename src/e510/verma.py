@@ -2,11 +2,12 @@
 
 Elements are dicts (PBW monomial, rep basis index) -> scalar.  The negative
 part acts by left multiplication, gl5 symbols act as (derivation on the
-monomial) + (matrix on the rep factor), and degree +1 symbols x_k d_ij act
-through a memoized recursion that peels one generator at a time:
+monomial) + (matrix on the rep factor), and degree +1 symbols X = x_k d_f
+act in closed form: X kills 1 (x) v, [X, p_i] = -delta_ik d_f with the p_i
+central in U(g_-), and [X, d_q] = eps(f, q) x_k p_t, so with w = d_q1..d_qn
 
-    X (p_i u (x) v) = [X, p_i] (u (x) v) + p_i (X (u (x) v))
-    X (d_q u (x) v) = [X, d_q] (u (x) v) - d_q (X (u (x) v))
+    X p^P w v = p^P sum_j (-1)^(j-1) d_q1..d_q(j-1) [X, d_qj] d_q(j+1)..d_qn v
+                - P_k p^(P - e_k) d_f w v.
 
 The per-symbol pieces are bookkeeping: single diagonal gl5 symbols and
 single non-closed x_k d_ij terms are not elements of the algebra, and only
@@ -28,14 +29,19 @@ from operator import add
 from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
 from .uminus import (
     PAIRS, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms, mono_degree,
-    mono_weight, add_scaled, scale, pbw_product, d_elem, p_elem, form_step,
-    enumerate_monomials, format_monomial, parse_monomial,
+    mono_weight, add_scaled, pbw_product, d_elem, p_elem, form_step,
+    enumerate_monomials, format_monomial, parse_monomial, mono_product,
 )
 from .sl5_reps import build_irrep, eps_to_coords, is_dominant
 from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
+
+
+def _shift(parts, u):
+    """p^parts * u for u in U(g_-): the p's are central, so exponents add."""
+    return {(tuple(map(add, parts, p2)), f2): c for (p2, f2), c in u.items()}
 
 
 def ad_e_mono(a, b, mono):
@@ -63,8 +69,7 @@ def ad_e_mono(a, b, mono):
         word = pbw_product({(ZERO_PARTIALS, forms[:n]): sign},
                            {(ZERO_PARTIALS, (g,)): 1})
         word = pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): 1})
-        add_scaled(out, {(tuple(map(add, parts, p2)), f2): c
-                         for (p2, f2), c in word.items()}, 1)
+        add_scaled(out, _shift(parts, word), 1)
     _AD_E_CACHE[key] = out
     return out
 
@@ -75,53 +80,37 @@ def xd_mono(k, f, mono):
     The action is A (x) v + sum_{a,b} B[a,b] (x) (x_a p_b v), with A and the
     B values in U(g_-).  Termwise bookkeeping; sum over a closed combination
     of symbols to act with an actual degree +1 element.
+
+    This is the closed form of the module docstring.  The g_0 element
+    x_k p_t of the j-th term acts on the tail by ad_e_mono (into A) and on
+    v (into B); each t comes from one q_j, so B[k, t] is the single word w
+    without q_j.  The form-word part is cached per (k, f, forms), and p^P
+    only shifts exponents.
     """
-    key = (k, f, mono)
-    got = _XD_CACHE.get(key)
-    if got is not None:
-        return got
     parts, forms = mono
-    if mono == ONE_MONO:
-        got = ({}, {})
-    elif any(parts):
-        i = next(n for n, c in enumerate(parts) if c) + 1
+    key = (k, f, forms)
+    got = _XD_CACHE.get(key)
+    if got is None:
+        A, B = {}, {}
+        for j, q in enumerate(forms):
+            e = EPS[f][q]
+            if e:
+                t = TMATE[f][q]
+                c = -e if j & 1 else e
+                head = {(ZERO_PARTIALS, forms[:j]): c}
+                tail = (ZERO_PARTIALS, forms[j + 1:])
+                add_scaled(A, pbw_product(head, ad_e_mono(k, t, tail)), 1)
+                B[(k, t)] = {(ZERO_PARTIALS, forms[:j] + forms[j + 1:]): c}
+        got = _XD_CACHE[key] = (A, B)
+    if not any(parts):
+        return got
+    A = _shift(parts, got[0])
+    if parts[k - 1]:
         pl = list(parts)
-        pl[i - 1] -= 1
-        rest = (tuple(pl), forms)
-        A1, B1 = xd_mono(k, f, rest)
-        A = {}
-        if i == k:
-            add_scaled(A, pbw_product(d_elem(*PAIRS[f]), {rest: 1}), -1)
-        pi = p_elem(i)
-        add_scaled(A, pbw_product(pi, A1), 1)
-        B = {}
-        for ab, u in B1.items():
-            img = pbw_product(pi, u)
-            if img:
-                B[ab] = img
-        got = (A, B)
-    else:
-        q = forms[0]
-        rest = (parts, forms[1:])
-        A1, B1 = xd_mono(k, f, rest)
-        dq = d_elem(*PAIRS[q])
-        A = scale(pbw_product(dq, A1), -1)
-        B = {}
-        for ab, u in B1.items():
-            img = scale(pbw_product(dq, u), -1)
-            if img:
-                B[ab] = img
-        e = EPS[f][q]
-        if e:
-            t = TMATE[f][q]
-            add_scaled(A, ad_e_mono(k, t, rest), e)
-            bu = B.setdefault((k, t), {})
-            add_scaled(bu, {rest: 1}, e)
-            if not bu:
-                del B[(k, t)]
-        got = (A, B)
-    _XD_CACHE[key] = got
-    return got
+        pl[k - 1] -= 1
+        add_scaled(A, mono_product((tuple(pl), (f,)), (ZERO_PARTIALS, forms)),
+                   -parts[k - 1])
+    return A, {ab: _shift(parts, u) for ab, u in got[1].items()}
 
 
 class InducedModule:

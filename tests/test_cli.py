@@ -29,6 +29,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["search", "--mu", "1,2", "--degree", "1"]) == 2
     assert main(["dual"]) == 2
     assert main(["dual", "--from-certs", str(tmp_path / "missing.json")]) == 2
+    # a negative budget selects no module and would report success
+    assert main(["classify", "--budget", "-1"]) == 2
+    assert main(["sweep", "--budget", "-1", "--degree", "1"]) == 2
+    assert main(["sweep", "--budget", "0", "--degree", "1"]) == 0
     capsys.readouterr()
 
 
@@ -243,6 +247,8 @@ def test_degree_zero_rejected(tmp_path, capsys):
     for argv in (["search", "--mu", "0,0,0,1", "--degree", "0"],
                  ["search", "--mu", "0,0,0,1", "--degree", "0..1"],
                  ["sweep", "--budget", "0", "--degree", "0"],
+                 ["classify", "--budget", "1", "--max-degree", "0"],
+                 ["classify", "--budget", "1", "--max-degree", "-2"],
                  ["dual", "--mu", "0,0,0,1", "--degree", "0",
                   "--weight", "0,0,0,1"],
                  ["dual", "--from-certs", str(certs)]):

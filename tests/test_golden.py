@@ -26,6 +26,10 @@ GOLDEN_SHA256 = {
         "fd0470ae91c8371c964639fec2c943704751291994b0a2c4c752fcd71183de6b",
     ("search", "--mu", "0,0,0,1", "--degree", "1..2", "--full-g1"):
         "d8879c2192932e6a12efcceffd120e1a7af747a305355f114a46d00bfab72716",
+    # the sweep of all 40 g_1 elements over every morphism image; the report
+    # is the one complexes writes without --check
+    ("complexes", "--check"):
+        "e8d7916a33a1c57ddae593622c1afc561d4a7a3956b15e8d1e46c028ef2914b5",
     ("identities", "--suite", "omega", "--max-d", "2", "--samples", "10"):
         "5469e7a24ad9f4a6a3a49e9a4691d26b0cbfdc06c10d9de831e10de977f94bb9",
     # the 1C family reaches the dual-wedge branch of the ambient sl5 action

@@ -102,6 +102,13 @@ def test_diagonal_action_matches_weights():
             assert col == ({j: Q(ev)} if ev else {})
 
 
+def test_basis_vectors_are_integral():
+    for weight in ((0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1),
+                   (2, 0, 1, 1)):
+        rep = build_irrep(weight)
+        assert all(type(c) is int for v in rep.basis for c in v.values())
+
+
 def test_ambient_action_commutator():
     # [e_ab, e_cd] = delta_bc e_ad - delta_da e_cb on a sample vector
     rep = build_irrep((1, 1, 0, 1))

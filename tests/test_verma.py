@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from e510 import verma
 from e510.scalars import Q
 from e510.uminus import (
-    ONE_MONO, ZERO_PARTIALS, add_scaled, d_elem, p_elem, pbw_product,
-    enumerate_monomials, mono_product,
+    EPS, PAIRS, TMATE, ONE_MONO, ZERO_PARTIALS, add_scaled, d_elem, p_elem,
+    pbw_product, enumerate_monomials, mono_product, scale,
 )
 from e510.sl5_reps import ambient_monomial
 from e510.e510_algebra import (
@@ -331,3 +331,99 @@ def test_action_caches_hold_ints():
     for A, B in verma._XD_CACHE.values():
         assert all(type(c) is int for c in A.values())
         assert all(type(c) is int for u in B.values() for c in u.values())
+
+
+# Reference g_1 action: the recursion that peels one p_i, then one 2-form at
+# a time, memoized on whole monomials, which the closed form replaces.
+# Verbatim but for the name, the self-call and the cache.
+
+_REF_XD_CACHE = {}
+
+
+def ref_xd_mono(k, f, mono):
+    """x_k d_(pair f) on mono (x) v as a pair (A, B).
+
+    The action is A (x) v + sum_{a,b} B[a,b] (x) (x_a p_b v), with A and the
+    B values in U(g_-).  Termwise bookkeeping; sum over a closed combination
+    of symbols to act with an actual degree +1 element.
+    """
+    key = (k, f, mono)
+    got = _REF_XD_CACHE.get(key)
+    if got is not None:
+        return got
+    parts, forms = mono
+    if mono == ONE_MONO:
+        got = ({}, {})
+    elif any(parts):
+        i = next(n for n, c in enumerate(parts) if c) + 1
+        pl = list(parts)
+        pl[i - 1] -= 1
+        rest = (tuple(pl), forms)
+        A1, B1 = ref_xd_mono(k, f, rest)
+        A = {}
+        if i == k:
+            add_scaled(A, pbw_product(d_elem(*PAIRS[f]), {rest: 1}), -1)
+        pi = p_elem(i)
+        add_scaled(A, pbw_product(pi, A1), 1)
+        B = {}
+        for ab, u in B1.items():
+            img = pbw_product(pi, u)
+            if img:
+                B[ab] = img
+        got = (A, B)
+    else:
+        q = forms[0]
+        rest = (parts, forms[1:])
+        A1, B1 = ref_xd_mono(k, f, rest)
+        dq = d_elem(*PAIRS[q])
+        A = scale(pbw_product(dq, A1), -1)
+        B = {}
+        for ab, u in B1.items():
+            img = scale(pbw_product(dq, u), -1)
+            if img:
+                B[ab] = img
+        e = EPS[f][q]
+        if e:
+            t = TMATE[f][q]
+            add_scaled(A, verma.ad_e_mono(k, t, rest), e)
+            bu = B.setdefault((k, t), {})
+            add_scaled(bu, {rest: 1}, e)
+            if not bu:
+                del B[(k, t)]
+        got = (A, B)
+    _REF_XD_CACHE[key] = got
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 1023), st.lists(st.integers(0, 3), min_size=5,
+                                      max_size=5))
+def test_xd_mono_matches_reference(word, exps):
+    # the form word is a bit mask over the ten 2-forms; the p-exponents fit
+    # under degree 11 - len(forms), so adding e_k stays within degree 12
+    forms = tuple(q for q in range(10) if word >> q & 1)
+    room = (12 - len(forms)) // 2 - 1
+    parts = []
+    for e in exps:
+        parts.append(min(e, room))
+        room -= parts[-1]
+    for k in range(1, 6):
+        bumped = list(parts)
+        bumped[k - 1] += 1
+        for mono in ((tuple(parts), forms), (tuple(bumped), forms)):
+            for f in range(10):
+                assert verma.xd_mono(k, f, mono) == ref_xd_mono(k, f, mono)
+
+
+def test_xd_cache_is_keyed_on_form_words():
+    m = PROPERTY_MODULES[(0, 0, 0, 1)]
+    elem = {(mono, 0): Q(1)
+            for d in range(7) for mono in enumerate_monomials(d)}
+    for x in g1_basis():
+        m.act(x, elem)
+    assert len(verma._XD_CACHE) <= 50 * 1024
+    for key in verma._XD_CACHE:
+        k, f, forms = key
+        assert 1 <= k <= 5 and 0 <= f <= 9
+        assert type(forms) is tuple and list(forms) == sorted(set(forms))
+        assert all(type(q) is int and 0 <= q <= 9 for q in forms)
