@@ -15,12 +15,17 @@ aggregates over traceless (resp. closed) combinations are meaningful.
 InducedModule.act applies a genuine algebra element, a dict symbol ->
 scalar, so its results are exact.
 
+The gl5 symbol x_a p_b acts on U(g_-) as a derivation, and the p's are
+central, so [x_a p_b, p^P w] = -P_a p^(P - e_a + e_b) w + p^P [x_a p_b, w].
+
 The actions are fraction-free: an input's coefficients go over one common
 denominator, numerators accumulate as ints keyed by (monomial, rep index),
 and one scalar is built per nonzero entry of the result.  The memoized
 pieces of the g_0 and g_1 actions are built from the integer generators
 and index rules of uminus (signs, exponents and eps values), so they are
-stored as ints.
+stored as ints.  Both caches are keyed on form words, not monomials:
+_AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
+(k, f, w), at most 50 x 2^10; p^P enters as an exponent shift.
 """
 
 from math import lcm
@@ -44,16 +49,34 @@ def _shift(parts, u):
     return {(tuple(map(add, parts, p2)), f2): c for (p2, f2), c in u.items()}
 
 
+def _ad_e_forms(a, b, forms):
+    """[x_a p_b, d_w] for the sorted form word w, normal ordered.
+
+    A tuple of int pieces ((dparts, forms2), c): dparts is the p-delta of a
+    d_p d_q contraction, ZERO_PARTIALS itself when there is none.  Cached
+    per (a, b, forms), at most 25 x 2^10 entries.
+    """
+    key = (a, b, forms)
+    got = _AD_E_CACHE.get(key)
+    if got is None:
+        out = {}
+        for n, f in enumerate(forms):
+            step = form_step(a, b, f)
+            if step is not None:
+                g, sign = step
+                word = _order_forms(forms[:n], (g,) + forms[n + 1:])
+                add_scaled(out, dict(word), sign)
+        got = _AD_E_CACHE[key] = tuple(out.items())
+    return got
+
+
 def ad_e_mono(a, b, mono):
     """[x_a p_b, mono] inside U(g_-), extending the bracket as a derivation.
 
     Well defined termwise on PBW monomials; only traceless aggregates over
-    (a, b) are actions of actual algebra elements.
+    (a, b) are actions of actual algebra elements.  The p_a term, then the
+    pieces of the form word shifted by the p-exponents (module docstring).
     """
-    key = (a, b, mono)
-    got = _AD_E_CACHE.get(key)
-    if got is not None:
-        return got
     parts, forms = mono
     out = {}
     if parts[a - 1]:
@@ -61,17 +84,7 @@ def ad_e_mono(a, b, mono):
         pl[a - 1] -= 1
         pl[b - 1] += 1
         out[(tuple(pl), forms)] = -parts[a - 1]
-    for n, f in enumerate(forms):
-        step = form_step(a, b, f)
-        if step is None:
-            continue
-        g, sign = step
-        word = pbw_product({(ZERO_PARTIALS, forms[:n]): sign},
-                           {(ZERO_PARTIALS, (g,)): 1})
-        word = pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): 1})
-        add_scaled(out, _shift(parts, word), 1)
-    _AD_E_CACHE[key] = out
-    return out
+    return add_scaled(out, _shift(parts, dict(_ad_e_forms(a, b, forms))), 1)
 
 
 def xd_mono(k, f, mono):
@@ -82,10 +95,10 @@ def xd_mono(k, f, mono):
     of symbols to act with an actual degree +1 element.
 
     This is the closed form of the module docstring.  The g_0 element
-    x_k p_t of the j-th term acts on the tail by ad_e_mono (into A) and on
-    v (into B); each t comes from one q_j, so B[k, t] is the single word w
-    without q_j.  The form-word part is cached per (k, f, forms), and p^P
-    only shifts exponents.
+    x_k p_t of the j-th term acts on the p-free tail through the pieces of
+    ad_e_mono (into A) and on v (into B); each t comes from one q_j, so
+    B[k, t] is the single word w without q_j.  The form-word part is cached
+    per (k, f, forms), and p^P only shifts exponents.
     """
     parts, forms = mono
     key = (k, f, forms)
@@ -98,8 +111,8 @@ def xd_mono(k, f, mono):
                 t = TMATE[f][q]
                 c = -e if j & 1 else e
                 head = {(ZERO_PARTIALS, forms[:j]): c}
-                tail = (ZERO_PARTIALS, forms[j + 1:])
-                add_scaled(A, pbw_product(head, ad_e_mono(k, t, tail)), 1)
+                ad_tail = dict(_ad_e_forms(k, t, forms[j + 1:]))
+                add_scaled(A, pbw_product(head, ad_tail), 1)
                 B[(k, t)] = {(ZERO_PARTIALS, forms[:j] + forms[j + 1:]): c}
         got = _XD_CACHE[key] = (A, B)
     if not any(parts):
@@ -262,14 +275,26 @@ class InducedModule:
         """act_e as (integer numerators keyed like elem, common denominator).
 
         Numerators may be zero; act_e drops those when it builds scalars.
+        The bracket with the monomial is ad_e_mono, accumulated in place:
+        the p_a term directly, then the cached form-word pieces shifted by
+        the monomial's p-exponents.
         """
         mden, cols = self._int_mat(a, b)
         eden = _den(elem.values())
         acc = {}
         for (m, i), n in _numerators(elem, eden):
             nm = n * mden
-            for m2, ca in ad_e_mono(a, b, m).items():
-                key = (m2, i)
+            parts, forms = m
+            pa = parts[a - 1]
+            if pa:
+                pl = list(parts)
+                pl[a - 1] -= 1
+                pl[b - 1] += 1
+                key = ((tuple(pl), forms), i)
+                acc[key] = acc.get(key, 0) - nm * pa
+            for (dp, f2), ca in _ad_e_forms(a, b, forms):
+                key = ((parts if dp is ZERO_PARTIALS else
+                        tuple(map(add, parts, dp)), f2), i)
                 acc[key] = acc.get(key, 0) + nm * ca
             for i2, cv in cols[i].items():
                 key = (m, i2)

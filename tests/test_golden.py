@@ -35,6 +35,12 @@ GOLDEN_SHA256 = {
     # the 1C family reaches the dual-wedge branch of the ambient sl5 action
     ("verify-catalog", "--family", "1C", "--m", "0..1", "--n", "0..1"):
         "6972e0638a7262a27aa2d26cdb440a817e250ddb9999445d60a3dd278307855f",
+    # two deeper reports, the digests of the same commands in
+    # perfbench/checks.py: the degree-11 block and 60 cells over 15 modules
+    ("search", "--mu", "0,0,0,1", "--degree", "11"):
+        "4f34aecc4935943f07f41181cd53fa536d3e4976f19b05ff45aae3b50ac9a16e",
+    ("classify", "--budget", "2", "--max-degree", "4"):
+        "ddaae6dcb343e9d2c0a95dfe81bf7878b9c4aab5ebf65c35e0b0a7f8189d7545",
 }
 
 # SHA-256 of json.dumps(tensor_terms(w), sort_keys=True) for the catalog

@@ -1,12 +1,13 @@
 import random
+from operator import add
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from e510 import verma
 from e510.scalars import Q
 from e510.uminus import (
     EPS, PAIRS, TMATE, ONE_MONO, ZERO_PARTIALS, add_scaled, d_elem, p_elem,
-    pbw_product, enumerate_monomials, mono_product, scale,
+    pbw_product, enumerate_monomials, mono_product, scale, form_step,
 )
 from e510.sl5_reps import ambient_monomial
 from e510.e510_algebra import (
@@ -157,6 +158,48 @@ def test_proportional():
     assert ratio == Q(-1) and type(ratio) is Q
 
 
+# Reference g_0 action on U(g_-): the bracket memoized on whole monomials,
+# p-exponents included, which the form-word cache of verma replaces.
+# Verbatim but for the names and the cache.
+
+_REF_AD_E_CACHE = {}
+
+
+def ref_shift(parts, u):
+    """p^parts * u for u in U(g_-): the p's are central, so exponents add."""
+    return {(tuple(map(add, parts, p2)), f2): c for (p2, f2), c in u.items()}
+
+
+def ref_ad_e_mono(a, b, mono):
+    """[x_a p_b, mono] inside U(g_-), extending the bracket as a derivation.
+
+    Well defined termwise on PBW monomials; only traceless aggregates over
+    (a, b) are actions of actual algebra elements.
+    """
+    key = (a, b, mono)
+    got = _REF_AD_E_CACHE.get(key)
+    if got is not None:
+        return got
+    parts, forms = mono
+    out = {}
+    if parts[a - 1]:
+        pl = list(parts)
+        pl[a - 1] -= 1
+        pl[b - 1] += 1
+        out[(tuple(pl), forms)] = -parts[a - 1]
+    for n, f in enumerate(forms):
+        step = form_step(a, b, f)
+        if step is None:
+            continue
+        g, sign = step
+        word = pbw_product({(ZERO_PARTIALS, forms[:n]): sign},
+                           {(ZERO_PARTIALS, (g,)): 1})
+        word = pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): 1})
+        add_scaled(out, ref_shift(parts, word), 1)
+    _REF_AD_E_CACHE[key] = out
+    return out
+
+
 # Reference actions: the nested loops over Fraction coefficients that the
 # fraction-free kernel replaces, one singleton add_scaled per product term.
 
@@ -172,7 +215,7 @@ def ref_mult(u, elem):
 def ref_act_e(module, a, b, elem):
     out = {}
     for (m, i), c in elem.items():
-        for m2, ca in verma.ad_e_mono(a, b, m).items():
+        for m2, ca in ref_ad_e_mono(a, b, m).items():
             add_scaled(out, {(m2, i): Q(1)}, c * ca)
         for i2, cv in module.rep.mat(a, b)[i].items():
             add_scaled(out, {(m, i2): Q(1)}, c * cv)
@@ -326,8 +369,11 @@ def test_action_caches_hold_ints():
         for b in range(1, 6):
             m.act_e(a, b, elem)
     assert verma._AD_E_CACHE and verma._XD_CACHE
-    assert all(type(c) is int
-               for out in verma._AD_E_CACHE.values() for c in out.values())
+    for pieces in verma._AD_E_CACHE.values():
+        assert type(pieces) is tuple
+        for (dparts, forms), c in pieces:
+            assert type(c) is int
+            assert all(type(x) is int for x in dparts + forms)
     for A, B in verma._XD_CACHE.values():
         assert all(type(c) is int for c in A.values())
         assert all(type(c) is int for u in B.values() for c in u.values())
@@ -335,7 +381,8 @@ def test_action_caches_hold_ints():
 
 # Reference g_1 action: the recursion that peels one p_i, then one 2-form at
 # a time, memoized on whole monomials, which the closed form replaces.
-# Verbatim but for the name, the self-call and the cache.
+# Verbatim but for the name, the self-call, the cache and the reference g_0
+# bracket.
 
 _REF_XD_CACHE = {}
 
@@ -385,7 +432,7 @@ def ref_xd_mono(k, f, mono):
         e = EPS[f][q]
         if e:
             t = TMATE[f][q]
-            add_scaled(A, verma.ad_e_mono(k, t, rest), e)
+            add_scaled(A, ref_ad_e_mono(k, t, rest), e)
             bu = B.setdefault((k, t), {})
             add_scaled(bu, {rest: 1}, e)
             if not bu:
@@ -425,5 +472,56 @@ def test_xd_cache_is_keyed_on_form_words():
     for key in verma._XD_CACHE:
         k, f, forms = key
         assert 1 <= k <= 5 and 0 <= f <= 9
+        assert type(forms) is tuple and list(forms) == sorted(set(forms))
+        assert all(type(q) is int and 0 <= q <= 9 for q in forms)
+
+
+# d23 d45: x_1 p_4 turns d45 into d15, and d23 d15 = -d15 d23 - p_4
+@example(1 << 4 | 1 << 9, [0, 0, 0, 0, 0], 0, 1)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1023), st.lists(st.integers(0, 4), min_size=5,
+                                      max_size=5),
+       st.integers(0, 3), st.integers(0, 1023))
+def test_ad_e_matches_reference(word, exps, i, word2):
+    # form words of length 0..10 as bit masks, p-exponents 0..4; the element
+    # holds p^P w and p^(P + e_1) w' so act_e_int accumulates over two
+    # monomials with different p's
+    forms = tuple(q for q in range(10) if word >> q & 1)
+    forms2 = tuple(q for q in range(10) if word2 >> q & 1)
+    mono = (tuple(exps), forms)
+    mono2 = ((exps[0] + 1,) + tuple(exps[1:]), forms2)
+    m = PROPERTY_MODULES[(0, 0, 0, 1)]
+    elem = {(mono, i): Q(2, 3), (mono2, 4 - i): Q(-5)}
+    for a in range(1, 6):
+        for b in range(1, 6):
+            got = verma.ad_e_mono(a, b, mono)
+            assert got == ref_ad_e_mono(a, b, mono)
+            assert all(type(c) is int and c for c in got.values())
+            acc, den = m.act_e_int(a, b, elem)
+            assert {k: Q(n, den) for k, n in acc.items() if n} \
+                == ref_act_e(m, a, b, elem)
+    if mono == (ZERO_PARTIALS, (4, 9)):
+        assert verma.ad_e_mono(1, 4, mono) \
+            == {(ZERO_PARTIALS, (3, 4)): -1, ((0, 0, 0, 1, 0), ()): -1}
+
+
+def test_ad_e_cache_is_keyed_on_form_words():
+    m = PROPERTY_MODULES[(0, 0, 0, 1)]
+    elem = {(mono, i): Q(1) for mono in enumerate_monomials(3)
+            for i in range(m.rep.dim)}
+    sizes = []
+    for k in range(5):
+        shifted = {((tuple(p + k for p in parts), forms), i): c
+                   for ((parts, forms), i), c in elem.items()}
+        for a in range(1, 6):
+            for b in range(1, 6):
+                m.act_e(a, b, shifted)
+        sizes.append(len(verma._AD_E_CACHE))
+    # p^k elem for k = 1..4 reuses the entries of elem
+    assert sizes == sizes[:1] * 5
+    assert len(verma._AD_E_CACHE) <= 25 * 1024
+    for key in verma._AD_E_CACHE:
+        a, b, forms = key
+        assert 1 <= a <= 5 and 1 <= b <= 5
         assert type(forms) is tuple and list(forms) == sorted(set(forms))
         assert all(type(q) is int and 0 <= q <= 9 for q in forms)
