@@ -395,6 +395,12 @@ def _theta_chain_seven():
 
 def cmd_identities(args):
     if args.suite == "omega":
+        # with no form word every count would be 0 and the suite pass
+        if args.max_d < 1:
+            raise ConfigError("--max-d must be positive: %d" % args.max_d)
+        if args.samples < 0:
+            raise ConfigError("--samples must be nonnegative: %d"
+                              % args.samples)
         counts, failures = _omega_suite(args.max_d, args.samples, args.seed)
     elif args.suite == "structure":
         counts, failures = _structure_suite()
@@ -470,7 +476,7 @@ def _cert_triples(path):
             raise ConfigError("unreadable certificate file %s: %s"
                               % (path, exc))
     if isinstance(data, dict):
-        data = data.get("certificates", [])
+        data = data.get("certificates")
     try:
         return [(_parse_mu(c["mu"]), c["degree"], _parse_mu(c["weight"]))
                 for c in data if c.get("algebra") in (None, "E(5,10)")]

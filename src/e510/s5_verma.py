@@ -8,23 +8,26 @@ form-free part of U(g_-): modules are C[p] (x) F(lambda), with elements
 dicts ((parts, ()), rep index) -> scalar, and everything but the quadratic
 fields comes from verma.InducedModule.
 
-A quadratic field X acts on p^M (x) v in closed form by commuting it past
-the p's: single derivatives leave linear (gl5) symbols acting on the rep
-factor, double derivatives leave constant fields multiplying back in.
-Those two parts are the (A, B) pieces of InducedModule.act_pieces, and a
-field is applied with InducedModule.act.  The 70 fields are S5Verma's
-POSITIVE generators, so singularity means annihilation by e_1..e_4 and by
-all of them (InducedModule.conditions); the annihilator of a vector is
+A quadratic field X acts on p^M (x) v in closed form by the Leibniz rule
+X p^M = sum_D C(M, D) p^(M - D) X_D of verma, with X_D the D-fold bracket
+of X with the p's: D = e_i leaves a linear (gl5) symbol acting on the rep
+factor, D = e_i + e_j a constant field multiplying back in, and X_0 kills
+v.  Those p-free terms are the pieces(sym, forms) of
+InducedModule.act_pieces, one cache entry per x_a x_b p_k, and a field is
+applied with InducedModule.act.  The 70 fields are S5Verma's POSITIVE
+generators, so singularity means annihilation by e_1..e_4 and by all of
+them (InducedModule.conditions); the annihilator of a vector is
 operator-bracket-closed, and the positive part is generated by the
 quadratic component, so nothing else needs checking.
 """
 
 from functools import lru_cache
+from operator import add
 
 from .scalars import Q
 from .uminus import _partials_of_total, add_scaled, p_elem
 from .singular_search import search_blocks
-from .verma import InducedModule
+from .verma import UNIT_PARTIALS, InducedModule
 
 
 def quadratic_fields():
@@ -60,43 +63,24 @@ def _first_derivative(a, b, i):
 
 
 @lru_cache(maxsize=None)
-def _quad_pieces(field_key, parts):
-    """x_a x_b p_k on p^parts (x) v as the integer pair (A, B) of act_pieces.
+def _quad_pieces(field_key):
+    """x_a x_b p_k past p^P as the p-free int pieces (D, c, A, B) of act_pieces.
 
-    Commuting the field past the p's: one derivative leaves the linear
-    symbol x_var p_k acting on the rep factor (into B under (var, k)), two
-    derivatives leave a constant field multiplying back in (into A).
+    D = e_i: one derivative leaves the linear symbol x_var p_k acting on
+    the rep factor (into B).  D = e_i + e_var: two derivatives leave the
+    constant field (ad p_var)(ad p_i)(x_a x_b p_k), a multiple of p_k,
+    multiplying back in (into A); var >= i counts each D once.
     """
     a, b, k = field_key
-    A, B = {}, {}
+    out = []
     for i in range(1, 6):
-        if not parts[i - 1]:
-            continue
-        base = list(parts)
-        base[i - 1] -= 1
-        base = (tuple(base), ())
+        D = UNIT_PARTIALS[i - 1]
         for var, dc in _first_derivative(a, b, i):
-            u = B.setdefault((var, k), {})
-            u[base] = u.get(base, 0) - parts[i - 1] * dc
-    for i in range(1, 6):
-        for j in range(i, 6):
-            mult = parts[i - 1] * (parts[j - 1] - (1 if i == j else 0))
-            if i == j:
-                mult //= 2
-            if not mult:
-                continue
-            # (ad p_j)(ad p_i)(x_a x_b p_k) as a constant field
-            const = sum(dc for var, dc in _first_derivative(a, b, i)
-                        if var == j)
-            if not const:
-                continue
-            m2 = list(parts)
-            m2[i - 1] -= 1
-            m2[j - 1] -= 1
-            m2[k - 1] += 1
-            m2 = (tuple(m2), ())
-            A[m2] = A.get(m2, 0) + mult * const
-    return A, B
+            out.append((D, -dc, (), (((var, k), (), 1),)))
+            if var >= i:
+                out.append((tuple(map(add, D, UNIT_PARTIALS[var - 1])), dc,
+                            (((UNIT_PARTIALS[k - 1], ()), 1),), ()))
+    return tuple(out)
 
 
 class S5Verma(InducedModule):
@@ -112,8 +96,8 @@ class S5Verma(InducedModule):
             return []
         return sorted((parts, ()) for parts in _partials_of_total(d // 2))
 
-    def pieces(self, field_key, mono):
-        return _quad_pieces(field_key, mono[0])
+    def pieces(self, field_key, forms):
+        return _quad_pieces(field_key)
 
 
 def search_s5(lam, d, entry_cap=200000):

@@ -2,12 +2,17 @@
 
 Elements are dicts (PBW monomial, rep basis index) -> scalar.  The negative
 part acts by left multiplication, gl5 symbols act as (derivation on the
-monomial) + (matrix on the rep factor), and degree +1 symbols X = x_k d_f
-act in closed form: X kills 1 (x) v, [X, p_i] = -delta_ik d_f with the p_i
-central in U(g_-), and [X, d_q] = eps(f, q) x_k p_t, so with w = d_q1..d_qn
+monomial) + (matrix on the rep factor), and positive symbols X act in
+closed form by the Leibniz rule: the p_i are central in U(g_-), so
 
-    X p^P w v = p^P sum_j (-1)^(j-1) d_q1..d_q(j-1) [X, d_qj] d_q(j+1)..d_qn v
-                - P_k p^(P - e_k) d_f w v.
+    X p^P = sum_D C(P, D) p^(P - D) X_D,   C(P, D) = prod_i C(P_i, D_i),
+
+with X_D the p-free D-fold bracket of X with the p's (see act_pieces).
+X = x_k d_f kills 1 (x) v, [X, p_i] = -delta_ik d_f and [X, d_q] =
+eps(f, q) x_k p_t, so on w = d_q1..d_qn
+
+    X_0 w v = sum_j (-1)^(j-1) d_q1..d_q(j-1) [X, d_qj] d_q(j+1)..d_qn v,
+    X_(e_k) w v = -d_f w v.
 
 The per-symbol pieces are bookkeeping: single diagonal gl5 symbols and
 single non-closed x_k d_ij terms are not elements of the algebra, and only
@@ -25,28 +30,25 @@ pieces of the g_0 and g_1 actions are built from the integer generators
 and index rules of uminus (signs, exponents and eps values), so they are
 stored as ints.  Both caches are keyed on form words, not monomials:
 _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
-(k, f, w), at most 50 x 2^10; p^P enters as an exponent shift.
+(k, f, w), at most 50 x 2^10; p^P enters while the actions accumulate.
 """
 
-from math import lcm
-from operator import add
+from math import comb, lcm, prod
+from operator import add, sub
 
 from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
 from .uminus import (
     PAIRS, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms, mono_degree,
-    mono_weight, add_scaled, pbw_product, d_elem, p_elem, form_step,
-    enumerate_monomials, format_monomial, parse_monomial, mono_product,
+    mono_weight, add_scaled, d_elem, p_elem, form_step,
+    enumerate_monomials, format_monomial, parse_monomial,
 )
 from .sl5_reps import build_irrep, eps_to_coords, is_dominant
 from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
-
-
-def _shift(parts, u):
-    """p^parts * u for u in U(g_-): the p's are central, so exponents add."""
-    return {(tuple(map(add, parts, p2)), f2): c for (p2, f2), c in u.items()}
+# the p-deltas D = e_k of the Leibniz rule
+UNIT_PARTIALS = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 
 def _ad_e_forms(a, b, forms):
@@ -84,46 +86,43 @@ def ad_e_mono(a, b, mono):
         pl[a - 1] -= 1
         pl[b - 1] += 1
         out[(tuple(pl), forms)] = -parts[a - 1]
-    return add_scaled(out, _shift(parts, dict(_ad_e_forms(a, b, forms))), 1)
+    return add_scaled(out, {(tuple(map(add, parts, dp)), f2): c
+                            for (dp, f2), c in _ad_e_forms(a, b, forms)}, 1)
 
 
-def xd_mono(k, f, mono):
-    """x_k d_(pair f) on mono (x) v as a pair (A, B).
+def xd_pieces(k, f, forms):
+    """x_k d_(pair f) past p^P on the form word w, as act_pieces pieces.
 
-    The action is A (x) v + sum_{a,b} B[a,b] (x) (x_a p_b v), with A and the
-    B values in U(g_-).  Termwise bookkeeping; sum over a closed combination
-    of symbols to act with an actual degree +1 element.
-
-    This is the closed form of the module docstring.  The g_0 element
-    x_k p_t of the j-th term acts on the p-free tail through the pieces of
-    ad_e_mono (into A) and on v (into B); each t comes from one q_j, so
-    B[k, t] is the single word w without q_j.  The form-word part is cached
-    per (k, f, forms), and p^P only shifts exponents.
+    Termwise bookkeeping; sum over a closed combination of symbols to act
+    with an actual degree +1 element.  Two Leibniz terms (module
+    docstring): D = 0, the sum over the 2-forms of w, where the g_0
+    element x_k p_t of the j-th term acts on the tail through the pieces
+    of ad_e_mono (into A) and on v (into B); each t comes from one q_j, so
+    B[k, t] is the single word w without q_j.  D = e_k, the factor -1 on
+    the shared pieces of d_f w.  Cached per (k, f, forms).
     """
-    parts, forms = mono
     key = (k, f, forms)
     got = _XD_CACHE.get(key)
     if got is None:
-        A, B = {}, {}
+        A, B = {}, []
         for j, q in enumerate(forms):
             e = EPS[f][q]
             if e:
                 t = TMATE[f][q]
                 c = -e if j & 1 else e
-                head = {(ZERO_PARTIALS, forms[:j]): c}
-                ad_tail = dict(_ad_e_forms(k, t, forms[j + 1:]))
-                add_scaled(A, pbw_product(head, ad_tail), 1)
-                B[(k, t)] = {(ZERO_PARTIALS, forms[:j] + forms[j + 1:]): c}
-        got = _XD_CACHE[key] = (A, B)
-    if not any(parts):
-        return got
-    A = _shift(parts, got[0])
-    if parts[k - 1]:
-        pl = list(parts)
-        pl[k - 1] -= 1
-        add_scaled(A, mono_product((tuple(pl), (f,)), (ZERO_PARTIALS, forms)),
-                   -parts[k - 1])
-    return A, {ab: _shift(parts, u) for ab, u in got[1].items()}
+                for (dp, f2), ca in _ad_e_forms(k, t, forms[j + 1:]):
+                    for (dp2, f3), cf in _order_forms(forms[:j], f2):
+                        m = (dp2 if dp is ZERO_PARTIALS else
+                             tuple(map(add, dp, dp2)), f3)
+                        A[m] = A.get(m, 0) + c * ca * cf
+                B.append(((k, t), forms[:j] + forms[j + 1:], c))
+        A = tuple((m, n) for m, n in A.items() if n)
+        got = [(ZERO_PARTIALS, 1, A, tuple(B))] if A or B else []
+        df_w = _order_forms((f,), forms)
+        if df_w:
+            got.append((UNIT_PARTIALS[k - 1], -1, df_w, ()))
+        got = _XD_CACHE[key] = tuple(got)
+    return got
 
 
 class InducedModule:
@@ -131,10 +130,10 @@ class InducedModule:
 
     Elements are dicts (PBW monomial of U(g_-), rep index) -> scalar.  A
     subclass supplies the protocol: an algebra tag, monomials(d) (the
-    degree-d PBW monomials of its negative part), pieces(sym, mono) (its
-    positive symbols on one monomial, see act_pieces) and POSITIVE, the
-    (label, element) pairs that together with e_1..e_4 generate the
-    positive part.  Everything that does not depend on the algebra lives
+    degree-d PBW monomials of its negative part), pieces(sym, forms) (the
+    p-free Leibniz terms of a positive symbol on one form word, see
+    act_pieces) and POSITIVE, the (label, element) pairs that together
+    with e_1..e_4 generate the positive part.  Everything that does not depend on the algebra lives
     here: weights, degrees, serialization, left multiplication, the gl5
     action, the one action kernel of the positive part, act and conditions.
     """
@@ -304,36 +303,43 @@ class InducedModule:
     def act_pieces(self, x, elem):
         """x (a dict symbol -> scalar) on elem, through the subclass's pieces.
 
-        pieces(sym, mono) is a pair (A, B) of integer data: sym sends
-        mono (x) v to A (x) v + sum_{a,b} B[a,b] (x) (x_a p_b v), with A
-        and the B values in U(g_-).  The numerators of x, of elem and of
-        the rep matrices go over one common denominator.
+        pieces(sym, forms) gives the p-free Leibniz terms X_D of sym on the
+        form word w of a monomial p^P w (module docstring) as int tuples
+        (D, c, A, B): X_D w v = c (A v + sum n d_forms2 x_a p_b v) over the
+        triples ((a, b), forms2, n) of B, with A int pieces ((dparts,
+        forms2), n) relative to p^(P - D).  This is the one place that
+        applies p^P: it multiplies by C(P, D) and adds P - D to the
+        exponents while it accumulates.  The numerators of x, of elem and
+        of the rep matrices go over one common denominator.
         """
         xden, eden = _den(x.values()), _den(elem.values())
         enums = _numerators(elem, eden)
         terms = []
         mat_keys = set()
         for sym, nx in _numerators(x, xden):
-            for (m, i), n in enums:
-                A, B = self.pieces(sym, m)
-                mat_keys.update(B)
-                terms.append((m, i, nx * n, A, B))
+            for ((parts, forms), i), n in enums:
+                for D, c, A, B in self.pieces(sym, forms):
+                    c *= prod(map(comb, parts, D))
+                    if c:
+                        mat_keys.update(ab for ab, _, _ in B)
+                        terms.append((tuple(map(sub, parts, D)), i,
+                                      nx * n * c, A, B))
         mats = {ab: self._int_mat(*ab) for ab in mat_keys}
         mden = lcm(*(d for d, _ in mats.values()))
         acc = {}
-        for m, i, n, A, B in terms:
+        for base, i, n, A, B in terms:
             na = n * mden
-            for m2, ca in A.items():
-                key = (m2, i)
+            for (dp, f2), ca in A:
+                key = ((base if dp is ZERO_PARTIALS else
+                        tuple(map(add, base, dp)), f2), i)
                 acc[key] = acc.get(key, 0) + na * ca
-            for ab, u in B.items():
+            for ab, f2, cb in B:
                 d, cols = mats[ab]
-                nd = n * (mden // d)
+                m2 = (base, f2)
+                nb = n * (mden // d) * cb
                 for i2, cv in cols[i].items():
-                    cc = nd * cv
-                    for m2, cu in u.items():
-                        key = (m2, i2)
-                        acc[key] = acc.get(key, 0) + cc * cu
+                    key = (m2, i2)
+                    acc[key] = acc.get(key, 0) + nb * cv
         return _scalars(acc, xden * eden * mden)
 
     def act(self, x, elem):
@@ -383,8 +389,8 @@ class VermaModule(InducedModule):
     def monomials(self, d):
         return enumerate_monomials(d)
 
-    def pieces(self, sym, mono):
-        return xd_mono(sym[1], sym[2], mono)
+    def pieces(self, sym, forms):
+        return xd_pieces(sym[1], sym[2], forms)
 
     def is_singular(self, elem, full_g1=False):
         """Annihilated by e_1..e_4 and by g_1.

@@ -234,9 +234,21 @@ def test_unparsable_numbers_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
     certs = tmp_path / "certs.json"
     for text in ("{x", '[{"mu": "0,0,0,1"}]', "3", '[{"mu": 1}]',
-                 '[{"mu": "0,0,0,1", "degree": 1, "weight": "0,1"}]'):
+                 '[{"mu": "0,0,0,1", "degree": 1, "weight": "0,1"}]',
+                 # objects without a certificates list, such as a complexes
+                 # report, would pass with no check
+                 "{}", json.dumps({"command": "complexes", "identities": [],
+                                   "pairs": [], "ok": True})):
         certs.write_text(text)
         assert main(["dual", "--from-certs", str(certs)]) == 2, text
+        assert capsys.readouterr().err.startswith("error: ")
+    # an empty search report is a valid input
+    certs.write_text(json.dumps({"command": "search", "certificates": []}))
+    assert main(["dual", "--from-certs", str(certs), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == []
+    # no form word or a negative sample count would check nothing
+    for argv in (["--max-d", "0"], ["--max-d", "-1"], ["--samples", "-1"]):
+        assert main(["identities", "--suite", "omega"] + argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: ")
 
 

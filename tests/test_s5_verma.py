@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from e510.scalars import Q
 from e510.sl5_reps import ambient_monomial
 from e510.s5_verma import (
-    S5Verma, _first_derivative, quadratic_fields, rudakov_vectors, search_s5,
+    S5Verma, _first_derivative, _quad_pieces, quadratic_fields,
+    rudakov_vectors, search_s5,
 )
 from e510.uminus import add_scaled
 from e510.verma import proportional, tensor_from_terms
@@ -204,3 +205,19 @@ def test_shared_kernel_matches_reference(data):
     add_scaled(want, ref_act_quad(m, other, elem), c)
     got = m.act({k: v for k, v in combo.items() if v}, elem)
     assert got == want and exact_and_sparse(got)
+
+
+def test_quad_pieces_cache_is_keyed_on_fields():
+    m = PROPERTY_MODULES[(1, 0, 0, 0)]
+    elem = {(mono, i): Q(1) for mono in SMALL_MONOS
+            for i in range(m.rep.dim)}
+    sizes = []
+    for k in range(5):
+        shifted = {((tuple(p + k for p in parts), ()), i): c
+                   for ((parts, _), i), c in elem.items()}
+        for field in FIELDS:
+            m.act(field, shifted)
+        sizes.append(_quad_pieces.cache_info().currsize)
+    # p^k elem for k = 1..4 reuses the entries of elem: one per x_a x_b p_k
+    assert sizes == sizes[:1] * 5
+    assert sizes[0] <= 75

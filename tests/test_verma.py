@@ -1,4 +1,5 @@
 import random
+from math import comb, prod
 from operator import add
 
 from hypothesis import example, given, settings, strategies as st
@@ -225,7 +226,7 @@ def ref_act_e(module, a, b, elem):
 def ref_act_xd(module, k, f, elem):
     out = {}
     for (m, i), c in elem.items():
-        A, B = verma.xd_mono(k, f, m)
+        A, B = ref_xd_mono(k, f, m)
         for m2, ca in A.items():
             add_scaled(out, {(m2, i): Q(1)}, c * ca)
         for (a, b), u in B.items():
@@ -374,9 +375,12 @@ def test_action_caches_hold_ints():
         for (dparts, forms), c in pieces:
             assert type(c) is int
             assert all(type(x) is int for x in dparts + forms)
-    for A, B in verma._XD_CACHE.values():
-        assert all(type(c) is int for c in A.values())
-        assert all(type(c) is int for u in B.values() for c in u.values())
+    for pieces in verma._XD_CACHE.values():
+        assert type(pieces) is tuple
+        for D, c, A, B in pieces:
+            assert type(c) is int and all(type(x) is int for x in D)
+            assert all(type(n) is int for _, n in A)
+            assert all(type(n) is int for _, _, n in B)
 
 
 # Reference g_1 action: the recursion that peels one p_i, then one 2-form at
@@ -442,6 +446,21 @@ def ref_xd_mono(k, f, mono):
     return got
 
 
+def expand_pieces(pieces, parts):
+    """(A, B) on p^parts w from Leibniz pieces, with the factors C(P, D)."""
+    A, B = {}, {}
+    for D, c, pa, pb in pieces:
+        c *= prod(comb(p, dd) for p, dd in zip(parts, D))
+        if not c:
+            continue
+        base = tuple(p - dd for p, dd in zip(parts, D))
+        add_scaled(A, {(tuple(map(add, base, dp)), f2): n
+                       for (dp, f2), n in pa}, c)
+        for ab, f2, n in pb:
+            add_scaled(B.setdefault(ab, {}), {(base, f2): n}, c)
+    return A, {ab: u for ab, u in B.items() if u}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 1023), st.lists(st.integers(0, 3), min_size=5,
                                       max_size=5))
@@ -459,15 +478,25 @@ def test_xd_mono_matches_reference(word, exps):
         bumped[k - 1] += 1
         for mono in ((tuple(parts), forms), (tuple(bumped), forms)):
             for f in range(10):
-                assert verma.xd_mono(k, f, mono) == ref_xd_mono(k, f, mono)
+                got = expand_pieces(verma.xd_pieces(k, f, forms), mono[0])
+                want = ref_xd_mono(k, f, mono)
+                assert got[0] == want[0]
+                assert got[1] == want[1]
 
 
 def test_xd_cache_is_keyed_on_form_words():
     m = PROPERTY_MODULES[(0, 0, 0, 1)]
     elem = {(mono, 0): Q(1)
-            for d in range(7) for mono in enumerate_monomials(d)}
-    for x in g1_basis():
-        m.act(x, elem)
+            for d in range(5) for mono in enumerate_monomials(d)}
+    sizes = []
+    for k in range(5):
+        shifted = {((tuple(p + k for p in parts), forms), i): c
+                   for ((parts, forms), i), c in elem.items()}
+        for x in g1_basis():
+            m.act(x, shifted)
+        sizes.append(len(verma._XD_CACHE))
+    # p^k elem for k = 1..4 reuses the entries of elem
+    assert sizes == sizes[:1] * 5
     assert len(verma._XD_CACHE) <= 50 * 1024
     for key in verma._XD_CACHE:
         k, f, forms = key
