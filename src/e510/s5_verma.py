@@ -22,12 +22,11 @@ quadratic component, so nothing else needs checking.
 """
 
 from functools import lru_cache
-from operator import add
 
 from .scalars import Q
 from .uminus import _partials_of_total, add_scaled, p_elem
 from .singular_search import search_blocks
-from .verma import UNIT_PARTIALS, InducedModule
+from .verma import InducedModule
 
 
 def quadratic_fields():
@@ -64,7 +63,7 @@ def _first_derivative(a, b, i):
 
 @lru_cache(maxsize=None)
 def _quad_pieces(field_key):
-    """x_a x_b p_k past p^P as the p-free int pieces (D, c, A, B) of act_pieces.
+    """The p-free int pieces (D, c, A, B) of x_a x_b p_k, for act_pieces.
 
     D = e_i: one derivative leaves the linear symbol x_var p_k acting on
     the rep factor (into B).  D = e_i + e_var: two derivatives leave the
@@ -72,14 +71,14 @@ def _quad_pieces(field_key):
     multiplying back in (into A); var >= i counts each D once.
     """
     a, b, k = field_key
+    pk = tuple(int(j == k) for j in range(1, 6))
     out = []
     for i in range(1, 6):
-        D = UNIT_PARTIALS[i - 1]
         for var, dc in _first_derivative(a, b, i):
-            out.append((D, -dc, (), (((var, k), (), 1),)))
+            out.append((((i, 1),), -dc, (), (((var, k), (), 1),)))
             if var >= i:
-                out.append((tuple(map(add, D, UNIT_PARTIALS[var - 1])), dc,
-                            (((UNIT_PARTIALS[k - 1], ()), 1),), ()))
+                D = ((i, 2),) if var == i else ((i, 1), (var, 1))
+                out.append((D, dc, (((pk, ()), 1),), ()))
     return tuple(out)
 
 

@@ -33,8 +33,8 @@ _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
 (k, f, w), at most 50 x 2^10; p^P enters while the actions accumulate.
 """
 
-from math import comb, lcm, prod
-from operator import add, sub
+from math import comb, lcm
+from operator import add
 
 from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
 from .uminus import (
@@ -47,8 +47,6 @@ from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
-# the p-deltas D = e_k of the Leibniz rule
-UNIT_PARTIALS = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 
 def _ad_e_forms(a, b, forms):
@@ -117,10 +115,10 @@ def xd_pieces(k, f, forms):
                         A[m] = A.get(m, 0) + c * ca * cf
                 B.append(((k, t), forms[:j] + forms[j + 1:], c))
         A = tuple((m, n) for m, n in A.items() if n)
-        got = [(ZERO_PARTIALS, 1, A, tuple(B))] if A or B else []
+        got = [((), 1, A, tuple(B))] if A or B else []
         df_w = _order_forms((f,), forms)
         if df_w:
-            got.append((UNIT_PARTIALS[k - 1], -1, df_w, ()))
+            got.append((((k, 1),), -1, df_w, ()))
         got = _XD_CACHE[key] = tuple(got)
     return got
 
@@ -133,9 +131,10 @@ class InducedModule:
     degree-d PBW monomials of its negative part), pieces(sym, forms) (the
     p-free Leibniz terms of a positive symbol on one form word, see
     act_pieces) and POSITIVE, the (label, element) pairs that together
-    with e_1..e_4 generate the positive part.  Everything that does not depend on the algebra lives
-    here: weights, degrees, serialization, left multiplication, the gl5
-    action, the one action kernel of the positive part, act and conditions.
+    with e_1..e_4 generate the positive part.  Everything that does not
+    depend on the algebra lives here: weights, degrees, serialization, left
+    multiplication, the gl5 action, the one action kernel of the positive
+    part, act and conditions.
     """
 
     def __init__(self, mu):
@@ -307,10 +306,11 @@ class InducedModule:
         form word w of a monomial p^P w (module docstring) as int tuples
         (D, c, A, B): X_D w v = c (A v + sum n d_forms2 x_a p_b v) over the
         triples ((a, b), forms2, n) of B, with A int pieces ((dparts,
-        forms2), n) relative to p^(P - D).  This is the one place that
-        applies p^P: it multiplies by C(P, D) and adds P - D to the
-        exponents while it accumulates.  The numerators of x, of elem and
-        of the rep matrices go over one common denominator.
+        forms2), n) relative to p^(P - D), and D the pairs (i, D_i) of its
+        nonzero entries, () for D = 0.  This is the one place that applies
+        p^P: it multiplies by C(P, D) and takes D from the exponents while
+        it accumulates.  The numerators of x, of elem and of the rep
+        matrices go over one common denominator.
         """
         xden, eden = _den(x.values()), _den(elem.values())
         enums = _numerators(elem, eden)
@@ -319,11 +319,19 @@ class InducedModule:
         for sym, nx in _numerators(x, xden):
             for ((parts, forms), i), n in enums:
                 for D, c, A, B in self.pieces(sym, forms):
-                    c *= prod(map(comb, parts, D))
-                    if c:
-                        mat_keys.update(ab for ab, _, _ in B)
-                        terms.append((tuple(map(sub, parts, D)), i,
-                                      nx * n * c, A, B))
+                    if D:
+                        pl = list(parts)
+                        for k, dk in D:
+                            c *= comb(pl[k - 1], dk)
+                            pl[k - 1] -= dk
+                        if not c:
+                            continue
+                        base = tuple(pl)
+                    else:
+                        base = parts
+                    for ab, _, _ in B:
+                        mat_keys.add(ab)
+                    terms.append((base, i, nx * n * c, A, B))
         mats = {ab: self._int_mat(*ab) for ab in mat_keys}
         mden = lcm(*(d for d, _ in mats.values()))
         acc = {}
