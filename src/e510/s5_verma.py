@@ -71,14 +71,13 @@ def _quad_pieces(field_key):
     multiplying back in (into A); var >= i counts each D once.
     """
     a, b, k = field_key
-    pk = tuple(int(j == k) for j in range(1, 6))
     out = []
     for i in range(1, 6):
         for var, dc in _first_derivative(a, b, i):
             out.append((((i, 1),), -dc, (), (((var, k), (), 1),)))
             if var >= i:
                 D = ((i, 2),) if var == i else ((i, 1), (var, 1))
-                out.append((D, dc, (((pk, ()), 1),), ()))
+                out.append((D, dc, tuple(p_elem(k).items()), ()))
     return tuple(out)
 
 

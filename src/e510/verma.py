@@ -47,6 +47,7 @@ from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
+_UNIT_DELTAS = tuple(((k, 1),) for k in range(1, 6))  # D = e_k, shared
 
 
 def _ad_e_forms(a, b, forms):
@@ -118,7 +119,7 @@ def xd_pieces(k, f, forms):
         got = [((), 1, A, tuple(B))] if A or B else []
         df_w = _order_forms((f,), forms)
         if df_w:
-            got.append((((k, 1),), -1, df_w, ()))
+            got.append((_UNIT_DELTAS[k - 1], -1, df_w, ()))
         got = _XD_CACHE[key] = tuple(got)
     return got
 
@@ -129,12 +130,11 @@ class InducedModule:
     Elements are dicts (PBW monomial of U(g_-), rep index) -> scalar.  A
     subclass supplies the protocol: an algebra tag, monomials(d) (the
     degree-d PBW monomials of its negative part), pieces(sym, forms) (the
-    p-free Leibniz terms of a positive symbol on one form word, see
-    act_pieces) and POSITIVE, the (label, element) pairs that together
-    with e_1..e_4 generate the positive part.  Everything that does not
-    depend on the algebra lives here: weights, degrees, serialization, left
-    multiplication, the gl5 action, the one action kernel of the positive
-    part, act and conditions.
+    p-free Leibniz terms of a positive symbol, see act_pieces) and
+    POSITIVE, the (label, element) pairs that with e_1..e_4 generate the
+    positive part.  Everything that does not depend on the algebra lives
+    here: weights, degrees, serialization, left multiplication, the gl5
+    action, the one action kernel of the positive part, act and conditions.
     """
 
     def __init__(self, mu):
@@ -303,14 +303,12 @@ class InducedModule:
         """x (a dict symbol -> scalar) on elem, through the subclass's pieces.
 
         pieces(sym, forms) gives the p-free Leibniz terms X_D of sym on the
-        form word w of a monomial p^P w (module docstring) as int tuples
-        (D, c, A, B): X_D w v = c (A v + sum n d_forms2 x_a p_b v) over the
-        triples ((a, b), forms2, n) of B, with A int pieces ((dparts,
-        forms2), n) relative to p^(P - D), and D the pairs (i, D_i) of its
-        nonzero entries, () for D = 0.  This is the one place that applies
-        p^P: it multiplies by C(P, D) and takes D from the exponents while
-        it accumulates.  The numerators of x, of elem and of the rep
-        matrices go over one common denominator.
+        form word w of p^P w (module docstring) as int tuples (D, c, A, B),
+        D the pairs (i, D_i) of its nonzero entries: X_D w v = c (A v + sum
+        n d_forms2 x_a p_b v) over the triples ((a, b), forms2, n) of B,
+        with A int pieces ((dparts, forms2), n) relative to p^(P - D).
+        Only here is p^P applied: C(P, D) and P - D enter as the terms
+        accumulate.  x, elem and the rep matrices share one denominator.
         """
         xden, eden = _den(x.values()), _den(elem.values())
         enums = _numerators(elem, eden)
@@ -319,6 +317,7 @@ class InducedModule:
         for sym, nx in _numerators(x, xden):
             for ((parts, forms), i), n in enums:
                 for D, c, A, B in self.pieces(sym, forms):
+                    base = parts
                     if D:
                         pl = list(parts)
                         for k, dk in D:
@@ -327,8 +326,6 @@ class InducedModule:
                         if not c:
                             continue
                         base = tuple(pl)
-                    else:
-                        base = parts
                     for ab, _, _ in B:
                         mat_keys.add(ab)
                     terms.append((base, i, nx * n * c, A, B))
