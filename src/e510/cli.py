@@ -478,11 +478,14 @@ def _cert_triples(path):
     if isinstance(data, dict):
         data = data.get("certificates")
     try:
-        return [(_parse_mu(c["mu"]), c["degree"], _parse_mu(c["weight"]))
-                for c in data if c.get("algebra") in (None, "E(5,10)")]
+        triples = [(_parse_mu(c["mu"]), c["degree"], _parse_mu(c["weight"]))
+                   for c in data if c.get("algebra") in (None, "E(5,10)")]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigError("%s is not a list of certificates: %s: %s"
                           % (path, type(exc).__name__, exc))
+    if data and not triples:
+        raise ConfigError("%s holds no E(5,10) certificate" % path)
+    return triples
 
 
 def cmd_dual(args):

@@ -7,17 +7,21 @@ annihilator of a raising-invariant vector is closed under bracketing with
 raisings, and the degree +1 part is generated from x_5 d_45 by them.
 
 For a fixed (degree, weight) block the conditions are one sparse linear
-system; its kernel is computed exactly over the rationals.  Any vector in
-the kernel is re-verified through the module action before being reported
-in a certificate.  The driver reads only the protocol of
-verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
+system; its kernel is computed exactly over the rationals.  The rows are
+integer: each condition image comes as integer numerators over a
+denominator (InducedModule.int_conditions), the rows of one condition
+share the lcm of its denominators, and a row's scale does not change its
+kernel.  Any vector in the kernel is re-verified through the module
+action before being reported in a certificate.  The driver reads only the
+protocol of verma.InducedModule, so the S5 baseline of s5_verma runs
+through it too.
 """
 
 import json
 import os
+from math import lcm
 
 from .errors import ConfigError, VerificationError
-from .scalars import Q
 from .sl5_reps import parse_weight, weight_str, dual_weight
 from .linalg import kernel_basis
 from .verma import VermaModule, tensor_from_terms
@@ -30,14 +34,39 @@ def candidate_weights(module, d):
     return sorted(module.weight_blocks(d))
 
 
+def condition_rows(module, block):
+    """Integer condition rows of a block, keyed by (label, image key).
+
+    Column j is the basis pair block[j], and its condition images
+    (module.int_conditions) give the entries of column j.  All rows of a
+    label share one denominator, the lcm of its images' denominators so
+    far: when an image's denominator does not divide it, the label's rows
+    are rescaled to the new lcm.  So each row is its rational row times the
+    label's final lcm.
+    """
+    rows = {}
+    dens = {}
+    for j, pair in enumerate(block):
+        for label, (acc, den) in module.int_conditions({pair: 1}):
+            common = dens.setdefault(label, den)
+            if common % den:
+                grown = lcm(common, den)
+                for (lab, _), row in rows.items():
+                    if lab == label:
+                        for k in row:
+                            row[k] *= grown // common
+                common = dens[label] = grown
+            s = common // den
+            for key, n in acc.items():
+                if n:
+                    rows.setdefault((label, key), {})[j] = n * s
+    return rows
+
+
 def singular_block(module, d, nu, entry_cap=200000):
     """Block basis and exact kernel of the module's singularity conditions."""
     block = module.weight_space(d, tuple(nu))
-    rows = {}
-    for j, pair in enumerate(block):
-        for label, img in module.conditions({pair: Q(1)}):
-            for key, c in img.items():
-                rows.setdefault((label, key), {})[j] = c
+    rows = condition_rows(module, block)
     kern = kernel_basis(list(rows.values()), list(range(len(block))),
                         entry_cap=entry_cap)
     vectors = [{block[j]: c for j, c in k.items()} for k in kern]

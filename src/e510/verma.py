@@ -31,6 +31,14 @@ and index rules of uminus (signs, exponents and eps values), so they are
 stored as ints.  Both caches are keyed on form words, not monomials:
 _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
 (k, f, w), at most 50 x 2^10; p^P enters while the actions accumulate.
+act_e_int, act_pieces_int and int_conditions return the integer
+numerators with their denominator, so the search assembles its condition
+rows without building scalars.
+
+The search blocks are indexed by dominant weight in fundamental
+coordinates.  Coordinates add, so weight_blocks groups the monomials and
+the rep indices by their own coordinates and crosses the groups, instead of
+checking every monomial against every rep vector.
 """
 
 from math import comb, lcm
@@ -146,23 +154,32 @@ class InducedModule:
     def weight_blocks(self, d):
         """Dominant weight -> sorted basis pairs (monomial, rep index), degree d.
 
-        One pass over the degree-d monomials x rep weights, cached on the
-        instance.  Weights compare in fundamental coordinates, so pairs from
-        different trace branches of the concrete realization are collected
-        together, as they must be.  Only dominant weights are kept: a
-        singular vector lies in a finite dimensional sl5-stable degree
-        component, so its weight is dominant, and every caller asks for a
-        dominant weight (the dual of a dominant weight is dominant too).
+        Weights compare in fundamental coordinates, so pairs from different
+        trace branches of the concrete realization are collected together,
+        as they must be.  Coordinates add, so the degree-d monomials and the
+        rep indices are grouped by their own coordinates once, and each
+        block is the union of the products of the groups whose sum is its
+        weight.  Only dominant sums are kept: a singular vector lies in a
+        finite dimensional sl5-stable degree component, so its weight is
+        dominant, and every caller asks for a dominant weight (the dual of a
+        dominant weight is dominant too).  The blocks are cached on the
+        instance; the groups are not kept.
         """
         blocks = self._blocks.get(d)
         if blocks is None:
-            blocks = {}
+            monos, reps = {}, {}
             for mono in self.monomials(d):
-                mw = self.monomial_weight(mono)
-                for i, rw in enumerate(self.rep.eps_weights):
-                    c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
+                c = eps_to_coords(self.monomial_weight(mono))
+                monos.setdefault(c, []).append(mono)
+            for i, rw in enumerate(self.rep.eps_weights):
+                reps.setdefault(eps_to_coords(rw), []).append(i)
+            blocks = {}
+            for mc, ms in monos.items():
+                for rc, idx in reps.items():
+                    c = tuple(map(add, mc, rc))
                     if is_dominant(c):
-                        blocks.setdefault(c, []).append((mono, i))
+                        blocks.setdefault(c, []).extend(
+                            (m, i) for m in ms for i in idx)
             for pairs in blocks.values():
                 pairs.sort()
             self._blocks[d] = blocks
@@ -302,13 +319,21 @@ class InducedModule:
     def act_pieces(self, x, elem):
         """x (a dict symbol -> scalar) on elem, through the subclass's pieces.
 
-        pieces(sym, forms) gives the p-free Leibniz terms X_D of sym on the
-        form word w of p^P w (module docstring) as int tuples (D, c, A, B),
-        D the pairs (i, D_i) of its nonzero entries: X_D w v = c (A v + sum
-        n d_forms2 x_a p_b v) over the triples ((a, b), forms2, n) of B,
-        with A int pieces ((dparts, forms2), n) relative to p^(P - D).
-        Only here is p^P applied: C(P, D) and P - D enter as the terms
-        accumulate.  x, elem and the rep matrices share one denominator.
+        The scalars of act_pieces_int.
+        """
+        return _scalars(*self.act_pieces_int(x, elem))
+
+    def act_pieces_int(self, x, elem):
+        """act_pieces as (integer numerators, common denominator).
+
+        Numerators may be zero, as in act_e_int.  pieces(sym, forms) gives
+        the p-free Leibniz terms X_D of sym on the form word w of p^P w
+        (module docstring) as int tuples (D, c, A, B), D the pairs (i, D_i)
+        of its nonzero entries: X_D w v = c (A v + sum n d_forms2 x_a p_b v)
+        over the triples ((a, b), forms2, n) of B, with A int pieces
+        ((dparts, forms2), n) relative to p^(P - D).  Only here is p^P
+        applied: C(P, D) and P - D enter as the terms accumulate.  x, elem
+        and the rep matrices share one denominator.
         """
         xden, eden = _den(x.values()), _den(elem.values())
         enums = _numerators(elem, eden)
@@ -345,7 +370,7 @@ class InducedModule:
                 for i2, cv in cols[i].items():
                     key = (m2, i2)
                     acc[key] = acc.get(key, 0) + nb * cv
-        return _scalars(acc, xden * eden * mden)
+        return acc, xden * eden * mden
 
     def act(self, x, elem):
         """An algebra element x (a dict symbol -> scalar) on elem.
@@ -372,16 +397,26 @@ class InducedModule:
             add_scaled(out, self.act_e(a, b, elem), c)
         return out
 
-    def conditions(self, elem):
-        """(label, image) pairs: e_1..e_4, then the POSITIVE generators."""
+    def int_conditions(self, elem):
+        """(label, (numerators, denominator)) images of the conditions.
+
+        The one list of singularity conditions: e_1..e_4, then the POSITIVE
+        generators, each image as act_e_int and act_pieces_int give it.
+        """
         for i in range(1, 5):
-            yield "e%d" % i, self.act_e(i, i + 1, elem)
+            yield "e%d" % i, self.act_e_int(i, i + 1, elem)
         for label, x in self.POSITIVE:
-            yield label, self.act_pieces(x, elem)
+            yield label, self.act_pieces_int(x, elem)
+
+    def conditions(self, elem):
+        """(label, image) pairs of int_conditions, with scalar images."""
+        for label, img in self.int_conditions(elem):
+            yield label, _scalars(*img)
 
     def is_singular(self, elem):
         """Nonzero and annihilated by every singularity condition."""
-        return bool(elem) and all(not img for _, img in self.conditions(elem))
+        return bool(elem) and not any(
+            any(acc.values()) for _, (acc, _) in self.int_conditions(elem))
 
 
 class VermaModule(InducedModule):

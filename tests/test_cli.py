@@ -252,6 +252,26 @@ def test_unparsable_numbers_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_dual_without_e510_certificates_exits_two(tmp_path, capsys):
+    # certificates that all name another algebra leave nothing to check
+    certs = tmp_path / "certs.json"
+    s5_cert = {"algebra": "S5", "mu": "1,0,0,0", "degree": 2,
+               "weight": "0,0,0,0"}
+    for data in ([s5_cert], {"command": "search",
+                             "certificates": [s5_cert, s5_cert]}):
+        certs.write_text(json.dumps(data))
+        assert main(["dual", "--from-certs", str(certs)]) == 2, data
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no E(5,10) certificate" in captured.err
+    # one E(5,10) certificate among them is checked
+    e510_cert = dict(s5_cert, algebra="E(5,10)", mu="0,0,0,1",
+                     weight="1,1,0,0")
+    certs.write_text(json.dumps([s5_cert, e510_cert]))
+    assert main(["dual", "--from-certs", str(certs), "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 1
+
+
 def test_degree_zero_rejected(tmp_path, capsys):
     certs = tmp_path / "certs.json"
     certs.write_text(

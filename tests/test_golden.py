@@ -41,6 +41,9 @@ GOLDEN_SHA256 = {
         "4f34aecc4935943f07f41181cd53fa536d3e4976f19b05ff45aae3b50ac9a16e",
     ("classify", "--budget", "2", "--max-degree", "4"):
         "ddaae6dcb343e9d2c0a95dfe81bf7878b9c4aab5ebf65c35e0b0a7f8189d7545",
+    # the degree 7 block of F(0,0,0,2)
+    ("search", "--mu", "0,0,0,2", "--degree", "7"):
+        "a936eaa41042e4cf376ceb3ad23b27ed498587eacab5864ea8883f7ad394c1ff",
 }
 
 # SHA-256 of json.dumps(tensor_terms(w), sort_keys=True) for the catalog

@@ -1,15 +1,18 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from e510.scalars import Q
 from e510.uminus import add_scaled, d_elem
-from e510.linalg import MatrixTooLargeError
-from e510.sl5_reps import ambient_monomial
+from e510.linalg import MatrixTooLargeError, kernel_basis
+from e510.sl5_reps import ambient_monomial, eps_to_coords, is_dominant
+from e510.s5_verma import S5Verma
 from e510.verma import VermaModule, tensor_from_terms, proportional
 from e510.singular_search import (
     candidate_weights, search_module, sweep, dual_pair_check,
-    dominant_weights_up_to,
+    dominant_weights_up_to, condition_rows,
 )
 
 
@@ -100,3 +103,104 @@ def test_sweep_with_checkpoint(tmp_path):
     assert sweep(mus=mus, degrees=(1, 2), checkpoint=str(ck)) == first
     fresh = sweep(mus=mus, degrees=(1, 2))
     assert fresh == first
+
+
+# Reference blocks and rows: the scan of every monomial against every rep
+# vector that weight_blocks replaces, and the row assembly from Fraction
+# images that condition_rows replaces.  Verbatim but for the names.
+
+def ref_weight_blocks(self, d):
+    blocks = {}
+    for mono in self.monomials(d):
+        mw = self.monomial_weight(mono)
+        for i, rw in enumerate(self.rep.eps_weights):
+            c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
+            if is_dominant(c):
+                blocks.setdefault(c, []).append((mono, i))
+    for pairs in blocks.values():
+        pairs.sort()
+    return blocks
+
+
+def ref_condition_rows(module, block):
+    rows = {}
+    for j, pair in enumerate(block):
+        for label, img in module.conditions({pair: Q(1)}):
+            for key, c in img.items():
+                rows.setdefault((label, key), {})[j] = c
+    return rows
+
+
+def assert_rows_match_reference(rows, ref):
+    """Same rows in the same order, each a label's common multiple of ref.
+
+    Returns label -> that multiple, a positive integer.
+    """
+    assert list(rows) == list(ref)
+    scale = {}
+    for key, row in rows.items():
+        assert list(row) == list(ref[key])
+        assert all(type(n) is int for n in row.values())
+        for j, n in row.items():
+            ratio = Fraction(n) / ref[key][j]
+            assert scale.setdefault(key[0], ratio) == ratio
+    assert all(r.denominator == 1 and r > 0 for r in scale.values())
+    return scale
+
+
+MODULE_CLASSES = st.sampled_from((VermaModule, S5Verma))
+SMALL_MUS = st.sampled_from(dominant_weights_up_to(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 5))
+def test_weight_blocks_match_reference(cls, mu, d):
+    m = cls(mu)
+    assert m.weight_blocks(d) == ref_weight_blocks(m, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4), st.data())
+def test_condition_rows_and_kernels_match_reference(cls, mu, d, data):
+    m = cls(mu)
+    blocks = m.weight_blocks(d)
+    if not blocks:  # S5 has no monomials of odd degree
+        return
+    block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
+    rows, ref = condition_rows(m, block), ref_condition_rows(m, block)
+    assert_rows_match_reference(rows, ref)
+    columns = list(range(len(block)))
+    assert kernel_basis(list(rows.values()), columns) \
+        == kernel_basis(list(ref.values()), columns)
+
+
+def test_condition_rows_rescale_when_the_denominator_grows():
+    # a classify --budget 2 cell: the x5d45 images of the three columns
+    # have denominators 2, 4 and 8, so the label's rows are rescaled twice
+    m = VermaModule((2, 0, 0, 0))
+    block = m.weight_space(1, (1, 0, 1, 0))
+    x5d45 = dict(m.POSITIVE)["x5d45"]
+    assert [m.act_pieces_int(x5d45, {pair: 1})[1] for pair in block] \
+        == [2, 4, 8]
+    rows, ref = condition_rows(m, block), ref_condition_rows(m, block)
+    assert assert_rows_match_reference(rows, ref)["x5d45"] == 8
+    columns = list(range(len(block)))
+    assert kernel_basis(list(rows.values()), columns) \
+        == kernel_basis(list(ref.values()), columns) == []
+
+
+@pytest.mark.parametrize("cls, mu, d, nu", [
+    (VermaModule, (0, 0, 0, 0), 1, (0, 1, 0, 0)),
+    (VermaModule, (0, 0, 0, 1), 2, (1, 1, 0, 0)),
+    (S5Verma, (1, 0, 0, 0), 2, (0, 0, 0, 0)),
+    (S5Verma, (1, 0, 0, 0), 4, (0, 0, 0, 1)),
+])
+def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
+    m = cls(mu)
+    block = m.weight_space(d, nu)
+    rows, ref = condition_rows(m, block), ref_condition_rows(m, block)
+    assert_rows_match_reference(rows, ref)
+    columns = list(range(len(block)))
+    kern = kernel_basis(list(rows.values()), columns)
+    assert len(kern) == 1
+    assert kern == kernel_basis(list(ref.values()), columns)
