@@ -18,7 +18,7 @@ from .sl5_reps import build_irrep
 from .uminus import (EPS, PAIRS, ONE_MONO, TMATE, add_scaled, d_elem,
                      form_step, forms_elem, mono_degree, oriented, p_elem,
                      pair_eps, pair_mate, pbw_product, perm_sign, scale)
-from .verma import ad_e_mono
+from .verma import VermaModule
 
 
 def canonical_index(pairs):
@@ -252,11 +252,12 @@ def dw_product_residual(i, j, pairs):
 
 
 def equivariance_residual(a, b, pairs):
-    """ad(x_a p_b) on omega_I minus the entrywise index replacement."""
+    """ad(x_a p_b) on omega_I, as act_e on M(F(0,0,0,0)), minus the
+    entrywise index replacement."""
     pairs = tuple(tuple(p) for p in pairs)
-    out = {}
-    for mono, c in omega(pairs).items():
-        add_scaled(out, ad_e_mono(a, b, mono), c)
+    trivial = VermaModule((0, 0, 0, 0))
+    img = trivial.act_e(a, b, {(m, 0): c for m, c in omega(pairs).items()})
+    out = {m: c for (m, _), c in img.items()}
     for n, pr in enumerate(pairs):
         o = oriented(*pr)
         step = o and form_step(a, b, o[0])
@@ -420,23 +421,20 @@ def equivariant_family(module, w, check=True):
     for jj in range(1, rep_in.dim):
         par, low = rep_in.parents[jj]
         images[jj] = module.act_e(low + 1, low, images[par])
-    nums = []
-    for im in images:
-        den = _den(im.values())
-        nums.append((den, _numerators(im, den)))
+    iden = _den(v for im in images for v in im.values())
+    nums = [_numerators(im, iden) for im in images]
     for aa in range(1, 5):
         for x, y in ((aa, aa + 1), (aa + 1, aa)):
-            cols = rep_in.mat(x, y)
+            mden, cols = rep_in.mat(x, y)
             for jj in range(rep_in.dim):
                 acc, den = module.act_e_int(x, y, images[jj])
-                subs = [(cc, nums[ii]) for ii, cc in cols[jj].items()]
-                common = lcm(den, *(cc.denominator * d for cc, (d, _) in subs))
-                s = common // den
+                common = lcm(den, mden * iden)
+                s, t = common // den, common // (mden * iden)
                 got = {k: n * s for k, n in acc.items()}
-                for cc, (d, terms) in subs:
-                    t = cc.numerator * (common // (cc.denominator * d))
-                    for k, n in terms:
-                        got[k] = got.get(k, 0) - t * n
+                for ii, cc in cols[jj].items():
+                    tc = t * cc
+                    for k, n in nums[ii]:
+                        got[k] = got.get(k, 0) - tc * n
                 if any(got.values()):
                     raise ValueError(
                         "vector does not generate an equivariant family")

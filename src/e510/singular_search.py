@@ -147,6 +147,20 @@ def _is_cert_of(cert, key):
         return False
 
 
+def _vectors_hold(cert):
+    """Whether every vector of a saved certificate lies in the weight space
+    of its degree and weight and passes is_singular under its full_g1."""
+    module = VermaModule(parse_weight(cert["mu"]))
+    block = set(module.weight_space(cert["degree"],
+                                    parse_weight(cert["weight"])))
+    for terms in cert["vectors"]:
+        v = tensor_from_terms(terms)
+        if not (all(type(i) is int for _, i in v) and block.issuperset(v)
+                and module.is_singular(v, full_g1=cert["full_g1"])):
+            return False
+    return True
+
+
 def _load_checkpoint(path):
     """The saved "mu|degree" -> certificate list map, or {} when absent.
 
@@ -185,7 +199,9 @@ def search_cells(cells, checkpoint=None, entry_cap=200000, full_g1=False):
     with the requested full_g1 (an empty cell does not depend on it); any
     other cell is searched again and overwritten.  So interrupting and
     restarting yields byte-identical results, and a resumed run never mixes
-    in results computed under the other setting.
+    in results computed under the other setting.  Each vector of a reused
+    certificate is checked again as _vectors_hold says; a saved vector that
+    fails raises ConfigError naming the cell.
     """
     state = _load_checkpoint(checkpoint)
     out = []
@@ -197,6 +213,10 @@ def search_cells(cells, checkpoint=None, entry_cap=200000, full_g1=False):
             certs = state[key] = search_module(
                 mu, d, entry_cap=entry_cap, full_g1=full_g1)
             _save_checkpoint(checkpoint, state)
+        elif not all(map(_vectors_hold, certs)):
+            raise ConfigError("checkpoint %s: a saved vector of cell %s is "
+                              "not a singular vector of its degree and "
+                              "weight" % (checkpoint, key))
         out.append(certs)
     return out
 

@@ -16,7 +16,8 @@ weight vector under f_1..f_4, keeping an exact echelon per weight block, and
 records for each basis vector which lowering operator produced it from which
 earlier vector (used to transport vectors along module morphisms).  The
 closure starts from a monomial and acts with integers, so the basis
-vectors are integral: their coefficients are ints.
+vectors are integral: their coefficients are ints.  Irrep.mat keeps the
+matrices of x_a p_b as integer columns over one denominator.
 
 Irrep.project takes the F-component of an ambient vector of F's multidegree
 by orthogonal projection under the monomial form <x^A, x^B> = delta_AB * A!,
@@ -31,9 +32,9 @@ invariant complement.
 from functools import lru_cache
 from math import factorial
 
-from .scalars import Q
+from .scalars import _den, _numerators, _scalars
 from .linalg import Echelon
-from .uminus import PAIRS, PAIR_INDEX, add_scaled, form_step
+from .uminus import PAIRS, PAIR_INDEX, form_step
 
 # block order inside an ambient monomial key
 _X, _W, _WD, _XD = 0, 1, 2, 3
@@ -239,26 +240,28 @@ class Irrep:
         return {k: v for k, v in out.items() if v}
 
     def mat(self, a, b):
-        """Columns of x_a p_b on the basis: list of dicts row -> Q."""
-        key = (a, b)
-        if key not in self._mats:
-            cols = []
-            for j in range(self.dim):
-                if a == b:
-                    ev = self.eps_weights[j][a - 1]
-                    cols.append({j: Q(ev)} if ev else {})
-                else:
-                    cols.append(self.coords(act_ambient(a, b, self.basis[j])))
-            self._mats[key] = cols
-        return self._mats[key]
+        """x_a p_b on the basis as (den, columns of int numerators)."""
+        got = self._mats.get((a, b))
+        if got is None:
+            if a == b:
+                got = (1, [{j: w[a - 1]} if w[a - 1] else {}
+                           for j, w in enumerate(self.eps_weights)])
+            else:
+                cols = [self.coords(act_ambient(a, b, v)) for v in self.basis]
+                den = _den(v for col in cols for v in col.values())
+                got = (den, [dict(_numerators(col, den)) for col in cols])
+            self._mats[(a, b)] = got
+        return got
 
     def act(self, a, b, coeffs):
         """x_a p_b on a coordinate vector (dict index -> scalar)."""
-        cols = self.mat(a, b)
-        out = {}
-        for j, c in coeffs.items():
-            add_scaled(out, cols[j], c)
-        return out
+        den, cols = self.mat(a, b)
+        cden = _den(coeffs.values())
+        acc = {}
+        for j, n in _numerators(coeffs, cden):
+            for i, v in cols[j].items():
+                acc[i] = acc.get(i, 0) + n * v
+        return _scalars(acc, cden * den)
 
     def coord_weight(self, idx):
         return eps_to_coords(self.eps_weights[idx])
@@ -335,12 +338,13 @@ def highest_weight_vectors(rep: Irrep):
     """Indices-with-coefficients of the joint kernel of e_1..e_4.
 
     Returns a list of coordinate dicts; for an irreducible module this is a
-    single vector supported on index 0.
+    single vector supported on index 0.  Dropping the denominator of
+    Irrep.mat does not change the kernel.
     """
     from .linalg import kernel_basis
     rows = {}
     for i in range(1, 5):
-        cols = rep.mat(i, i + 1)
+        _, cols = rep.mat(i, i + 1)
         for j in range(rep.dim):
             for r, v in cols[j].items():
                 rows.setdefault((i, r), {})[j] = v

@@ -23,12 +23,16 @@ pair_eps and pair_mate give eps and t, and form_step is x_a p_b on a
 2-form, the pair with index b replaced by a.  U(g_-) has integer structure
 constants, so the generators d_elem, p_elem and forms_elem and all their
 products have int coefficients; exact scalars enter with the caller's own
-coefficients.
+coefficients.  product_int is the one product loop; pbw_product and the
+left multiplication of the Verma modules are views of it.
 """
 
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations
+from math import comb, lcm
+from operator import add
+
+from .scalars import Q, _den, _numerators
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
          (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
@@ -178,19 +182,6 @@ def _order_forms(left, right):
     return tuple(terms.items())
 
 
-def mono_product(a, b):
-    """Product of two PBW monomials as a dict monomial -> int coefficient."""
-    pa, fa = a
-    pb, fb = b
-    base = tuple(x + y for x, y in zip(pa, pb))
-    out = {}
-    for (dparts, forms), c in _order_forms(fa, fb):
-        parts = tuple(x + y for x, y in zip(base, dparts))
-        key = (parts, forms)
-        out[key] = out.get(key, 0) + c
-    return out
-
-
 def add_scaled(dst, src, c):
     """dst += c * src in place (dicts monomial -> scalar)."""
     if not c:
@@ -210,19 +201,50 @@ def scale(elem, c):
     return {k: c * v for k, v in elem.items()}
 
 
+def product_int(pairs):
+    """The sum of the products u * elem over (u, elem) pairs, fraction-free.
+
+    elem is keyed (monomial, tag), u multiplies the monomial and the tag
+    (a rep index) rides along.  Returns (int numerators keyed like elem,
+    possibly zero, common denominator).
+    """
+    work = []
+    den = 1
+    for u, elem in pairs:
+        if u and elem:
+            du, de = _den(u.values()), _den(elem.values())
+            work.append((u, du, elem, de))
+            den = lcm(den, du * de)
+    acc = {}
+    for u, du, elem, de in work:
+        by_mono = {}
+        for (m, i), n in _numerators(elem, de):
+            by_mono.setdefault(m, []).append((i, n))
+        s = den // (du * de)
+        for (pu, fu), nu in _numerators(u, du):
+            nu *= s
+            for (pm, fm), terms in by_mono.items():
+                base = tuple(map(add, pu, pm))
+                for (dp, forms), k in _order_forms(fu, fm):
+                    # dp is ZERO_PARTIALS itself unless a d_p d_q
+                    # contraction produced a p_t
+                    parts = base if dp is ZERO_PARTIALS else \
+                        tuple(map(add, base, dp))
+                    m2 = (parts, forms)
+                    nk = nu * k
+                    for i, n in terms:
+                        key = (m2, i)
+                        acc[key] = acc.get(key, 0) + nk * n
+    return acc, den
+
+
 def pbw_product(a, b):
-    """Product of two elements of U(g_-) in PBW normal form."""
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            c = ca * cb
-            for m, k in mono_product(ma, mb).items():
-                s = out.get(m, 0) + c * k
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-    return out
+    """Product of two elements of U(g_-) in PBW normal form (ints stay
+    ints)."""
+    acc, den = product_int(((a, {(m, None): c for m, c in b.items()}),))
+    if all(type(c) is int for c in chain(a.values(), b.values())):
+        return {m: n for (m, _), n in acc.items() if n}
+    return {m: Q(n, den) for (m, _), n in acc.items() if n}
 
 
 def d_elem(i, j):

@@ -22,6 +22,7 @@ scalar, so its results are exact.
 
 The gl5 symbol x_a p_b acts on U(g_-) as a derivation, and the p's are
 central, so [x_a p_b, p^P w] = -P_a p^(P - e_a + e_b) w + p^P [x_a p_b, w].
+act_e_int is its one copy: U(g_-) under ad gl5 is M(F(0,0,0,0)).
 
 The actions are fraction-free: an input's coefficients go over one common
 denominator, numerators accumulate as ints keyed by (monomial, rep index),
@@ -33,7 +34,7 @@ _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
 (k, f, w), at most 50 x 2^10; p^P enters while the actions accumulate.
 act_e_int, act_pieces_int and int_conditions return the integer
 numerators with their denominator, so the search assembles its condition
-rows without building scalars.
+rows without building scalars; the rep matrices are those of Irrep.mat.
 
 The search blocks are indexed by dominant weight in fundamental
 coordinates.  Coordinates add, so weight_blocks groups the monomials and
@@ -47,7 +48,7 @@ from operator import add
 from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
 from .uminus import (
     PAIRS, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms, mono_degree,
-    mono_weight, add_scaled, d_elem, p_elem, form_step,
+    mono_weight, add_scaled, d_elem, p_elem, form_step, product_int,
     enumerate_monomials, format_monomial, parse_monomial,
 )
 from .sl5_reps import build_irrep, eps_to_coords, is_dominant
@@ -79,34 +80,16 @@ def _ad_e_forms(a, b, forms):
     return got
 
 
-def ad_e_mono(a, b, mono):
-    """[x_a p_b, mono] inside U(g_-), extending the bracket as a derivation.
-
-    Well defined termwise on PBW monomials; only traceless aggregates over
-    (a, b) are actions of actual algebra elements.  The p_a term, then the
-    pieces of the form word shifted by the p-exponents (module docstring).
-    """
-    parts, forms = mono
-    out = {}
-    if parts[a - 1]:
-        pl = list(parts)
-        pl[a - 1] -= 1
-        pl[b - 1] += 1
-        out[(tuple(pl), forms)] = -parts[a - 1]
-    return add_scaled(out, {(tuple(map(add, parts, dp)), f2): c
-                            for (dp, f2), c in _ad_e_forms(a, b, forms)}, 1)
-
-
 def xd_pieces(k, f, forms):
     """x_k d_(pair f) past p^P on the form word w, as act_pieces pieces.
 
     Termwise bookkeeping; sum over a closed combination of symbols to act
     with an actual degree +1 element.  Two Leibniz terms (module
     docstring): D = 0, the sum over the 2-forms of w, where the g_0
-    element x_k p_t of the j-th term acts on the tail through the pieces
-    of ad_e_mono (into A) and on v (into B); each t comes from one q_j, so
-    B[k, t] is the single word w without q_j.  D = e_k, the factor -1 on
-    the shared pieces of d_f w.  Cached per (k, f, forms).
+    element x_k p_t of the j-th term acts on the tail through the
+    form-word pieces of act_e_int (into A) and on v (into B); each t comes
+    from one q_j, so B[k, t] is the single word w without q_j.  D = e_k,
+    the factor -1 on the shared pieces of d_f w.  Cached per (k, f, forms).
     """
     key = (k, f, forms)
     got = _XD_CACHE.get(key)
@@ -149,7 +132,6 @@ class InducedModule:
         self.mu = tuple(mu)
         self.rep = build_irrep(self.mu)
         self._blocks = {}
-        self._int_mats = {}
 
     def weight_blocks(self, d):
         """Dominant weight -> sorted basis pairs (monomial, rep index), degree d.
@@ -242,45 +224,8 @@ class InducedModule:
         return self.mult_sum(((u, elem),))
 
     def mult_sum(self, pairs):
-        """The sum of the left multiplications u * elem over (u, elem) pairs."""
-        work = []
-        den = 1
-        for u, elem in pairs:
-            if u and elem:
-                du, de = _den(u.values()), _den(elem.values())
-                work.append((u, du, elem, de))
-                den = lcm(den, du * de)
-        acc = {}
-        for u, du, elem, de in work:
-            by_mono = {}
-            for (m, i), n in _numerators(elem, de):
-                by_mono.setdefault(m, []).append((i, n))
-            s = den // (du * de)
-            for (pu, fu), nu in _numerators(u, du):
-                nu *= s
-                for (pm, fm), terms in by_mono.items():
-                    base = tuple(map(add, pu, pm))
-                    for (dp, forms), k in _order_forms(fu, fm):
-                        # dp is ZERO_PARTIALS itself unless a d_p d_q
-                        # contraction produced a p_t
-                        parts = base if dp is ZERO_PARTIALS else \
-                            tuple(map(add, base, dp))
-                        m2 = (parts, forms)
-                        nk = nu * k
-                        for i, n in terms:
-                            key = (m2, i)
-                            acc[key] = acc.get(key, 0) + nk * n
-        return _scalars(acc, den)
-
-    def _int_mat(self, a, b):
-        """x_a p_b on the rep as (den, columns of numerators over den)."""
-        got = self._int_mats.get((a, b))
-        if got is None:
-            cols = self.rep.mat(a, b)
-            den = _den(v for col in cols for v in col.values())
-            got = (den, [dict(_numerators(col, den)) for col in cols])
-            self._int_mats[(a, b)] = got
-        return got
+        """The sum of u * elem over (u, elem) pairs, as uminus.product_int."""
+        return _scalars(*product_int(pairs))
 
     def act_e(self, a, b, elem):
         """A single gl5 symbol x_a p_b; traceless aggregates are genuine."""
@@ -290,11 +235,11 @@ class InducedModule:
         """act_e as (integer numerators keyed like elem, common denominator).
 
         Numerators may be zero; act_e drops those when it builds scalars.
-        The bracket with the monomial is ad_e_mono, accumulated in place:
-        the p_a term directly, then the cached form-word pieces shifted by
-        the monomial's p-exponents.
+        The bracket [x_a p_b, p^P w] (module docstring) is accumulated in
+        place: the p_a term directly, then the cached form-word pieces of
+        [x_a p_b, w] shifted by P.
         """
-        mden, cols = self._int_mat(a, b)
+        mden, cols = self.rep.mat(a, b)
         eden = _den(elem.values())
         acc = {}
         for (m, i), n in _numerators(elem, eden):
@@ -354,7 +299,7 @@ class InducedModule:
                     for ab, _, _ in B:
                         mat_keys.add(ab)
                     terms.append((base, i, nx * n * c, A, B))
-        mats = {ab: self._int_mat(*ab) for ab in mat_keys}
+        mats = {ab: self.rep.mat(*ab) for ab in mat_keys}
         mden = lcm(*(d for d, _ in mats.values()))
         acc = {}
         for base, i, n, A, B in terms:
@@ -439,10 +384,14 @@ class VermaModule(InducedModule):
         together with the raising conditions this kills all of g_1, since
         the annihilator is closed under bracketing with raisings and g_1 is
         generated from x_5 d_45 by them.  full_g1 sweeps all 40 basis
-        elements as well.
+        elements as well (kills_g1).
         """
-        return super().is_singular(elem) and not (full_g1 and any(
-            self.act(x, elem) for x in g1_basis()))
+        return super().is_singular(elem) and (
+            not full_g1 or self.kills_g1(elem))
+
+    def kills_g1(self, elem):
+        """Whether each of the 40 basis elements of g_1 annihilates elem."""
+        return not any(self.act(x, elem) for x in g1_basis())
 
 
 def tensor_terms(elem):

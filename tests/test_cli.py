@@ -96,6 +96,58 @@ def test_sweep_checkpoint_resume(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_tampered_checkpoint_vectors_exit_two(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    argv = ["sweep", "--budget", "1", "--degree", "1", "--format", "json",
+            "--checkpoint", str(ck)]
+    assert main(argv + ["--output", str(tmp_path / "a.json")]) == 0
+    saved = json.loads(ck.read_text())
+    # the first term of the first vector of a cell, rewritten: p1 has
+    # degree 2, d13 another weight, p1^-1 d12 d13 d14 a negative exponent,
+    # F(0,0,0,0) has the one index 0, and the F(0,0,0,1) vector with one
+    # coefficient changed stays in its block but is not singular
+    for cell, field, value in (("0,0,0,0|1", "monomial", "p1"),
+                               ("0,0,0,0|1", "monomial", "d13"),
+                               ("0,0,0,0|1", "monomial", "p1^-1 d12 d13 d14"),
+                               ("0,0,0,0|1", "index", 1),
+                               ("0,0,0,0|1", "index", -1),
+                               ("0,0,0,1|1", "coeff", "7")):
+        state = json.loads(json.dumps(saved))
+        state[cell][0]["vectors"][0][0][field] = value
+        ck.write_text(json.dumps(state))
+        assert main(argv) == 2, (cell, field, value)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: checkpoint ")
+        assert "cell %s " % cell in captured.err
+
+
+def test_entry_cap_too_small_exits_two(capsys):
+    # every command's first block holds more than one entry
+    for argv in (["search", "--mu", "0,0,0,1", "--degree", "1"],
+                 ["sweep", "--mu", "0,0,0,1", "--degree", "1"],
+                 ["classify", "--budget", "1", "--max-degree", "1"],
+                 ["dual", "--mu", "0,0,0,1", "--degree", "1",
+                  "--weight", "1,0,0,0"],
+                 ["s5-baseline"]):
+        assert main(argv + ["--entry-cap", "1"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "raise the cap" in captured.err
+
+
+def test_skip_g1_gives_the_same_records(tmp_path):
+    argv = ["verify-catalog", "--family", "1A", "--m", "0..1", "--n", "0",
+            "--format", "json", "--output"]
+    full, skip = tmp_path / "full.json", tmp_path / "skip.json"
+    assert main(argv + [str(full)]) == 0
+    assert main(argv + [str(skip), "--skip-g1"]) == 0
+    records = json.loads(full.read_text())["records"]
+    assert len(records) == 2 and all(r["ok"] for r in records)
+    assert json.loads(skip.read_text())["records"] == records
+
+
 def test_dual_roundtrip_through_file(tmp_path):
     certs = tmp_path / "certs.json"
     assert main(["search", "--mu", "0,0,1,0", "--degree", "1",

@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import kernel_refs as ref
 from e510.scalars import Q
 from e510.sl5_reps import ambient_monomial
 from e510.s5_verma import (
@@ -110,7 +111,7 @@ def ref_act_e(module, a, b, elem):
             m2[a - 1] -= 1
             m2[b - 1] += 1
             add_scaled(out, {((tuple(m2), ()), i): Q(1)}, Q(-m[a - 1]) * c)
-        for i2, cv in module.rep.mat(a, b)[i].items():
+        for i2, cv in ref.mat(module.rep, a, b)[i].items():
             add_scaled(out, {((m, ()), i2): Q(1)}, c * cv)
     return out
 
@@ -129,7 +130,7 @@ def ref_act_quad(module, field, elem):
                     base = list(m)
                     base[i - 1] -= 1
                     cc = Q(-m[i - 1]) * dc * c0
-                    for i2, cv in module.rep.mat(var, k)[idx].items():
+                    for i2, cv in ref.mat(module.rep, var, k)[idx].items():
                         add_scaled(out, {((tuple(base), ()), i2): Q(1)},
                                    cc * cv)
             for i in range(1, 6):
@@ -178,8 +179,9 @@ def exact_and_sparse(out):
 
 def test_property_modules_cover_rep_denominators():
     m = PROPERTY_MODULES[(2, 0, 0, 0)]
-    dens = {v.denominator for a in range(1, 6) for b in range(1, 6)
-            for col in m.rep.mat(a, b) for v in col.values()}
+    dens = {Q(n, den).denominator for a in range(1, 6) for b in range(1, 6)
+            for den, cols in [m.rep.mat(a, b)]
+            for col in cols for n in col.values()}
     assert {2, 4, 8} <= dens
 
 

@@ -5,6 +5,7 @@ from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
+import kernel_refs as ref
 from e510.linalg import Echelon, kernel_basis
 from e510.scalars import Q
 from e510.sl5_reps import (
@@ -100,6 +101,41 @@ def test_diagonal_action_matches_weights():
             col = rep.act(a, a, {j: Q(1)})
             ev = rep.eps_weights[j][a - 1]
             assert col == ({j: Q(ev)} if ev else {})
+
+
+# F(2,0,0,0) has matrices with denominators 2, 4 and 8; the dual and
+# mixed weights reach the dual factors and the wedges
+MAT_WEIGHTS = ((2, 0, 0, 0), (0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 0, 1))
+
+
+def test_mat_matches_rational_reference():
+    dens = set()
+    for weight in MAT_WEIGHTS:
+        rep = build_irrep(weight)
+        for a in range(1, 6):
+            for b in range(1, 6):
+                den, cols = rep.mat(a, b)
+                assert (den, cols) == ref.int_mat(rep, a, b)
+                assert [{i: Q(n, den) for i, n in col.items()}
+                        for col in cols] == ref.mat(rep, a, b)
+                assert all(type(n) is int and n
+                           for col in cols for n in col.values())
+                dens.add(den)
+    assert {2, 4, 8} <= dens
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_act_matches_rational_reference(data):
+    rep = build_irrep(data.draw(st.sampled_from(MAT_WEIGHTS)))
+    a, b = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    coeffs = data.draw(st.dictionaries(
+        st.integers(0, rep.dim - 1),
+        st.builds(Q, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+        max_size=4))
+    got = rep.act(a, b, coeffs)
+    assert got == ref.act(rep, a, b, coeffs)
+    assert all(isinstance(v, Q) and v for v in got.values())
 
 
 def test_basis_vectors_are_integral():

@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement as cwr
 
 from hypothesis import given, settings, strategies as st
 
+import kernel_refs as ref
+
 from e510.e510_algebra import bracket
 from e510.scalars import Q, qstr
 from e510.sl5_reps import act_ambient
@@ -283,10 +285,12 @@ def _digest(rows):
 
 
 def test_users_of_form_step_match_recorded_outputs():
-    """act_ambient, bracket and ad_e_mono on every input of a fixed range,
+    """act_ambient, bracket and ad(x_a p_b) on every input of a fixed range,
     against SHA-256 digests of their outputs when each module still held
-    its own copy of the index rules above."""
-    from e510.verma import ad_e_mono
+    its own copy of the index rules above.  ad(x_a p_b) was ad_e_mono then
+    and is act_e on M(F(0,0,0,0)) now."""
+    from e510.verma import VermaModule
+    trivial = VermaModule((0, 0, 0, 0))
     rows = []
     for prof in ((0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)):
         for mono in _profile_monomials(prof):
@@ -302,7 +306,8 @@ def test_users_of_form_step_match_recorded_outputs():
             for x in syms for y in syms if {x[0], y[0]} != {"xd"}]
     assert _digest(rows) == \
         "a4b71c24106b305afd6fbbc59941e3f76f2d9b9bc464d4662d1ed9ba536a6f38"
-    rows = [((a, b, mono), ad_e_mono(a, b, mono))
+    rows = [((a, b, mono), {m: c for (m, _), c in
+                            trivial.act_e(a, b, {(mono, 0): 1}).items()})
             for d in range(5) for mono in enumerate_monomials(d)
             for a in range(1, 6) for b in range(1, 6)]
     assert _digest(rows) == \
@@ -338,3 +343,25 @@ def test_integer_words_match_fraction_reference(word):
         ref = pbw_product(ref, _ref_generator(g))
     assert got == ref
     assert all(type(c) is int for c in got.values())
+
+
+SMALL_MONOS = [m for d in range(5) for m in enumerate_monomials(d)]
+INT_ELEMS = st.dictionaries(st.sampled_from(SMALL_MONOS),
+                            st.integers(-6, 6).filter(bool), max_size=5)
+Q_ELEMS = st.dictionaries(
+    st.sampled_from(SMALL_MONOS),
+    st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+    max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(INT_ELEMS, Q_ELEMS), st.one_of(INT_ELEMS, Q_ELEMS))
+def test_pbw_product_matches_mono_product_loop(a, b):
+    got = pbw_product(a, b)
+    want = ref.pbw_product(a, b)
+    assert got == want
+    # the same coefficient types: ints from int elements, exact scalars
+    # as soon as one factor holds one
+    assert [type(got[m]) for m in want] == [type(c) for c in want.values()]
+    if all(type(c) is int for c in (*a.values(), *b.values())):
+        assert all(type(c) is int for c in got.values())

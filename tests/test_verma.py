@@ -4,11 +4,12 @@ from operator import add
 
 from hypothesis import example, given, settings, strategies as st
 
+import kernel_refs as ref
 from e510 import verma
 from e510.scalars import Q
 from e510.uminus import (
     EPS, PAIRS, TMATE, ONE_MONO, ZERO_PARTIALS, add_scaled, d_elem, p_elem,
-    pbw_product, enumerate_monomials, mono_product, scale, form_step,
+    pbw_product, enumerate_monomials, scale, form_step,
 )
 from e510.sl5_reps import ambient_monomial
 from e510.e510_algebra import (
@@ -208,7 +209,7 @@ def ref_mult(u, elem):
     out = {}
     for (m, i), c in elem.items():
         for mu_, cu in u.items():
-            for m2, kk in mono_product(mu_, m).items():
+            for m2, kk in ref.mono_product(mu_, m).items():
                 add_scaled(out, {(m2, i): Q(1)}, c * cu * kk)
     return out
 
@@ -218,7 +219,7 @@ def ref_act_e(module, a, b, elem):
     for (m, i), c in elem.items():
         for m2, ca in ref_ad_e_mono(a, b, m).items():
             add_scaled(out, {(m2, i): Q(1)}, c * ca)
-        for i2, cv in module.rep.mat(a, b)[i].items():
+        for i2, cv in ref.mat(module.rep, a, b)[i].items():
             add_scaled(out, {(m, i2): Q(1)}, c * cv)
     return out
 
@@ -230,7 +231,7 @@ def ref_act_xd(module, k, f, elem):
         for m2, ca in A.items():
             add_scaled(out, {(m2, i): Q(1)}, c * ca)
         for (a, b), u in B.items():
-            for i2, cv in module.rep.mat(a, b)[i].items():
+            for i2, cv in ref.mat(module.rep, a, b)[i].items():
                 cc = c * cv
                 for m2, cu in u.items():
                     add_scaled(out, {(m2, i2): Q(1)}, cc * cu)
@@ -513,6 +514,17 @@ def test_xd_cache_is_keyed_on_form_words():
         assert all(type(q) is int and 0 <= q <= 9 for q in forms)
 
 
+TRIVIAL = VermaModule((0, 0, 0, 0))
+
+
+def trivial_ad_e(a, b, mono):
+    """[x_a p_b, mono] as act_e_int on M(F(0,0,0,0)) gives it: the
+    numerators over the denominator 1, zeros dropped."""
+    acc, den = TRIVIAL.act_e_int(a, b, {(mono, 0): 1})
+    assert den == 1
+    return {m: n for (m, _), n in acc.items() if n}
+
+
 # d23 d45: x_1 p_4 turns d45 into d15, and d23 d15 = -d15 d23 - p_4
 @example(1 << 4 | 1 << 9, [0, 0, 0, 0, 0], 0, 1)
 @settings(max_examples=60, deadline=None)
@@ -531,15 +543,35 @@ def test_ad_e_matches_reference(word, exps, i, word2):
     elem = {(mono, i): Q(2, 3), (mono2, 4 - i): Q(-5)}
     for a in range(1, 6):
         for b in range(1, 6):
-            got = verma.ad_e_mono(a, b, mono)
+            got = trivial_ad_e(a, b, mono)
             assert got == ref_ad_e_mono(a, b, mono)
             assert all(type(c) is int and c for c in got.values())
             acc, den = m.act_e_int(a, b, elem)
             assert {k: Q(n, den) for k, n in acc.items() if n} \
                 == ref_act_e(m, a, b, elem)
     if mono == (ZERO_PARTIALS, (4, 9)):
-        assert verma.ad_e_mono(1, 4, mono) \
+        assert trivial_ad_e(1, 4, mono) \
             == {(ZERO_PARTIALS, (3, 4)): -1, ((0, 0, 0, 1, 0), ()): -1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.lists(st.integers(0, 3), min_size=5, max_size=5).map(tuple),
+              st.integers(0, 1023).map(
+                  lambda w: tuple(q for q in range(10) if w >> q & 1))),
+    scalars, min_size=1, max_size=4))
+def test_act_e_on_trivial_module_matches_ad_e_mono(u):
+    # U(g_-) with the adjoint gl5 action is M(F(0,0,0,0)): act_e there is
+    # the sum of c * ad_e_mono over the terms, for every symbol x_a p_b
+    elem = {(mono, 0): c for mono, c in u.items()}
+    for a in range(1, 6):
+        for b in range(1, 6):
+            want = {}
+            for mono, c in u.items():
+                add_scaled(want, ref.ad_e_mono(a, b, mono), c)
+            got = TRIVIAL.act_e(a, b, elem)
+            assert {m: c for (m, _), c in got.items()} == want
+            assert all(i == 0 for _, i in got) and exact_and_sparse(got)
 
 
 def test_ad_e_cache_is_keyed_on_form_words():
