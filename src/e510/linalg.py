@@ -2,10 +2,18 @@
 
 Rows are dicts column_key -> value with arbitrary orderable column keys.
 One fraction-free reduction loop, Echelon._reduce, serves kernels, ranks
-and member coordinates: every row is scaled to an integer vector, and the
-elimination never divides except by the gcd that keeps rows primitive.
-Scalars are built only by kernel back-substitution and by coords.  All
-orderings are canonical, which makes results byte-for-byte reproducible.
+and member coordinates: every row is scaled to an integer vector (rows of
+ints go in as they are), and the elimination never divides except by the
+gcd that keeps rows primitive.  Scalars are built only by kernel
+back-substitution and by coords.  All orderings are canonical, which makes
+results byte-for-byte reproducible.
+
+kernel_basis returns a function of the row space alone: the pivot columns
+of an echelon of a row space do not depend on the order or the positive
+scale of the rows that span it, and the kernel vector that is 1 on one
+free column and 0 on the others is unique.  So it may stop inserting rows
+as soon as the pivots cover every column: the kernel is then 0, whatever
+the remaining rows are.
 """
 
 from math import gcd
@@ -33,6 +41,17 @@ def _make_primitive(row, combo):
         for part in parts:
             for k in part:
                 part[k] //= g
+
+
+def _integer_row(row):
+    """(den, a new dict of the nonzero int numerators of row over den)."""
+    values = row.values()
+    if all(type(v) is int for v in values):
+        if all(values):
+            return 1, dict(row)
+        return 1, {k: v for k, v in row.items() if v}
+    den = _den(values)
+    return den, {k: n for k, n in _numerators(row, den) if n}
 
 
 def _eliminate(residual, pivval, coefficient, pivrow):
@@ -66,11 +85,12 @@ class Echelon:
 
     def _reduce(self, row, tag):
         # the integer row starts as den * member_tag, and every step keeps
-        # row == sum(combo[t] * member_t)
-        den = _den(row.values())
-        row = {k: n for k, n in _numerators(row, den) if n}
+        # row == sum(combo[t] * member_t).  A step is linear in (row, combo),
+        # so dividing by a gcd only scales what follows: the pair is made
+        # primitive after the steps that scale it by more than a sign, and
+        # once at the end.
+        den, row = _integer_row(row)
         combo = None if tag is None else {tag: den}
-        _make_primitive(row, combo)
         while row:
             lead = min(row)
             hit = self.pivots.get(lead)
@@ -81,7 +101,9 @@ class Echelon:
             _eliminate(row, pivval, c, prow)
             if combo is not None:
                 _eliminate(combo, pivval, c, pcombo)
-            _make_primitive(row, combo)
+            if pivval != 1 and pivval != -1:
+                _make_primitive(row, combo)
+        _make_primitive(row, combo)
         return row, combo
 
     def insert(self, row, tag):
@@ -111,7 +133,9 @@ def kernel_basis(rows, column_order, entry_cap=None):
     column_order: list fixing the canonical coordinate order.
     Returns kernel vectors as dicts column_key -> Q, each normalized so its
     first nonzero coordinate (in column_order) is 1, sorted by the position
-    of that coordinate.
+    of that coordinate.  The result depends only on the span of the rows
+    (module docstring): row order, duplicates and positive row scales do
+    not change it, and the insertion stops with [] once the rank is full.
     """
     rows = [r for r in rows if r]
     if entry_cap is not None:
@@ -121,13 +145,16 @@ def kernel_basis(rows, column_order, entry_cap=None):
                 "search block has %d stored entries (cap %d); raise the cap "
                 "to proceed" % (entries, entry_cap))
     colpos = {c: i for i, c in enumerate(column_order)}
+    ncols = len(column_order)
     ech = Echelon()
+    pivots = ech.pivots
     for row in sorted(({colpos[c]: v for c, v in r.items() if v} for r in rows),
                       key=lambda r: (len(r), sorted(r))):
         ech.insert(row, None)
+        if len(pivots) == ncols:
+            return []
 
-    pivots = ech.pivots
-    free = [i for i in range(len(column_order)) if i not in pivots]
+    free = [i for i in range(ncols) if i not in pivots]
     basis = []
     for f in free:
         x = {f: Q(1)}

@@ -8,18 +8,20 @@ raisings, and the degree +1 part is generated from x_5 d_45 by them.
 
 For a fixed (degree, weight) block the conditions are one sparse linear
 system; its kernel is computed exactly over the rationals.  The rows are
-integer: each condition image comes as integer numerators over a
-denominator (InducedModule.int_conditions), the rows of one condition
-share the lcm of its denominators, and a row's scale does not change its
-kernel.  Any vector in the kernel is re-verified through the module
-action before being reported in a certificate.  The driver reads only the
-protocol of verma.InducedModule, so the S5 baseline of s5_verma runs
-through it too.
+integer and assembled in one pass per block (condition_rows): the module
+gives the images of each basis pair as integer numerators
+(InducedModule.block_conditions), with the rep matrices looked up once
+per block, and the rows of one condition share one denominator.  A row's
+positive scale and the order of the rows do not change the kernel, and
+linalg.kernel_basis stops as soon as the rank is full.  Any vector in the
+kernel is re-verified through the module action before being reported in
+a certificate; a vector that fails raises VerificationError naming the
+first condition it fails.  The driver reads only the protocol of
+verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
 """
 
 import json
 import os
-from math import lcm
 
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
@@ -38,28 +40,17 @@ def condition_rows(module, block):
     """Integer condition rows of a block, keyed by (label, image key).
 
     Column j is the basis pair block[j], and its condition images
-    (module.int_conditions) give the entries of column j.  All rows of a
-    label share one denominator, the lcm of its images' denominators so
-    far: when an image's denominator does not divide it, the label's rows
-    are rescaled to the new lcm.  So each row is its rational row times the
-    label's final lcm.
+    (module.block_conditions) give the entries of column j.  Rows appear
+    column by column, labels in condition order within a column.  All rows
+    of a label share one denominator over the block, so each row is its
+    rational row times one positive integer per label.
     """
     rows = {}
-    dens = {}
-    for j, pair in enumerate(block):
-        for label, (acc, den) in module.int_conditions({pair: 1}):
-            common = dens.setdefault(label, den)
-            if common % den:
-                grown = lcm(common, den)
-                for (lab, _), row in rows.items():
-                    if lab == label:
-                        for k in row:
-                            row[k] *= grown // common
-                common = dens[label] = grown
-            s = common // den
+    for j, images in enumerate(module.block_conditions(block)):
+        for label, acc in images:
             for key, n in acc.items():
                 if n:
-                    rows.setdefault((label, key), {})[j] = n * s
+                    rows.setdefault((label, key), {})[j] = n
     return rows
 
 
@@ -79,7 +70,9 @@ def search_blocks(module, d, nu=None, entry_cap=200000, **checks):
     One certificate per weight with a nonzero kernel; candidates are all
     dominant block weights unless nu pins one (dominant) weight down.  Every
     kernel vector is re-verified through module.is_singular(vector,
-    **checks), and the certificate records those re-check options.
+    **checks), and the certificate records those re-check options.  A
+    vector that fails raises VerificationError with the label that
+    module.failed_condition gives.
     """
     cands = [tuple(nu)] if nu is not None else candidate_weights(module, d)
     certs = []
@@ -90,7 +83,8 @@ def search_blocks(module, d, nu=None, entry_cap=200000, **checks):
         for v in vectors:
             if not module.is_singular(v, **checks):
                 raise VerificationError(weight_str(module.mu), d,
-                                        weight_str(cand), checks)
+                                        weight_str(cand), checks,
+                                        module.failed_condition(v, **checks))
         certs.append(dict(
             algebra=module.algebra,
             mu=weight_str(module.mu),

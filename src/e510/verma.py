@@ -22,7 +22,7 @@ scalar, so its results are exact.
 
 The gl5 symbol x_a p_b acts on U(g_-) as a derivation, and the p's are
 central, so [x_a p_b, p^P w] = -P_a p^(P - e_a + e_b) w + p^P [x_a p_b, w].
-act_e_int is its one copy: U(g_-) under ad gl5 is M(F(0,0,0,0)).
+_act_e_terms is its one copy: U(g_-) under ad gl5 is M(F(0,0,0,0)).
 
 The actions are fraction-free: an input's coefficients go over one common
 denominator, numerators accumulate as ints keyed by (monomial, rep index),
@@ -33,8 +33,11 @@ stored as ints.  Both caches are keyed on form words, not monomials:
 _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
 (k, f, w), at most 50 x 2^10; p^P enters while the actions accumulate.
 act_e_int, act_pieces_int and int_conditions return the integer
-numerators with their denominator, so the search assembles its condition
-rows without building scalars; the rep matrices are those of Irrep.mat.
+numerators with their denominator; the rep matrices are those of
+Irrep.mat.  Their loops, _act_e_terms, _leibniz_terms and _leibniz_acc,
+take numerators and rep matrices as arguments, so block_conditions
+applies the conditions to every basis pair of a search block with the
+rep matrices looked up once per block, and builds no scalars.
 
 The search blocks are indexed by dominant weight in fundamental
 coordinates.  Coordinates add, so weight_blocks groups the monomials and
@@ -113,6 +116,60 @@ def xd_pieces(k, f, forms):
             got.append((_UNIT_DELTAS[k - 1], -1, df_w, ()))
         got = _XD_CACHE[key] = tuple(got)
     return got
+
+
+def _act_e_terms(a, b, enums, mat):
+    """x_a p_b on the terms ((m, i), n) of enums, as integer numerators.
+
+    mat is rep.mat(a, b), (den, columns); the numerators are over den times
+    the denominator of the n.  The bracket [x_a p_b, p^P w] (module
+    docstring) is accumulated in place: the p_a term directly, then the
+    cached form-word pieces of [x_a p_b, w] shifted by P, then the rep
+    column of v_i.
+    """
+    mden, cols = mat
+    acc = {}
+    for (m, i), n in enums:
+        nm = n * mden
+        parts, forms = m
+        pa = parts[a - 1]
+        if pa:
+            pl = list(parts)
+            pl[a - 1] -= 1
+            pl[b - 1] += 1
+            key = ((tuple(pl), forms), i)
+            acc[key] = acc.get(key, 0) - nm * pa
+        for (dp, f2), ca in _ad_e_forms(a, b, forms):
+            key = ((parts if dp is ZERO_PARTIALS else
+                    tuple(map(add, parts, dp)), f2), i)
+            acc[key] = acc.get(key, 0) + nm * ca
+        for i2, cv in cols[i].items():
+            key = (m, i2)
+            acc[key] = acc.get(key, 0) + n * cv
+    return acc
+
+
+def _leibniz_acc(terms, mats, mden):
+    """The integer numerators over mden of InducedModule._leibniz_terms.
+
+    mats maps every (a, b) of the terms' B parts to its (den, columns);
+    each den divides mden.
+    """
+    acc = {}
+    for base, i, n, A, B in terms:
+        na = n * mden
+        for (dp, f2), ca in A:
+            key = ((base if dp is ZERO_PARTIALS else
+                    tuple(map(add, base, dp)), f2), i)
+            acc[key] = acc.get(key, 0) + na * ca
+        for ab, f2, cb in B:
+            d, cols = mats[ab]
+            m2 = (base, f2)
+            nb = n * (mden // d) * cb
+            for i2, cv in cols[i].items():
+                key = (m2, i2)
+                acc[key] = acc.get(key, 0) + nb * cv
+    return acc
 
 
 class InducedModule:
@@ -235,31 +292,12 @@ class InducedModule:
         """act_e as (integer numerators keyed like elem, common denominator).
 
         Numerators may be zero; act_e drops those when it builds scalars.
-        The bracket [x_a p_b, p^P w] (module docstring) is accumulated in
-        place: the p_a term directly, then the cached form-word pieces of
-        [x_a p_b, w] shifted by P.
+        The one loop is _act_e_terms.
         """
-        mden, cols = self.rep.mat(a, b)
+        mat = self.rep.mat(a, b)
         eden = _den(elem.values())
-        acc = {}
-        for (m, i), n in _numerators(elem, eden):
-            nm = n * mden
-            parts, forms = m
-            pa = parts[a - 1]
-            if pa:
-                pl = list(parts)
-                pl[a - 1] -= 1
-                pl[b - 1] += 1
-                key = ((tuple(pl), forms), i)
-                acc[key] = acc.get(key, 0) - nm * pa
-            for (dp, f2), ca in _ad_e_forms(a, b, forms):
-                key = ((parts if dp is ZERO_PARTIALS else
-                        tuple(map(add, parts, dp)), f2), i)
-                acc[key] = acc.get(key, 0) + nm * ca
-            for i2, cv in cols[i].items():
-                key = (m, i2)
-                acc[key] = acc.get(key, 0) + n * cv
-        return acc, eden * mden
+        acc = _act_e_terms(a, b, _numerators(elem, eden), mat)
+        return acc, eden * mat[0]
 
     def act_pieces(self, x, elem):
         """x (a dict symbol -> scalar) on elem, through the subclass's pieces.
@@ -271,20 +309,33 @@ class InducedModule:
     def act_pieces_int(self, x, elem):
         """act_pieces as (integer numerators, common denominator).
 
-        Numerators may be zero, as in act_e_int.  pieces(sym, forms) gives
-        the p-free Leibniz terms X_D of sym on the form word w of p^P w
-        (module docstring) as int tuples (D, c, A, B), D the pairs (i, D_i)
-        of its nonzero entries: X_D w v = c (A v + sum n d_forms2 x_a p_b v)
-        over the triples ((a, b), forms2, n) of B, with A int pieces
-        ((dparts, forms2), n) relative to p^(P - D).  Only here is p^P
-        applied: C(P, D) and P - D enter as the terms accumulate.  x, elem
-        and the rep matrices share one denominator.
+        Numerators may be zero, as in act_e_int.  _leibniz_terms collects
+        the terms of x on elem, and _leibniz_acc adds them up over the lcm
+        of the denominators of the rep matrices they use; x, elem and those
+        matrices share one denominator.
         """
         xden, eden = _den(x.values()), _den(elem.values())
-        enums = _numerators(elem, eden)
+        mats = {}
+        terms = self._leibniz_terms(_numerators(x, xden),
+                                    _numerators(elem, eden), mats)
+        mden = lcm(*(d for d, _ in mats.values()))
+        return _leibniz_acc(terms, mats, mden), xden * eden * mden
+
+    def _leibniz_terms(self, xnums, enums, mats):
+        """The Leibniz terms (base, i, n, A, B) of x on an element.
+
+        xnums and enums are the (key, numerator) lists of x and of the
+        element.  pieces(sym, forms) gives the p-free Leibniz terms X_D of
+        sym on the form word w of p^P w (module docstring) as int tuples
+        (D, c, A, B), D the pairs (i, D_i) of its nonzero entries: X_D w v =
+        c (A v + sum n d_forms2 x_a p_b v) over the triples ((a, b),
+        forms2, n) of B, with A int pieces ((dparts, forms2), n) relative
+        to p^(P - D).  Only here is p^P applied: C(P, D) and P - D enter the
+        term, as base and n.  mats gets the rep matrix of every (a, b) of
+        the B parts, as Irrep.mat gives it.
+        """
         terms = []
-        mat_keys = set()
-        for sym, nx in _numerators(x, xden):
+        for sym, nx in xnums:
             for ((parts, forms), i), n in enums:
                 for D, c, A, B in self.pieces(sym, forms):
                     base = parts
@@ -297,25 +348,10 @@ class InducedModule:
                             continue
                         base = tuple(pl)
                     for ab, _, _ in B:
-                        mat_keys.add(ab)
+                        if ab not in mats:
+                            mats[ab] = self.rep.mat(*ab)
                     terms.append((base, i, nx * n * c, A, B))
-        mats = {ab: self.rep.mat(*ab) for ab in mat_keys}
-        mden = lcm(*(d for d, _ in mats.values()))
-        acc = {}
-        for base, i, n, A, B in terms:
-            na = n * mden
-            for (dp, f2), ca in A:
-                key = ((base if dp is ZERO_PARTIALS else
-                        tuple(map(add, base, dp)), f2), i)
-                acc[key] = acc.get(key, 0) + na * ca
-            for ab, f2, cb in B:
-                d, cols = mats[ab]
-                m2 = (base, f2)
-                nb = n * (mden // d) * cb
-                for i2, cv in cols[i].items():
-                    key = (m2, i2)
-                    acc[key] = acc.get(key, 0) + nb * cv
-        return acc, xden * eden * mden
+        return terms
 
     def act(self, x, elem):
         """An algebra element x (a dict symbol -> scalar) on elem.
@@ -353,15 +389,47 @@ class InducedModule:
         for label, x in self.POSITIVE:
             yield label, self.act_pieces_int(x, elem)
 
+    def block_conditions(self, block):
+        """int_conditions of each basis pair of a block, as integer images.
+
+        Yields, for each pair of block in order, the list of (label,
+        numerators) of its condition images.  A label's numerators share
+        one denominator over the block: that of e_a's rep matrix, and for
+        a positive generator that of its coefficients times the lcm of the
+        denominators of the rep matrices its terms use anywhere in block.
+        """
+        e_mats = [("e%d" % a, a, self.rep.mat(a, a + 1)) for a in range(1, 5)]
+        positive = []
+        for label, x in self.POSITIVE:
+            xnums = _numerators(x, _den(x.values()))
+            mats = {}
+            terms = [self._leibniz_terms(xnums, ((pair, 1),), mats)
+                     for pair in block]
+            positive.append((label, terms, mats,
+                             lcm(*(d for d, _ in mats.values()))))
+        for j, pair in enumerate(block):
+            one = ((pair, 1),)
+            images = [(label, _act_e_terms(a, a + 1, one, mat))
+                      for label, a, mat in e_mats]
+            images += [(label, _leibniz_acc(terms[j], mats, mden))
+                       for label, terms, mats, mden in positive]
+            yield images
+
     def conditions(self, elem):
         """(label, image) pairs of int_conditions, with scalar images."""
         for label, img in self.int_conditions(elem):
             yield label, _scalars(*img)
 
+    def failed_condition(self, elem):
+        """Label of the first condition that does not kill elem, or None."""
+        for label, (acc, _) in self.int_conditions(elem):
+            if any(acc.values()):
+                return label
+        return None
+
     def is_singular(self, elem):
         """Nonzero and annihilated by every singularity condition."""
-        return bool(elem) and not any(
-            any(acc.values()) for _, (acc, _) in self.int_conditions(elem))
+        return bool(elem) and self.failed_condition(elem) is None
 
 
 class VermaModule(InducedModule):
@@ -386,12 +454,26 @@ class VermaModule(InducedModule):
         generated from x_5 d_45 by them.  full_g1 sweeps all 40 basis
         elements as well (kills_g1).
         """
-        return super().is_singular(elem) and (
-            not full_g1 or self.kills_g1(elem))
+        return bool(elem) and self.failed_condition(elem, full_g1) is None
+
+    def failed_condition(self, elem, full_g1=False):
+        """As InducedModule.failed_condition; with full_g1, then "g1[n]" for
+        the first basis element g1_basis()[n] that does not kill elem."""
+        label = super().failed_condition(elem)
+        if label is None and full_g1:
+            label = self._g1_failure(elem)
+        return label
 
     def kills_g1(self, elem):
         """Whether each of the 40 basis elements of g_1 annihilates elem."""
-        return not any(self.act(x, elem) for x in g1_basis())
+        return self._g1_failure(elem) is None
+
+    def _g1_failure(self, elem):
+        """"g1[n]" for the first g1_basis()[n] not killing elem, or None."""
+        for n, x in enumerate(g1_basis()):
+            if self.act(x, elem):
+                return "g1[%d]" % n
+        return None
 
 
 def tensor_terms(elem):

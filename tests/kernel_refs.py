@@ -5,11 +5,18 @@ Verbatim but for the names and the caches: mono_product and the pbw_product
 loop of uminus (now views of uminus.product_int), verma.ad_e_mono (now
 act_e on M(F(0,0,0,0))), and the rational Irrep.mat with its act and the
 integer conversion InducedModule._int_mat (now the (den, columns) of
-Irrep.mat).
+Irrep.mat).  Then linalg.kernel_basis before its early stop, with the
+Echelon reduction that took every row through _den and _numerators, and
+singular_search.condition_rows as it built one one-term element per block
+column and applied int_conditions to it.
 """
 
+from math import lcm
 from operator import add
 
+from e510.linalg import (
+    Echelon, MatrixTooLargeError, _eliminate, _make_primitive,
+)
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import act_ambient
 from e510.uminus import _order_forms, add_scaled
@@ -94,3 +101,99 @@ def int_mat(rep, a, b):
     cols = mat(rep, a, b)
     den = _den(v for col in cols for v in col.values())
     return (den, [dict(_numerators(col, den)) for col in cols])
+
+
+class RationalEchelon(Echelon):
+    """Echelon with the reduction that rescales every row as a rational."""
+
+    def _reduce(self, row, tag):
+        # the integer row starts as den * member_tag, and every step keeps
+        # row == sum(combo[t] * member_t)
+        den = _den(row.values())
+        row = {k: n for k, n in _numerators(row, den) if n}
+        combo = None if tag is None else {tag: den}
+        _make_primitive(row, combo)
+        while row:
+            lead = min(row)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                break
+            prow, pcombo = hit
+            pivval, c = prow[lead], row[lead]
+            _eliminate(row, pivval, c, prow)
+            if combo is not None:
+                _eliminate(combo, pivval, c, pcombo)
+            _make_primitive(row, combo)
+        return row, combo
+
+
+def kernel_basis(rows, column_order, entry_cap=None):
+    """Exact kernel of the linear map given by constraint rows.
+
+    rows: iterable of dicts column_key -> scalar (each row is one constraint).
+    column_order: list fixing the canonical coordinate order.
+    Returns kernel vectors as dicts column_key -> Q, each normalized so its
+    first nonzero coordinate (in column_order) is 1, sorted by the position
+    of that coordinate.
+    """
+    rows = [r for r in rows if r]
+    if entry_cap is not None:
+        entries = sum(len(r) for r in rows)
+        if entries > entry_cap:
+            raise MatrixTooLargeError(
+                "search block has %d stored entries (cap %d); raise the cap "
+                "to proceed" % (entries, entry_cap))
+    colpos = {c: i for i, c in enumerate(column_order)}
+    ech = RationalEchelon()
+    for row in sorted(({colpos[c]: v for c, v in r.items() if v} for r in rows),
+                      key=lambda r: (len(r), sorted(r))):
+        ech.insert(row, None)
+
+    pivots = ech.pivots
+    free = [i for i in range(len(column_order)) if i not in pivots]
+    basis = []
+    for f in free:
+        x = {f: Q(1)}
+        for p in sorted(pivots, reverse=True):
+            prow = pivots[p][0]
+            acc = Q(0)
+            for c, v in prow.items():
+                if c != p and c in x:
+                    acc += v * x[c]
+            if acc:
+                x[p] = -acc / prow[p]
+        first = min(x)
+        lead = x[first]
+        vec = {column_order[i]: v / lead for i, v in x.items() if v}
+        basis.append((first, vec))
+    basis.sort(key=lambda t: t[0])
+    return [vec for _, vec in basis]
+
+
+def condition_rows(module, block):
+    """Integer condition rows of a block, keyed by (label, image key).
+
+    Column j is the basis pair block[j], and its condition images
+    (module.int_conditions) give the entries of column j.  All rows of a
+    label share one denominator, the lcm of its images' denominators so
+    far: when an image's denominator does not divide it, the label's rows
+    are rescaled to the new lcm.  So each row is its rational row times the
+    label's final lcm.
+    """
+    rows = {}
+    dens = {}
+    for j, pair in enumerate(block):
+        for label, (acc, den) in module.int_conditions({pair: 1}):
+            common = dens.setdefault(label, den)
+            if common % den:
+                grown = lcm(common, den)
+                for (lab, _), row in rows.items():
+                    if lab == label:
+                        for k in row:
+                            row[k] *= grown // common
+                common = dens[label] = grown
+            s = common // den
+            for key, n in acc.items():
+                if n:
+                    rows.setdefault((label, key), {})[j] = n * s
+    return rows

@@ -363,6 +363,51 @@ def test_recheck_failure_exits_one(monkeypatch, capsys):
     assert "mu=0,0,1,0 d=1 nu=0,0,0,0" in captured.err
 
 
+def test_recheck_failure_names_the_condition(monkeypatch, capsys):
+    # a block column that is not a singular vector, handed over as the
+    # kernel: its first nonzero image is under e2
+    from e510 import singular_search
+    from e510.scalars import Q
+    monkeypatch.setattr(singular_search, "kernel_basis",
+                        lambda rows, column_order, entry_cap=None: [{0: Q(1)}])
+    assert main(["search", "--mu", "0,0,1,0", "--degree", "1",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: kernel vector fails")
+    assert captured.err.endswith(
+        "at mu=0,0,1,0 d=1 nu=0,0,0,0: condition e2 does not kill it\n")
+
+
+def test_recheck_failure_names_x5d45(monkeypatch, capsys):
+    # without the x5d45 rows the kernel is the block's highest weight
+    # vectors, which x5d45 does not kill
+    from e510 import singular_search
+    rows = singular_search.condition_rows
+
+    def e_rows(module, block):
+        return {key: row for key, row in rows(module, block).items()
+                if key[0] != "x5d45"}
+
+    monkeypatch.setattr(singular_search, "condition_rows", e_rows)
+    assert main(["search", "--mu", "1,0,0,0", "--degree", "1",
+                 "--format", "json"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "nu=0,0,1,0: condition x5d45 does not kill it\n")
+
+
+def test_recheck_failure_names_the_g1_element(monkeypatch, capsys):
+    # with no positive generator among the conditions only the --full-g1
+    # sweep sees the failure, and names the g1_basis() element
+    from e510.verma import VermaModule
+    monkeypatch.setattr(VermaModule, "POSITIVE", ())
+    argv = ["search", "--mu", "1,0,0,0", "--degree", "1", "--format", "json"]
+    assert main(argv + ["--full-g1"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "full_g1=True) at mu=1,0,0,0 d=1 nu=0,0,1,0: "
+        "condition g1[0] does not kill it\n")
+
+
 _NUMBERISH = st.one_of(st.text(max_size=8),
                        st.text(alphabet="0123456789.,-+ x_", max_size=8))
 

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import kernel_refs
 from e510.scalars import Q
 from e510.linalg import Echelon, MatrixTooLargeError, kernel_basis
 
@@ -213,3 +214,50 @@ def test_echelon_matches_fraction_reference(members, probes):
     for vec in [v for v, _ in members] + probes:
         assert new.coords(vec) == ref.coords(vec)
         assert new.contains(vec) == ref.contains(vec)
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """(rows, column_order): integer or Fraction rows over n columns.
+
+    Full-rank matrices get n triangular rows with a nonzero diagonal; the
+    others get at most n - 1 random rows and combinations of them, so both
+    kinds occur.
+    """
+    n = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from((st.integers(-4, 4), _FRAC)))
+    nonzero = entry.filter(bool)
+    if draw(st.booleans()):
+        rows = [{**draw(st.dictionaries(st.integers(i + 1, n), entry,
+                                        max_size=3)), i: draw(nonzero)}
+                for i in range(n)]
+    else:
+        rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entry,
+                                             max_size=4),
+                             max_size=n - 1))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        combo = {}
+        for r in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+            c = draw(st.integers(-3, 3))
+            for k, v in r.items():
+                combo[k] = combo.get(k, 0) + c * v
+        rows.append(combo)
+    columns = draw(st.permutations(range(n)))
+    return [{k: v for k, v in r.items() if k < n} for r in rows], columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_matrices(), st.data())
+def test_kernel_basis_matches_reference(matrix, data):
+    # the output is a function of the row space: duplicated rows, another
+    # row order and positive row scales give the reference's kernel
+    rows, columns = matrix
+    want = kernel_refs.kernel_basis(rows, columns)
+    assert kernel_basis(rows, columns) == want
+    more = rows + data.draw(st.lists(st.sampled_from(rows), max_size=3)
+                            if rows else st.just([]))
+    more = data.draw(st.permutations(more))
+    scales = data.draw(st.lists(st.integers(1, 5), min_size=len(more),
+                                max_size=len(more)))
+    assert kernel_basis([{k: s * v for k, v in r.items()}
+                         for r, s in zip(more, scales)], columns) == want

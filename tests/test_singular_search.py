@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import kernel_refs
 
 from e510.scalars import Q
 from e510.uminus import add_scaled, d_elem
@@ -204,3 +207,67 @@ def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
     kern = kernel_basis(list(rows.values()), columns)
     assert len(kern) == 1
     assert kern == kernel_basis(list(ref.values()), columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4), st.data())
+def test_condition_rows_match_the_one_term_reference(cls, mu, d, data):
+    # the parent assembly: one one-term element per column through
+    # int_conditions, with the label rows rescaled as the lcm grows
+    m = cls(mu)
+    blocks = m.weight_blocks(d)
+    if not blocks:
+        return
+    block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
+    assert_rows_match_reference(condition_rows(m, block),
+                                kernel_refs.condition_rows(m, block))
+
+
+# e-kernel dimension = m(nu), the multiplicity of F(nu) in the degree-d
+# component, by Brauer-Klimyk from block sizes alone:
+# m(nu) = sum over w in S5 of sign(w) |block of dom(nu + rho - w rho)|.
+
+RHO = (4, 3, 2, 1, 0)
+
+
+def _sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+WEYL = [(_sign(p), tuple(RHO[i] for i in p)) for p in permutations(range(5))]
+
+
+def brauer_klimyk(blocks, nu):
+    eps = tuple(sum(nu[i:]) for i in range(4)) + (0,)
+    total = 0
+    for sign, wrho in WEYL:
+        lam = sorted((e + r - w for e, r, w in zip(eps, RHO, wrho)),
+                     reverse=True)
+        total += sign * len(blocks.get(eps_to_coords(lam), ()))
+    return total
+
+
+def e_kernel_dim(module, block):
+    rows = [row for (label, _), row in condition_rows(module, block).items()
+            if label in ("e1", "e2", "e3", "e4")]
+    return len(kernel_basis(rows, list(range(len(block)))))
+
+
+@pytest.mark.parametrize("cls, mus, degrees, count", [
+    (VermaModule, dominant_weights_up_to(2), range(4), 352),
+    (S5Verma, dominant_weights_up_to(2), range(7), 284),
+    (VermaModule, ((1, 1, 0, 1), (0, 2, 0, 2)), range(3), 76),
+])
+def test_e_kernel_dimension_is_the_brauer_klimyk_multiplicity(cls, mus,
+                                                              degrees, count):
+    checked = 0
+    for mu in mus:
+        m = cls(mu)
+        for d in degrees:
+            blocks = m.weight_blocks(d)
+            for nu, block in blocks.items():
+                assert e_kernel_dim(m, block) == brauer_klimyk(blocks, nu), \
+                    (mu, d, nu)
+                checked += 1
+    assert checked == count
