@@ -2,18 +2,21 @@
 
 Rows are dicts column_key -> value with arbitrary orderable column keys.
 One fraction-free reduction loop, Echelon._reduce, serves kernels, ranks
-and member coordinates: every row is scaled to an integer vector (rows of
-ints go in as they are), and the elimination never divides except by the
-gcd that keeps rows primitive.  Scalars are built only by kernel
-back-substitution and by coords.  All orderings are canonical, which makes
-results byte-for-byte reproducible.
+and member coordinates: every row is scaled to an integer vector that the
+echelon owns and reduces in place, and the elimination never divides
+except by the gcd that keeps rows primitive.  Scalars are built only by
+kernel back-substitution and by coords.  All orderings are canonical, which
+makes results byte-for-byte reproducible.
 
 kernel_basis returns a function of the row space alone: the pivot columns
 of an echelon of a row space do not depend on the order or the positive
 scale of the rows that span it, and the kernel vector that is 1 on one
-free column and 0 on the others is unique.  So it may stop inserting rows
-as soon as the pivots cover every column: the kernel is then 0, whatever
-the remaining rows are.
+free column and 0 on the others is unique.  So it may insert the rows in
+any order, and it inserts them in order of their last column, which keeps
+the pivot rows short; and it may stop inserting rows as soon as the pivots
+cover every column: the kernel is then 0, whatever the remaining rows are.
+Each row is copied once, into column positions; the echelon reduces that
+copy, so the caller's rows never change.
 """
 
 from math import gcd
@@ -21,6 +24,7 @@ from math import gcd
 from .scalars import Q, _den, _numerators
 
 _SELF = object()  # coords' tag for the vector being expressed
+_INT = frozenset((int,))
 
 
 class MatrixTooLargeError(RuntimeError):
@@ -83,13 +87,12 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def _reduce(self, row, tag):
-        # the integer row starts as den * member_tag, and every step keeps
-        # row == sum(combo[t] * member_t).  A step is linear in (row, combo),
-        # so dividing by a gcd only scales what follows: the pair is made
-        # primitive after the steps that scale it by more than a sign, and
-        # once at the end.
-        den, row = _integer_row(row)
+    def _reduce(self, den, row, tag):
+        # the integer row, which the echelon owns and reduces in place, is
+        # den * member_tag, and every step keeps row == sum(combo[t] *
+        # member_t).  A step is linear in (row, combo), so dividing by a gcd
+        # only scales what follows: the pair is made primitive after the
+        # steps that scale it by more than a sign, and once at the end.
         combo = None if tag is None else {tag: den}
         while row:
             lead = min(row)
@@ -106,24 +109,27 @@ class Echelon:
         _make_primitive(row, combo)
         return row, combo
 
-    def insert(self, row, tag):
-        """Add a vector as the member called tag; True if it was independent."""
-        row, combo = self._reduce(row, tag)
+    def _insert(self, den, row, tag):
+        row, combo = self._reduce(den, row, tag)
         if not row:
             return False
         self.pivots[min(row)] = (row, combo)
         return True
 
+    def insert(self, row, tag):
+        """Add a vector as the member called tag; True if it was independent."""
+        return self._insert(*_integer_row(row), tag)
+
     def coords(self, row):
         """Coordinates of row w.r.t. the tagged members, or None if outside."""
-        row, combo = self._reduce(row, _SELF)
+        row, combo = self._reduce(*_integer_row(row), _SELF)
         if row:
             return None
         own = combo.pop(_SELF)
         return {t: Q(-c, own) for t, c in combo.items()}
 
     def contains(self, row):
-        return not self._reduce(row, None)[0]
+        return not self._reduce(*_integer_row(row), None)[0]
 
 
 def kernel_basis(rows, column_order, entry_cap=None):
@@ -135,7 +141,10 @@ def kernel_basis(rows, column_order, entry_cap=None):
     first nonzero coordinate (in column_order) is 1, sorted by the position
     of that coordinate.  The result depends only on the span of the rows
     (module docstring): row order, duplicates and positive row scales do
-    not change it, and the insertion stops with [] once the rank is full.
+    not change it.  So each row is copied once, as an integer row over
+    column positions that the echelon reduces in place; the copies are
+    inserted in order of their last column, and the insertion stops with []
+    once the rank is full.  The caller's rows are never changed.
     """
     rows = [r for r in rows if r]
     if entry_cap is not None:
@@ -146,11 +155,18 @@ def kernel_basis(rows, column_order, entry_cap=None):
                 "to proceed" % (entries, entry_cap))
     colpos = {c: i for i, c in enumerate(column_order)}
     ncols = len(column_order)
+    owned = []
+    for r in rows:
+        row = {colpos[c]: v for c, v in r.items() if v}
+        if not _INT.issuperset(map(type, row.values())):
+            row = dict(_numerators(row, _den(row.values())))
+        if row:
+            owned.append(row)
+    owned.sort(key=max)
     ech = Echelon()
     pivots = ech.pivots
-    for row in sorted(({colpos[c]: v for c, v in r.items() if v} for r in rows),
-                      key=lambda r: (len(r), sorted(r))):
-        ech.insert(row, None)
+    for row in owned:
+        ech._insert(1, row, None)
         if len(pivots) == ncols:
             return []
 

@@ -176,12 +176,29 @@ def _load_checkpoint(path):
     return state
 
 
-def _save_checkpoint(path, state):
+def _save_checkpoint(path, state, encoded):
+    """Write state as json.dump(state, fh, sort_keys=True, indent=1) would.
+
+    encoded caches the text of each cell, "key": certificate list, at the
+    indent it has in the file; cells of state missing from it are encoded
+    and added, so a caller that changes a cell drops it from encoded first.
+    The file is the sorted join of the cells, and each cell is encoded once
+    while it stays unchanged.  JSON strings hold no raw newline, so
+    indenting every line of a cell's own encoding by one space gives the
+    nested encoding.
+    """
     if not path:
         return
+    for key in state.keys() - encoded.keys():
+        encoded[key] = "%s: %s" % (json.dumps(key), json.dumps(
+            state[key], sort_keys=True, indent=1).replace("\n", "\n "))
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(state, fh, sort_keys=True, indent=1)
+        if encoded:
+            fh.write("{\n %s\n}" % ",\n ".join(
+                encoded[key] for key in sorted(encoded)))
+        else:
+            fh.write("{}")
     os.replace(tmp, path)
 
 
@@ -198,6 +215,7 @@ def search_cells(cells, checkpoint=None, entry_cap=200000, full_g1=False):
     fails raises ConfigError naming the cell.
     """
     state = _load_checkpoint(checkpoint)
+    encoded = {}  # the checkpoint text of each unchanged cell
     out = []
     for mu, d in cells:
         key = "%s|%d" % (weight_str(mu), d)
@@ -206,7 +224,8 @@ def search_cells(cells, checkpoint=None, entry_cap=200000, full_g1=False):
                                 for c in certs):
             certs = state[key] = search_module(
                 mu, d, entry_cap=entry_cap, full_g1=full_g1)
-            _save_checkpoint(checkpoint, state)
+            encoded.pop(key, None)
+            _save_checkpoint(checkpoint, state, encoded)
         elif not all(map(_vectors_hold, certs)):
             raise ConfigError("checkpoint %s: a saved vector of cell %s is "
                               "not a singular vector of its degree and "

@@ -54,7 +54,7 @@ from .uminus import (
     mono_weight, add_scaled, d_elem, p_elem, form_step, product_int,
     enumerate_monomials, format_monomial, parse_monomial,
 )
-from .sl5_reps import build_irrep, eps_to_coords, is_dominant
+from .sl5_reps import build_irrep, eps_to_coords
 from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
@@ -212,12 +212,16 @@ class InducedModule:
                 monos.setdefault(c, []).append(mono)
             for i, rw in enumerate(self.rep.eps_weights):
                 reps.setdefault(eps_to_coords(rw), []).append(i)
+            reps = [(*rc, idx) for rc, idx in reps.items()]
             blocks = {}
-            for mc, ms in monos.items():
-                for rc, idx in reps.items():
-                    c = tuple(map(add, mc, rc))
-                    if is_dominant(c):
-                        blocks.setdefault(c, []).extend(
+            # most pairs of groups are not dominant: test the four sums
+            # before building a key
+            for (m1, m2, m3, m4), ms in monos.items():
+                for r1, r2, r3, r4, idx in reps:
+                    if (m1 + r1 >= 0 and m2 + r2 >= 0 and m3 + r3 >= 0
+                            and m4 + r4 >= 0):
+                        key = (m1 + r1, m2 + r2, m3 + r3, m4 + r4)
+                        blocks.setdefault(key, []).extend(
                             (m, i) for m in ms for i in idx)
             for pairs in blocks.values():
                 pairs.sort()

@@ -5,18 +5,17 @@ Verbatim but for the names and the caches: mono_product and the pbw_product
 loop of uminus (now views of uminus.product_int), verma.ad_e_mono (now
 act_e on M(F(0,0,0,0))), and the rational Irrep.mat with its act and the
 integer conversion InducedModule._int_mat (now the (den, columns) of
-Irrep.mat).  Then linalg.kernel_basis before its early stop, with the
-Echelon reduction that took every row through _den and _numerators, and
-singular_search.condition_rows as it built one one-term element per block
-column and applied int_conditions to it.
+Irrep.mat).  Then linalg.kernel_basis before its early stop and its
+last-column row order, with the Echelon reduction that took every row
+through _den and _numerators, and singular_search.condition_rows as it
+built one one-term element per block column and applied int_conditions to
+it.
 """
 
 from math import lcm
 from operator import add
 
-from e510.linalg import (
-    Echelon, MatrixTooLargeError, _eliminate, _make_primitive,
-)
+from e510.linalg import MatrixTooLargeError, _eliminate, _make_primitive
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import act_ambient
 from e510.uminus import _order_forms, add_scaled
@@ -103,8 +102,18 @@ def int_mat(rep, a, b):
     return (den, [dict(_numerators(col, den)) for col in cols])
 
 
-class RationalEchelon(Echelon):
+class RationalEchelon:
     """Echelon with the reduction that rescales every row as a rational."""
+
+    def __init__(self):
+        self.pivots = {}  # leading column -> (primitive int row, int combo)
+
+    def insert(self, row, tag):
+        row, combo = self._reduce(row, tag)
+        if not row:
+            return False
+        self.pivots[min(row)] = (row, combo)
+        return True
 
     def _reduce(self, row, tag):
         # the integer row starts as den * member_tag, and every step keeps

@@ -41,5 +41,6 @@ def test_tracer_reports_every_declared_layer(tmp_path):
     metrics = got["metrics"]
     for name in ("verma.weight_space.calls",
                  "uminus.enumerate_monomials.calls", "singular_search.blocks",
-                 "verma.mult.calls", "cli.report_bytes"):
+                 "linalg.kernel_basis.cols", "verma.mult.calls",
+                 "cli.report_bytes"):
         assert metrics[name] > 0, name

@@ -261,3 +261,24 @@ def test_kernel_basis_matches_reference(matrix, data):
                                 max_size=len(more)))
     assert kernel_basis([{k: s * v for k, v in r.items()}
                          for r, s in zip(more, scales)], columns) == want
+
+
+def test_kernel_basis_leaves_the_callers_rows_alone():
+    # int and Fraction rows over their own column positions: the last row
+    # reduces to zero and the second is reduced before it becomes a pivot
+    for one in (1, Q(1, 2)):
+        rows = [{0: 2 * one, 1: 4 * one}, {0: one, 1: 2 * one, 2: 3 * one},
+                {0: 3 * one, 1: 6 * one}]
+        before = [dict(r) for r in rows]
+        assert kernel_basis(rows, [0, 1, 2]) == [{0: 1, 1: Q(-1, 2)}]
+        assert rows == before
+        assert all(type(v) is type(one) for r in rows for v in r.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_matrices())
+def test_kernel_basis_never_changes_its_rows(matrix):
+    rows, columns = matrix
+    before = [dict(r) for r in rows]
+    kernel_basis(rows, columns)
+    assert rows == before

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from e510.linalg import MatrixTooLargeError, kernel_basis
 from e510.sl5_reps import ambient_monomial, eps_to_coords, is_dominant
 from e510.s5_verma import S5Verma
 from e510.verma import VermaModule, tensor_from_terms, proportional
+from e510 import singular_search
 from e510.singular_search import (
     candidate_weights, search_module, sweep, dual_pair_check,
     dominant_weights_up_to, condition_rows,
@@ -91,6 +93,35 @@ def test_dominant_weight_grid():
     assert len(dominant_weights_up_to(3)) == 35
 
 
+def test_checkpoint_bytes_are_the_json_dump_of_the_state(tmp_path,
+                                                         monkeypatch):
+    # every write, in a fresh run, a resumed run that recomputes a dropped
+    # cell, and a --full-g1 run that overwrites the cells with certificates
+    ck = tmp_path / "ck.json"
+    save = singular_search._save_checkpoint
+    writes = []
+
+    def checked(path, state, encoded):
+        save(path, state, encoded)
+        want = json.dumps(state, sort_keys=True, indent=1)
+        assert ck.read_text() == want
+        writes.append(want)
+
+    monkeypatch.setattr(singular_search, "_save_checkpoint", checked)
+    mus = [(0, 0, 0, 0), (0, 0, 0, 1)]
+    first = sweep(mus=mus, degrees=(1, 2), checkpoint=str(ck))
+    assert len(writes) == 4 and first
+    state = json.loads(ck.read_text())
+    state.pop("0,0,0,1|1")
+    ck.write_text(json.dumps(state))
+    assert sweep(mus=mus, degrees=(1, 2), checkpoint=str(ck)) == first
+    assert len(writes) == 5 and writes[-1] == writes[3]
+    g1 = sweep(mus=mus, degrees=(1, 2), checkpoint=str(ck), full_g1=True)
+    assert [c["full_g1"] for c in g1] == [True] * len(first)
+    # one certificate in each of three cells, which are searched again
+    assert len(first) == 3 and len(writes) == 8
+
+
 def test_sweep_with_checkpoint(tmp_path):
     ck = tmp_path / "ck.json"
     mus = [(0, 0, 0, 0), (1, 0, 0, 0)]
@@ -120,6 +151,27 @@ def ref_weight_blocks(self, d):
             c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
             if is_dominant(c):
                 blocks.setdefault(c, []).append((mono, i))
+    for pairs in blocks.values():
+        pairs.sort()
+    return blocks
+
+
+def ref_crossed_blocks(self, d):
+    # the crossing of coordinate groups as it first was, with a tuple key
+    # and is_dominant for each pair of groups
+    monos, reps = {}, {}
+    for mono in self.monomials(d):
+        c = eps_to_coords(self.monomial_weight(mono))
+        monos.setdefault(c, []).append(mono)
+    for i, rw in enumerate(self.rep.eps_weights):
+        reps.setdefault(eps_to_coords(rw), []).append(i)
+    blocks = {}
+    for mc, ms in monos.items():
+        for rc, idx in reps.items():
+            c = tuple(map(add, mc, rc))
+            if is_dominant(c):
+                blocks.setdefault(c, []).extend(
+                    (m, i) for m in ms for i in idx)
     for pairs in blocks.values():
         pairs.sort()
     return blocks
@@ -160,6 +212,17 @@ SMALL_MUS = st.sampled_from(dominant_weights_up_to(3))
 def test_weight_blocks_match_reference(cls, mu, d):
     m = cls(mu)
     assert m.weight_blocks(d) == ref_weight_blocks(m, d)
+
+
+@pytest.mark.parametrize("cls, degrees", [(VermaModule, range(1, 5)),
+                                         (S5Verma, range(1, 7))])
+def test_weight_blocks_match_the_crossing_reference(cls, degrees):
+    # same keys in the same order, same pairs in the same order
+    for mu in dominant_weights_up_to(2):
+        m = cls(mu)
+        for d in degrees:
+            assert (list(m.weight_blocks(d).items())
+                    == list(ref_crossed_blocks(m, d).items()))
 
 
 @settings(max_examples=30, deadline=None)
