@@ -6,10 +6,11 @@ singularity checks, weight and degree agreement, composition identities,
 and the classification sweep diff) is what the tests run.
 """
 
+from .linalg import DEFAULT_ENTRY_CAP
 from .omega_basis import equivariant_family
 from .scalars import Q
 from .singular_search import dominant_weights_up_to, search_cells
-from .sl5_reps import ambient_monomial, weight_str
+from .sl5_reps import ambient_monomial, parse_weight, weight_str
 from .uminus import PAIRS, add_scaled, d_elem, forms_elem, pbw_product
 from .verma import VermaModule, proportional, tensor_from_terms
 from .vector_tables import W11_TERMS, W4E_TERMS
@@ -294,9 +295,6 @@ class VermaMorphism:
     def singular_vector(self):
         return self.images[0]
 
-    def is_zero(self):
-        return not any(self.images)
-
 
 def morphism_from_singular(module, w, check=True):
     """Build the morphism evaluator for a singular vector.
@@ -306,7 +304,7 @@ def morphism_from_singular(module, w, check=True):
     annihilation by the whole degree +1 part are verified on every image.
     """
     rep_in, images = equivariant_family(module, w, check=check)
-    if check and not all(map(module.kills_g1, images)):
+    if check and any(map(module.g1_failure, images)):
         raise ValueError("image not annihilated by degree +1 part")
     return VermaMorphism(VermaModule(rep_in.weight), module, images)
 
@@ -393,15 +391,17 @@ def composition_identity_reports(get=None):
     return out
 
 
+def _instances(m_values, n_values):
+    """(family, m, n, mu, lambda, degree) over each family's parameter grid."""
+    for fam, (params, _, data) in FAMILIES.items():
+        for m, n in _param_grid(params, m_values, n_values):
+            mu, lam, deg = data(m, n)
+            yield fam, m, n, tuple(mu), tuple(lam), deg
+
+
 def _morphism_instances():
     """A small grid of catalog morphisms for the composability sweep."""
-    grid = {"m": (0, 1), "n": (0, 1)}
-    out = []
-    for fam, (params, _, data) in FAMILIES.items():
-        for m, n in _param_grid(params, grid["m"], grid["n"]):
-            mu, lam, deg = data(m, n)
-            out.append((fam, m, n, tuple(mu), tuple(lam), deg))
-    return out
+    return list(_instances((0, 1), (0, 1)))
 
 
 def composition_sweep(get=None):
@@ -449,21 +449,14 @@ def composition_sweep(get=None):
 
 def expected_instances(weight_budget, degree_max):
     """Catalog instances with mu coordinate sum and degree within budget."""
-    out = []
-    bound = weight_budget + 4
-    for fam, (params, _, data) in FAMILIES.items():
-        ms = range(bound) if "m" in params else (0,)
-        for m in ms:
-            ns = range(bound) if "n" in params else (0,)
-            for n in ns:
-                mu, lam, deg = data(m, n)
-                if sum(mu) <= weight_budget and deg <= degree_max:
-                    out.append((fam, m, n, tuple(mu), tuple(lam), deg))
-    return out
+    grid = range(weight_budget + 4)
+    return [inst for inst in _instances(grid, grid)
+            if sum(inst[3]) <= weight_budget and inst[5] <= degree_max]
 
 
-def classification_sweep(weight_budget, degree_max, entry_cap=200000,
-                         full_g1=False, checkpoint=None):
+def classification_sweep(weight_budget, degree_max,
+                         entry_cap=DEFAULT_ENTRY_CAP, full_g1=False,
+                         checkpoint=None):
     """Search every module in budget and diff against the catalog.
 
     Returns a report whose "unexplained" and "missing" lists must both be
@@ -481,7 +474,7 @@ def classification_sweep(weight_budget, degree_max, entry_cap=200000,
     results = search_cells(cells, checkpoint, entry_cap, full_g1)
     for (mu, d), certs in zip(cells, results):
         for cert in certs:
-            nu = tuple(int(t) for t in cert["weight"].split(","))
+            nu = parse_weight(cert["weight"])
             sig = (tuple(mu), nu, d)
             entry = {
                 "mu": cert["mu"],

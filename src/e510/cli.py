@@ -12,11 +12,9 @@ import sys
 from itertools import combinations
 
 from .errors import ConfigError, VerificationError
-from .linalg import MatrixTooLargeError
+from .linalg import DEFAULT_ENTRY_CAP, MatrixTooLargeError
 from .scalars import Q
 from .sl5_reps import parse_weight, weight_str
-
-_DEF_ENTRY_CAP = 200000
 
 
 def _parse_int(text):
@@ -572,7 +570,7 @@ def _add_common(p):
 
 
 def _add_search_flags(p):
-    p.add_argument("--entry-cap", type=int, default=_DEF_ENTRY_CAP)
+    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP)
     p.add_argument("--full-g1", action="store_true",
                    help="check all 40 degree +1 operators, not a spanning set")
     p.add_argument("--checkpoint", default=None)
@@ -645,13 +643,13 @@ def build_parser():
     p.add_argument("--mu", default=None)
     p.add_argument("--degree", default=None)
     p.add_argument("--weight", default=None)
-    p.add_argument("--entry-cap", type=int, default=_DEF_ENTRY_CAP)
+    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP)
     _add_common(p)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("s5-baseline",
                        help="exhaustive search in the vector field model")
-    p.add_argument("--entry-cap", type=int, default=_DEF_ENTRY_CAP)
+    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP)
     _add_common(p)
     p.set_defaults(func=cmd_s5_baseline)
 

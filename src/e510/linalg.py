@@ -25,6 +25,7 @@ from .scalars import Q, _den, _numerators
 
 _SELF = object()  # coords' tag for the vector being expressed
 _INT = frozenset((int,))
+DEFAULT_ENTRY_CAP = 200000  # stored entries of one search block's rows
 
 
 class MatrixTooLargeError(RuntimeError):

@@ -13,18 +13,20 @@ X p^M = sum_D C(M, D) p^(M - D) X_D of verma, with X_D the D-fold bracket
 of X with the p's: D = e_i leaves a linear (gl5) symbol acting on the rep
 factor, D = e_i + e_j a constant field multiplying back in, and X_0 kills
 v.  Those p-free terms are the pieces(sym, forms) of
-InducedModule.act_pieces, one cache entry per x_a x_b p_k, and a field is
-applied with InducedModule.act.  The 70 fields are S5Verma's POSITIVE
+InducedModule.act_pieces_int, one cache entry per x_a x_b p_k, and a field
+is applied with InducedModule.act.  The 70 fields are S5Verma's POSITIVE
 generators, so singularity means annihilation by e_1..e_4 and by all of
-them (InducedModule.conditions); the annihilator of a vector is
-operator-bracket-closed, and the positive part is generated by the
-quadratic component, so nothing else needs checking.
+them (InducedModule.int_conditions, and condition_rows on a search block);
+the annihilator of a vector is operator-bracket-closed, and the positive
+part is generated by the quadratic component, so nothing else needs
+checking.
 """
 
 from functools import lru_cache
 
 from .scalars import Q
 from .uminus import _partials_of_total, add_scaled, p_elem
+from .linalg import DEFAULT_ENTRY_CAP
 from .singular_search import search_blocks
 from .verma import InducedModule
 
@@ -63,7 +65,7 @@ def _first_derivative(a, b, i):
 
 @lru_cache(maxsize=None)
 def _quad_pieces(field_key):
-    """The p-free int pieces (D, c, A, B) of x_a x_b p_k, for act_pieces.
+    """The p-free int pieces (D, c, A, B) of x_a x_b p_k, for act_pieces_int.
 
     D = e_i: one derivative leaves the linear symbol x_var p_k acting on
     the rep factor (into B).  D = e_i + e_var: two derivatives leave the
@@ -98,7 +100,7 @@ class S5Verma(InducedModule):
         return _quad_pieces(field_key)
 
 
-def search_s5(lam, d, entry_cap=200000):
+def search_s5(lam, d, entry_cap=DEFAULT_ENTRY_CAP):
     """Certificates for singular vectors of degree d in the baseline module."""
     return search_blocks(S5Verma(lam), d, entry_cap=entry_cap)
 

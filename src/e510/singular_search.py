@@ -7,17 +7,17 @@ annihilator of a raising-invariant vector is closed under bracketing with
 raisings, and the degree +1 part is generated from x_5 d_45 by them.
 
 For a fixed (degree, weight) block the conditions are one sparse linear
-system; its kernel is computed exactly over the rationals.  The rows are
-integer and assembled in one pass per block (condition_rows): the module
-gives the images of each basis pair as integer numerators
-(InducedModule.block_conditions), with the rep matrices looked up once
-per block, and the rows of one condition share one denominator.  A row's
-positive scale and the order of the rows do not change the kernel, and
-linalg.kernel_basis stops as soon as the rank is full.  Any vector in the
-kernel is re-verified through the module action before being reported in
-a certificate; a vector that fails raises VerificationError naming the
-first condition it fails.  The driver reads only the protocol of
-verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
+system; its kernel is computed exactly over the rationals.  The module
+builds the block's integer rows in one pass (InducedModule.condition_rows),
+with the rep matrices looked up once per block, and the rows of one
+condition share one denominator.  A row's positive scale and the order of
+the rows do not change the kernel, and linalg.kernel_basis stops as soon
+as the rank is full.  Any vector in the kernel is re-verified through the
+module action (InducedModule.is_singular, on the independent per-element
+path int_conditions) before being reported in a certificate; a vector that
+fails raises VerificationError naming the first condition it fails.  The
+driver reads only the protocol of verma.InducedModule, so the S5 baseline
+of s5_verma runs through it too.
 """
 
 import json
@@ -25,7 +25,7 @@ import os
 
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
-from .linalg import kernel_basis
+from .linalg import DEFAULT_ENTRY_CAP, kernel_basis
 from .verma import VermaModule, tensor_from_terms
 
 TOOL_VERSION = "0.1.0"
@@ -36,35 +36,17 @@ def candidate_weights(module, d):
     return sorted(module.weight_blocks(d))
 
 
-def condition_rows(module, block):
-    """Integer condition rows of a block, keyed by (label, image key).
-
-    Column j is the basis pair block[j], and its condition images
-    (module.block_conditions) give the entries of column j.  Rows appear
-    column by column, labels in condition order within a column.  All rows
-    of a label share one denominator over the block, so each row is its
-    rational row times one positive integer per label.
-    """
-    rows = {}
-    for j, images in enumerate(module.block_conditions(block)):
-        for label, acc in images:
-            for key, n in acc.items():
-                if n:
-                    rows.setdefault((label, key), {})[j] = n
-    return rows
-
-
-def singular_block(module, d, nu, entry_cap=200000):
+def singular_block(module, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
     """Block basis and exact kernel of the module's singularity conditions."""
     block = module.weight_space(d, tuple(nu))
-    rows = condition_rows(module, block)
+    rows = module.condition_rows(block)
     kern = kernel_basis(list(rows.values()), list(range(len(block))),
                         entry_cap=entry_cap)
     vectors = [{block[j]: c for j, c in k.items()} for k in kern]
     return block, vectors
 
 
-def search_blocks(module, d, nu=None, entry_cap=200000, **checks):
+def search_blocks(module, d, nu=None, entry_cap=DEFAULT_ENTRY_CAP, **checks):
     """Certificates for singular vectors of degree d in an induced module.
 
     One certificate per weight with a nonzero kernel; candidates are all
@@ -98,7 +80,7 @@ def search_blocks(module, d, nu=None, entry_cap=200000, **checks):
     return certs
 
 
-def search_module(mu, d, nu=None, entry_cap=200000, full_g1=False):
+def search_module(mu, d, nu=None, entry_cap=DEFAULT_ENTRY_CAP, full_g1=False):
     """Certificates for singular vectors of degree d in M(F(mu)).
 
     The x_5 d_45 re-check of every kernel vector becomes the 40-element
@@ -202,7 +184,8 @@ def _save_checkpoint(path, state, encoded):
     os.replace(tmp, path)
 
 
-def search_cells(cells, checkpoint=None, entry_cap=200000, full_g1=False):
+def search_cells(cells, checkpoint=None, entry_cap=DEFAULT_ENTRY_CAP,
+                 full_g1=False):
     """Certificate lists of (mu, degree) cells, resumable through a checkpoint.
 
     The checkpoint file maps "mu|degree" cells to their certificate lists.
@@ -235,7 +218,7 @@ def search_cells(cells, checkpoint=None, entry_cap=200000, full_g1=False):
 
 
 def sweep(mus=None, coord_sum=None, degrees=(1, 2, 3, 4), checkpoint=None,
-          entry_cap=200000, full_g1=False):
+          entry_cap=DEFAULT_ENTRY_CAP, full_g1=False):
     """Search a grid of modules and degrees; see search_cells for resuming."""
     if mus is None:
         mus = dominant_weights_up_to(coord_sum if coord_sum is not None else 3)
@@ -245,7 +228,7 @@ def sweep(mus=None, coord_sum=None, degrees=(1, 2, 3, 4), checkpoint=None,
             for cert in certs]
 
 
-def dual_pair_check(mu, d, nu, entry_cap=200000):
+def dual_pair_check(mu, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
     """Compare a singular kernel with its dual-module counterpart.
 
     A morphism M(F(nu)) -> M(F(mu)) of degree d dualizes to a morphism

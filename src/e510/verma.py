@@ -7,7 +7,7 @@ closed form by the Leibniz rule: the p_i are central in U(g_-), so
 
     X p^P = sum_D C(P, D) p^(P - D) X_D,   C(P, D) = prod_i C(P_i, D_i),
 
-with X_D the p-free D-fold bracket of X with the p's (see act_pieces).
+with X_D the p-free D-fold bracket of X with the p's (see act_pieces_int).
 X = x_k d_f kills 1 (x) v, [X, p_i] = -delta_ik d_f and [X, d_q] =
 eps(f, q) x_k p_t, so on w = d_q1..d_qn
 
@@ -35,9 +35,11 @@ _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
 act_e_int, act_pieces_int and int_conditions return the integer
 numerators with their denominator; the rep matrices are those of
 Irrep.mat.  Their loops, _act_e_terms, _leibniz_terms and _leibniz_acc,
-take numerators and rep matrices as arguments, so block_conditions
-applies the conditions to every basis pair of a search block with the
-rep matrices looked up once per block, and builds no scalars.
+take numerators and rep matrices as arguments, so condition_rows applies
+the conditions to every basis pair of a search block with the rep
+matrices looked up once per block, and builds the block's integer rows
+without a scalar.  int_conditions stays the independent per-element path
+that re-checks the kernel vectors.
 
 The search blocks are indexed by dominant weight in fundamental
 coordinates.  Coordinates add, so weight_blocks groups the monomials and
@@ -84,7 +86,7 @@ def _ad_e_forms(a, b, forms):
 
 
 def xd_pieces(k, f, forms):
-    """x_k d_(pair f) past p^P on the form word w, as act_pieces pieces.
+    """x_k d_(pair f) past p^P on the form word w, as act_pieces_int pieces.
 
     Termwise bookkeeping; sum over a closed combination of symbols to act
     with an actual degree +1 element.  Two Leibniz terms (module
@@ -178,11 +180,12 @@ class InducedModule:
     Elements are dicts (PBW monomial of U(g_-), rep index) -> scalar.  A
     subclass supplies the protocol: an algebra tag, monomials(d) (the
     degree-d PBW monomials of its negative part), pieces(sym, forms) (the
-    p-free Leibniz terms of a positive symbol, see act_pieces) and
+    p-free Leibniz terms of a positive symbol, see act_pieces_int) and
     POSITIVE, the (label, element) pairs that with e_1..e_4 generate the
     positive part.  Everything that does not depend on the algebra lives
     here: weights, degrees, serialization, left multiplication, the gl5
-    action, the one action kernel of the positive part, act and conditions.
+    action, the one action kernel of the positive part, act, the
+    singularity conditions and the condition rows of a search block.
     """
 
     def __init__(self, mu):
@@ -303,20 +306,14 @@ class InducedModule:
         acc = _act_e_terms(a, b, _numerators(elem, eden), mat)
         return acc, eden * mat[0]
 
-    def act_pieces(self, x, elem):
-        """x (a dict symbol -> scalar) on elem, through the subclass's pieces.
-
-        The scalars of act_pieces_int.
-        """
-        return _scalars(*self.act_pieces_int(x, elem))
-
     def act_pieces_int(self, x, elem):
-        """act_pieces as (integer numerators, common denominator).
+        """x (a dict symbol -> scalar) on elem, as (numerators, denominator).
 
-        Numerators may be zero, as in act_e_int.  _leibniz_terms collects
-        the terms of x on elem, and _leibniz_acc adds them up over the lcm
-        of the denominators of the rep matrices they use; x, elem and those
-        matrices share one denominator.
+        The subclass's pieces give the terms of each symbol; act takes the
+        scalars.  Numerators may be zero, as in act_e_int.  _leibniz_terms
+        collects the terms of x on elem, and _leibniz_acc adds them up over
+        the lcm of the denominators of the rep matrices they use; x, elem
+        and those matrices share one denominator.
         """
         xden, eden = _den(x.values()), _den(elem.values())
         mats = {}
@@ -362,7 +359,7 @@ class InducedModule:
 
         gl5 symbols ("e", a, b) act through act_e, the negative part
         ("p", i) and ("d", f) by one left multiplication, and every other
-        symbol in one act_pieces pass.
+        symbol in one act_pieces_int pass.
         """
         gl, neg, pos = [], {}, {}
         for sym, c in x.items():
@@ -375,7 +372,7 @@ class InducedModule:
                 add_scaled(neg, d_elem(*PAIRS[sym[1]]), c)
             else:
                 pos[sym] = c
-        out = self.act_pieces(pos, elem) if pos else {}
+        out = _scalars(*self.act_pieces_int(pos, elem)) if pos else {}
         if neg:
             add_scaled(out, self.mult(neg, elem), 1)
         for a, b, c in gl:
@@ -393,14 +390,17 @@ class InducedModule:
         for label, x in self.POSITIVE:
             yield label, self.act_pieces_int(x, elem)
 
-    def block_conditions(self, block):
-        """int_conditions of each basis pair of a block, as integer images.
+    def condition_rows(self, block):
+        """The integer condition rows of a block, keyed by (label, image key).
 
-        Yields, for each pair of block in order, the list of (label,
-        numerators) of its condition images.  A label's numerators share
-        one denominator over the block: that of e_a's rep matrix, and for
-        a positive generator that of its coefficients times the lcm of the
-        denominators of the rep matrices its terms use anywhere in block.
+        Column j is the basis pair block[j]; the nonzero numerators of its
+        condition images (those of int_conditions) are the entries of
+        column j.  Rows appear column by column, labels in condition order
+        within a column.  A label's rows share one denominator over the
+        block: that of e_a's rep matrix, and for a positive generator that
+        of its coefficients times the lcm of the denominators of the rep
+        matrices its terms use anywhere in block.  So each row is its
+        rational row times one positive integer per label.
         """
         e_mats = [("e%d" % a, a, self.rep.mat(a, a + 1)) for a in range(1, 5)]
         positive = []
@@ -411,18 +411,18 @@ class InducedModule:
                      for pair in block]
             positive.append((label, terms, mats,
                              lcm(*(d for d, _ in mats.values()))))
+        rows = {}
         for j, pair in enumerate(block):
             one = ((pair, 1),)
             images = [(label, _act_e_terms(a, a + 1, one, mat))
                       for label, a, mat in e_mats]
             images += [(label, _leibniz_acc(terms[j], mats, mden))
                        for label, terms, mats, mden in positive]
-            yield images
-
-    def conditions(self, elem):
-        """(label, image) pairs of int_conditions, with scalar images."""
-        for label, img in self.int_conditions(elem):
-            yield label, _scalars(*img)
+            for label, acc in images:
+                for key, n in acc.items():
+                    if n:
+                        rows.setdefault((label, key), {})[j] = n
+        return rows
 
     def failed_condition(self, elem):
         """Label of the first condition that does not kill elem, or None."""
@@ -431,9 +431,9 @@ class InducedModule:
                 return label
         return None
 
-    def is_singular(self, elem):
-        """Nonzero and annihilated by every singularity condition."""
-        return bool(elem) and self.failed_condition(elem) is None
+    def is_singular(self, elem, **checks):
+        """Nonzero and passing failed_condition(elem, **checks)."""
+        return bool(elem) and self.failed_condition(elem, **checks) is None
 
 
 class VermaModule(InducedModule):
@@ -449,30 +449,20 @@ class VermaModule(InducedModule):
     def pieces(self, sym, forms):
         return xd_pieces(sym[1], sym[2], forms)
 
-    def is_singular(self, elem, full_g1=False):
-        """Annihilated by e_1..e_4 and by g_1.
-
-        By default only x_5 d_45 is applied on the g_1 side (the conditions):
-        together with the raising conditions this kills all of g_1, since
-        the annihilator is closed under bracketing with raisings and g_1 is
-        generated from x_5 d_45 by them.  full_g1 sweeps all 40 basis
-        elements as well (kills_g1).
-        """
-        return bool(elem) and self.failed_condition(elem, full_g1) is None
-
     def failed_condition(self, elem, full_g1=False):
-        """As InducedModule.failed_condition; with full_g1, then "g1[n]" for
-        the first basis element g1_basis()[n] that does not kill elem."""
+        """As InducedModule.failed_condition; with full_g1, then g1_failure.
+
+        By default only x_5 d_45 is applied on the g_1 side: together with
+        the raising conditions this kills all of g_1, since the annihilator
+        is closed under bracketing with raisings and g_1 is generated from
+        x_5 d_45 by them.  full_g1 sweeps all 40 basis elements as well.
+        """
         label = super().failed_condition(elem)
         if label is None and full_g1:
-            label = self._g1_failure(elem)
+            label = self.g1_failure(elem)
         return label
 
-    def kills_g1(self, elem):
-        """Whether each of the 40 basis elements of g_1 annihilates elem."""
-        return self._g1_failure(elem) is None
-
-    def _g1_failure(self, elem):
+    def g1_failure(self, elem):
         """"g1[n]" for the first g1_basis()[n] not killing elem, or None."""
         for n, x in enumerate(g1_basis()):
             if self.act(x, elem):

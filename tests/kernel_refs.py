@@ -9,7 +9,9 @@ Irrep.mat).  Then linalg.kernel_basis before its early stop and its
 last-column row order, with the Echelon reduction that took every row
 through _den and _numerators, and singular_search.condition_rows as it
 built one one-term element per block column and applied int_conditions to
-it.
+it.  Last, InducedModule.block_conditions and the singular_search
+condition_rows that transposed its images into rows, both now the one
+InducedModule.condition_rows.
 """
 
 from math import lcm
@@ -19,7 +21,7 @@ from e510.linalg import MatrixTooLargeError, _eliminate, _make_primitive
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import act_ambient
 from e510.uminus import _order_forms, add_scaled
-from e510.verma import _ad_e_forms
+from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
 
 
 def mono_product(a, b):
@@ -205,4 +207,49 @@ def condition_rows(module, block):
             for key, n in acc.items():
                 if n:
                     rows.setdefault((label, key), {})[j] = n * s
+    return rows
+
+
+def block_conditions(module, block):
+    """int_conditions of each basis pair of a block, as integer images.
+
+    Yields, for each pair of block in order, the list of (label,
+    numerators) of its condition images.  A label's numerators share
+    one denominator over the block: that of e_a's rep matrix, and for
+    a positive generator that of its coefficients times the lcm of the
+    denominators of the rep matrices its terms use anywhere in block.
+    """
+    e_mats = [("e%d" % a, a, module.rep.mat(a, a + 1)) for a in range(1, 5)]
+    positive = []
+    for label, x in module.POSITIVE:
+        xnums = _numerators(x, _den(x.values()))
+        mats = {}
+        terms = [module._leibniz_terms(xnums, ((pair, 1),), mats)
+                 for pair in block]
+        positive.append((label, terms, mats,
+                         lcm(*(d for d, _ in mats.values()))))
+    for j, pair in enumerate(block):
+        one = ((pair, 1),)
+        images = [(label, _act_e_terms(a, a + 1, one, mat))
+                  for label, a, mat in e_mats]
+        images += [(label, _leibniz_acc(terms[j], mats, mden))
+                   for label, terms, mats, mden in positive]
+        yield images
+
+
+def block_condition_rows(module, block):
+    """Integer condition rows of a block, keyed by (label, image key).
+
+    Column j is the basis pair block[j], and its condition images
+    (module.block_conditions) give the entries of column j.  Rows appear
+    column by column, labels in condition order within a column.  All rows
+    of a label share one denominator over the block, so each row is its
+    rational row times one positive integer per label.
+    """
+    rows = {}
+    for j, images in enumerate(block_conditions(module, block)):
+        for label, acc in images:
+            for key, n in acc.items():
+                if n:
+                    rows.setdefault((label, key), {})[j] = n
     return rows

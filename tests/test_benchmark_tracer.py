@@ -42,5 +42,5 @@ def test_tracer_reports_every_declared_layer(tmp_path):
     for name in ("verma.weight_space.calls",
                  "uminus.enumerate_monomials.calls", "singular_search.blocks",
                  "linalg.kernel_basis.cols", "verma.mult.calls",
-                 "cli.report_bytes"):
+                 "verma.is_singular.s", "cli.report_bytes"):
         assert metrics[name] > 0, name

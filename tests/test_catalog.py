@@ -130,7 +130,7 @@ def test_compose_vector_rejects_non_composable():
 def test_degree_one_square_vanishes():
     outer = family_morphism("1A", m=0, n=0)
     inner = family_morphism("1A", m=0, n=1)
-    assert compose(outer, inner).is_zero()
+    assert not any(compose(outer, inner).images)
 
 
 def test_composition_sweep_pattern():

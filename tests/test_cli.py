@@ -382,14 +382,14 @@ def test_recheck_failure_names_the_condition(monkeypatch, capsys):
 def test_recheck_failure_names_x5d45(monkeypatch, capsys):
     # without the x5d45 rows the kernel is the block's highest weight
     # vectors, which x5d45 does not kill
-    from e510 import singular_search
-    rows = singular_search.condition_rows
+    from e510.verma import VermaModule
+    rows = VermaModule.condition_rows
 
     def e_rows(module, block):
         return {key: row for key, row in rows(module, block).items()
                 if key[0] != "x5d45"}
 
-    monkeypatch.setattr(singular_search, "condition_rows", e_rows)
+    monkeypatch.setattr(VermaModule, "condition_rows", e_rows)
     assert main(["search", "--mu", "1,0,0,0", "--degree", "1",
                  "--format", "json"]) == 1
     assert capsys.readouterr().err.endswith(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_refs
 
-from e510.scalars import Q
+from e510.scalars import Q, _scalars
 from e510.uminus import add_scaled, d_elem
 from e510.linalg import MatrixTooLargeError, kernel_basis
 from e510.sl5_reps import ambient_monomial, eps_to_coords, is_dominant
@@ -17,7 +17,7 @@ from e510.verma import VermaModule, tensor_from_terms, proportional
 from e510 import singular_search
 from e510.singular_search import (
     candidate_weights, search_module, sweep, dual_pair_check,
-    dominant_weights_up_to, condition_rows,
+    dominant_weights_up_to,
 )
 
 
@@ -180,8 +180,8 @@ def ref_crossed_blocks(self, d):
 def ref_condition_rows(module, block):
     rows = {}
     for j, pair in enumerate(block):
-        for label, img in module.conditions({pair: Q(1)}):
-            for key, c in img.items():
+        for label, img in module.int_conditions({pair: Q(1)}):
+            for key, c in _scalars(*img).items():
                 rows.setdefault((label, key), {})[j] = c
     return rows
 
@@ -201,6 +201,11 @@ def assert_rows_match_reference(rows, ref):
             assert scale.setdefault(key[0], ratio) == ratio
     assert all(r.denominator == 1 and r > 0 for r in scale.values())
     return scale
+
+
+def ordered(rows):
+    """The rows as lists: key order, column order and integers all count."""
+    return [(key, list(row.items())) for key, row in rows.items()]
 
 
 MODULE_CLASSES = st.sampled_from((VermaModule, S5Verma))
@@ -233,7 +238,7 @@ def test_condition_rows_and_kernels_match_reference(cls, mu, d, data):
     if not blocks:  # S5 has no monomials of odd degree
         return
     block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
-    rows, ref = condition_rows(m, block), ref_condition_rows(m, block)
+    rows, ref = m.condition_rows(block), ref_condition_rows(m, block)
     assert_rows_match_reference(rows, ref)
     columns = list(range(len(block)))
     assert kernel_basis(list(rows.values()), columns) \
@@ -248,8 +253,9 @@ def test_condition_rows_rescale_when_the_denominator_grows():
     x5d45 = dict(m.POSITIVE)["x5d45"]
     assert [m.act_pieces_int(x5d45, {pair: 1})[1] for pair in block] \
         == [2, 4, 8]
-    rows, ref = condition_rows(m, block), ref_condition_rows(m, block)
+    rows, ref = m.condition_rows(block), ref_condition_rows(m, block)
     assert assert_rows_match_reference(rows, ref)["x5d45"] == 8
+    assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
     columns = list(range(len(block)))
     assert kernel_basis(list(rows.values()), columns) \
         == kernel_basis(list(ref.values()), columns) == []
@@ -264,8 +270,9 @@ def test_condition_rows_rescale_when_the_denominator_grows():
 def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
     m = cls(mu)
     block = m.weight_space(d, nu)
-    rows, ref = condition_rows(m, block), ref_condition_rows(m, block)
+    rows, ref = m.condition_rows(block), ref_condition_rows(m, block)
     assert_rows_match_reference(rows, ref)
+    assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
     columns = list(range(len(block)))
     kern = kernel_basis(list(rows.values()), columns)
     assert len(kern) == 1
@@ -275,15 +282,18 @@ def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
 @settings(max_examples=40, deadline=None)
 @given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4), st.data())
 def test_condition_rows_match_the_one_term_reference(cls, mu, d, data):
-    # the parent assembly: one one-term element per column through
-    # int_conditions, with the label rows rescaled as the lcm grows
+    # the older assemblies: one one-term element per column through
+    # int_conditions, with the label rows rescaled as the lcm grows; and
+    # the block-wide images transposed into rows, which condition_rows
+    # equals exactly, down to key order and integers
     m = cls(mu)
     blocks = m.weight_blocks(d)
     if not blocks:
         return
     block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
-    assert_rows_match_reference(condition_rows(m, block),
-                                kernel_refs.condition_rows(m, block))
+    rows = m.condition_rows(block)
+    assert_rows_match_reference(rows, kernel_refs.condition_rows(m, block))
+    assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
 
 
 # e-kernel dimension = m(nu), the multiplicity of F(nu) in the degree-d
@@ -312,7 +322,7 @@ def brauer_klimyk(blocks, nu):
 
 
 def e_kernel_dim(module, block):
-    rows = [row for (label, _), row in condition_rows(module, block).items()
+    rows = [row for (label, _), row in module.condition_rows(block).items()
             if label in ("e1", "e2", "e3", "e4")]
     return len(kernel_basis(rows, list(range(len(block)))))
 
