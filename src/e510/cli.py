@@ -661,13 +661,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         code, report, render = args.func(args)
+        _emit(report, args.format, args.output, render)
     except VerificationError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except (ConfigError, MatrixTooLargeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    _emit(report, args.format, args.output, render)
     return code
 
 

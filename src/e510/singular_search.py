@@ -11,13 +11,16 @@ system; its kernel is computed exactly over the rationals.  The module
 builds the block's integer rows in one pass (InducedModule.condition_rows),
 with the rep matrices looked up once per block, and the rows of one
 condition share one denominator.  A row's positive scale and the order of
-the rows do not change the kernel, and linalg.kernel_basis stops as soon
-as the rank is full.  Any vector in the kernel is re-verified through the
-module action (InducedModule.is_singular, on the independent per-element
-path int_conditions) before being reported in a certificate; a vector that
-fails raises VerificationError naming the first condition it fails.  The
-driver reads only the protocol of verma.InducedModule, so the S5 baseline
-of s5_verma runs through it too.
+the rows do not change the kernel.  Many rows of the e_i and x_5 d_45
+conditions have one entry, and each forces its column to zero;
+linalg.kernel_basis follows that cascade before it eliminates, which
+leaves many blocks with no row to eliminate, and it stops as soon as the
+pivots cover the columns that are left.  Any vector in the kernel is
+re-verified through the module action (InducedModule.is_singular, on the
+independent per-element path int_conditions) before being reported in a
+certificate; a vector that fails raises VerificationError naming the first
+condition it fails.  The search reads only the protocol of
+verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
 """
 
 import json

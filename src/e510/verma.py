@@ -198,20 +198,33 @@ class InducedModule:
 
         Weights compare in fundamental coordinates, so pairs from different
         trace branches of the concrete realization are collected together,
-        as they must be.  Coordinates add, so the degree-d monomials and the
-        rep indices are grouped by their own coordinates once, and each
-        block is the union of the products of the groups whose sum is its
-        weight.  Only dominant sums are kept: a singular vector lies in a
-        finite dimensional sl5-stable degree component, so its weight is
-        dominant, and every caller asks for a dominant weight (the dual of a
-        dominant weight is dominant too).  The blocks are cached on the
+        as they must be.  Coordinates add: a monomial's are the sum of
+        those of its p-part and of its form word, each computed once per
+        distinct part (at most 2^10 form words).  So the degree-d monomials
+        and the rep indices are grouped by their own coordinates once, and
+        each block is the union of the products of the groups whose sum is
+        its weight.  Only dominant sums are kept: a singular vector lies in
+        a finite dimensional sl5-stable degree component, so its weight is
+        dominant, and every caller asks for a dominant weight (the dual of
+        a dominant weight is dominant too).  The blocks are cached on the
         instance; the groups are not kept.
         """
         blocks = self._blocks.get(d)
         if blocks is None:
             monos, reps = {}, {}
+            pcs, fcs = {}, {}
             for mono in self.monomials(d):
-                c = eps_to_coords(self.monomial_weight(mono))
+                parts, forms = mono
+                pc = pcs.get(parts)
+                if pc is None:
+                    pc = pcs[parts] = eps_to_coords(
+                        self.monomial_weight((parts, ())))
+                fc = fcs.get(forms)
+                if fc is None:
+                    fc = fcs[forms] = eps_to_coords(
+                        self.monomial_weight((ZERO_PARTIALS, forms)))
+                c = (pc[0] + fc[0], pc[1] + fc[1], pc[2] + fc[2],
+                     pc[3] + fc[3])
                 monos.setdefault(c, []).append(mono)
             for i, rw in enumerate(self.rep.eps_weights):
                 reps.setdefault(eps_to_coords(rw), []).append(i)

@@ -11,13 +11,17 @@ through _den and _numerators, and singular_search.condition_rows as it
 built one one-term element per block column and applied int_conditions to
 it.  Last, InducedModule.block_conditions and the singular_search
 condition_rows that transposed its images into rows, both now the one
-InducedModule.condition_rows.
+InducedModule.condition_rows.  And linalg.kernel_basis with its early
+stop and last-column row order, before it peeled the forced zeros, as
+unpeeled_kernel_basis.
 """
 
 from math import lcm
 from operator import add
 
-from e510.linalg import MatrixTooLargeError, _eliminate, _make_primitive
+from e510.linalg import (
+    _INT, Echelon, MatrixTooLargeError, _eliminate, _make_primitive,
+)
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import act_ambient
 from e510.uminus import _order_forms, add_scaled
@@ -253,3 +257,61 @@ def block_condition_rows(module, block):
                 if n:
                     rows.setdefault((label, key), {})[j] = n
     return rows
+
+
+def unpeeled_kernel_basis(rows, column_order, entry_cap=None):
+    """Exact kernel of the linear map given by constraint rows.
+
+    rows: iterable of dicts column_key -> scalar (each row is one constraint).
+    column_order: list fixing the canonical coordinate order.
+    Returns kernel vectors as dicts column_key -> Q, each normalized so its
+    first nonzero coordinate (in column_order) is 1, sorted by the position
+    of that coordinate.  The result depends only on the span of the rows
+    (module docstring): row order, duplicates and positive row scales do
+    not change it.  So each row is copied once, as an integer row over
+    column positions that the echelon reduces in place; the copies are
+    inserted in order of their last column, and the insertion stops with []
+    once the rank is full.  The caller's rows are never changed.
+    """
+    rows = [r for r in rows if r]
+    if entry_cap is not None:
+        entries = sum(len(r) for r in rows)
+        if entries > entry_cap:
+            raise MatrixTooLargeError(
+                "search block has %d stored entries (cap %d); raise the cap "
+                "to proceed" % (entries, entry_cap))
+    colpos = {c: i for i, c in enumerate(column_order)}
+    ncols = len(column_order)
+    owned = []
+    for r in rows:
+        row = {colpos[c]: v for c, v in r.items() if v}
+        if not _INT.issuperset(map(type, row.values())):
+            row = dict(_numerators(row, _den(row.values())))
+        if row:
+            owned.append(row)
+    owned.sort(key=max)
+    ech = Echelon()
+    pivots = ech.pivots
+    for row in owned:
+        ech._insert(1, row, None)
+        if len(pivots) == ncols:
+            return []
+
+    free = [i for i in range(ncols) if i not in pivots]
+    basis = []
+    for f in free:
+        x = {f: Q(1)}
+        for p in sorted(pivots, reverse=True):
+            prow = pivots[p][0]
+            acc = Q(0)
+            for c, v in prow.items():
+                if c != p and c in x:
+                    acc += v * x[c]
+            if acc:
+                x[p] = -acc / prow[p]
+        first = min(x)
+        lead = x[first]
+        vec = {column_order[i]: v / lead for i, v in x.items() if v}
+        basis.append((first, vec))
+    basis.sort(key=lambda t: t[0])
+    return [vec for _, vec in basis]

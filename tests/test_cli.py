@@ -137,6 +137,17 @@ def test_entry_cap_too_small_exits_two(capsys):
         assert "raise the cap" in captured.err
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    # the report cannot be written: a missing directory, and a directory
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        argv = ["search", "--mu", "0,0,0,1", "--degree", "1",
+                "--output", str(out)]
+        assert main(argv) == 2, out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_skip_g1_gives_the_same_records(tmp_path):
     argv = ["verify-catalog", "--family", "1A", "--m", "0..1", "--n", "0",
             "--format", "json", "--output"]

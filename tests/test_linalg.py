@@ -222,19 +222,35 @@ def _kernel_matrices(draw):
 
     Full-rank matrices get n triangular rows with a nonzero diagonal; the
     others get at most n - 1 random rows and combinations of them, so both
-    kinds occur.
+    kinds occur.  Cascades start with a chain of rows, the k-th with a
+    nonzero entry at chain[k] and others only at chain[:k], so the peel
+    forces the whole chain.  A chain over every column leaves nothing to
+    eliminate; a shorter one leaves a core of fewer rows than live
+    columns, so its kernel is not 0.
     """
     n = draw(st.integers(1, 6))
     entry = draw(st.sampled_from((st.integers(-4, 4), _FRAC)))
     nonzero = entry.filter(bool)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("full", "random", "cascade")))
+    if kind == "full":
         rows = [{**draw(st.dictionaries(st.integers(i + 1, n), entry,
                                         max_size=3)), i: draw(nonzero)}
                 for i in range(n)]
-    else:
+    elif kind == "random":
         rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entry,
                                              max_size=4),
                              max_size=n - 1))
+    else:
+        chain = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        rows = [{**(draw(st.dictionaries(st.sampled_from(chain[:k]), entry,
+                                         max_size=2)) if k else {}),
+                 c: draw(nonzero)} for k, c in enumerate(chain)]
+        rest = [c for c in range(n) if c not in chain]
+        for _ in range(draw(st.integers(0, max(len(rest) - 1, 0)))):
+            rows.append({**draw(st.dictionaries(st.sampled_from(chain), entry,
+                                                max_size=2)),
+                         **draw(st.dictionaries(st.sampled_from(rest), nonzero,
+                                                min_size=2, max_size=4))})
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         combo = {}
         for r in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
@@ -253,7 +269,13 @@ def test_kernel_basis_matches_reference(matrix, data):
     # row order and positive row scales give the reference's kernel
     rows, columns = matrix
     want = kernel_refs.kernel_basis(rows, columns)
-    assert kernel_basis(rows, columns) == want
+    got = kernel_basis(rows, columns)
+    assert got == want
+    # the key order of each vector too, as before the peel
+    assert ([list(v.items()) for v in got]
+            == [list(v.items()) for v in want]
+            == [list(v.items())
+                for v in kernel_refs.unpeeled_kernel_basis(rows, columns)])
     more = rows + data.draw(st.lists(st.sampled_from(rows), max_size=3)
                             if rows else st.just([]))
     more = data.draw(st.permutations(more))
@@ -261,6 +283,55 @@ def test_kernel_basis_matches_reference(matrix, data):
                                 max_size=len(more)))
     assert kernel_basis([{k: s * v for k, v in r.items()}
                          for r, s in zip(more, scales)], columns) == want
+
+
+def _chain(n, one):
+    """{0: a}, {0: b, 1: c}, {1: d, 2: e}, ...: each row forces one more
+    column, n rows with 2n - 1 entries."""
+    return [{0: 2 * one}] + [{k - 1: (k + 1) * one, k: -k * one}
+                             for k in range(1, n)]
+
+
+def test_a_chain_is_peeled_without_elimination(monkeypatch):
+    def no_insert(*args):
+        raise AssertionError("Echelon._insert called")
+
+    monkeypatch.setattr(Echelon, "_insert", no_insert)
+    for one in (1, Q(1, 3)):
+        rows = _chain(6, one)
+        assert kernel_basis(rows, list(range(6))) == []
+        assert kernel_basis(rows[::-1], list(range(6))[::-1]) == []
+
+
+def test_the_peel_inserts_only_the_core(monkeypatch):
+    # the first two rows force columns 0 and 1; the other two, restricted
+    # to columns 2..4, are all that goes in, in order of their last column
+    real, inserted = Echelon._insert, []
+
+    def spy(self, den, row, tag):
+        inserted.append(dict(row))
+        return real(self, den, row, tag)
+
+    monkeypatch.setattr(Echelon, "_insert", spy)
+    for one in (1, Q(1, 2)):
+        rows = [{0: 2 * one}, {0: one, 1: -3 * one},
+                {1: one, 2: one, 3: one, 4: -one},
+                {1: one, 2: one, 3: 2 * one}]
+        inserted.clear()
+        got = kernel_basis(rows, list(range(5)))
+        assert got == [{2: 1, 3: Q(-1, 2), 4: Q(1, 2)}]
+        assert inserted == [{2: 1, 3: 2}, {2: 1, 3: 1, 4: -1}]
+        assert got == kernel_refs.unpeeled_kernel_basis(rows, list(range(5)))
+        assert got == kernel_refs.kernel_basis(rows, list(range(5)))
+
+
+def test_entry_cap_counts_every_entry_before_the_peel():
+    # the peel leaves nothing of the chain, but the cap sees its 19 entries
+    rows = _chain(10, 1)
+    for kb in (kernel_basis, kernel_refs.unpeeled_kernel_basis):
+        with pytest.raises(MatrixTooLargeError, match="19 stored entries"):
+            kb(rows, list(range(10)), entry_cap=18)
+        assert kb(rows, list(range(10)), entry_cap=19) == []
 
 
 def test_kernel_basis_leaves_the_callers_rows_alone():
