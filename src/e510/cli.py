@@ -43,6 +43,13 @@ def _check_degrees(degrees):
     return degrees
 
 
+def _positive(flag, n):
+    """n, if it is at least 1."""
+    if n < 1:
+        raise ConfigError("%s must be positive: %d" % (flag, n))
+    return n
+
+
 def _check_budget(budget):
     """A negative weight budget selects no module, so nothing is checked."""
     if budget < 0:
@@ -394,8 +401,7 @@ def _theta_chain_seven():
 def cmd_identities(args):
     if args.suite == "omega":
         # with no form word every count would be 0 and the suite pass
-        if args.max_d < 1:
-            raise ConfigError("--max-d must be positive: %d" % args.max_d)
+        _positive("--max-d", args.max_d)
         if args.samples < 0:
             raise ConfigError("--samples must be nonnegative: %d"
                               % args.samples)
@@ -569,8 +575,16 @@ def _add_common(p):
     p.add_argument("--output", default=None, help="write the report here")
 
 
+def _add_entry_cap(p):
+    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP,
+                   help="most stored entries of one search block's rows, "
+                        "counted as assembled: a condition's rows are built "
+                        "only on the columns the earlier conditions leave "
+                        "unforced (positive; default %(default)d)")
+
+
 def _add_search_flags(p):
-    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP)
+    _add_entry_cap(p)
     p.add_argument("--full-g1", action="store_true",
                    help="check all 40 degree +1 operators, not a spanning set")
     p.add_argument("--checkpoint", default=None)
@@ -643,13 +657,13 @@ def build_parser():
     p.add_argument("--mu", default=None)
     p.add_argument("--degree", default=None)
     p.add_argument("--weight", default=None)
-    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP)
+    _add_entry_cap(p)
     _add_common(p)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("s5-baseline",
                        help="exhaustive search in the vector field model")
-    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP)
+    _add_entry_cap(p)
     _add_common(p)
     p.set_defaults(func=cmd_s5_baseline)
 
@@ -660,6 +674,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if "entry_cap" in args:  # a command that searches, before it does
+            _positive("--entry-cap", args.entry_cap)
         code, report, render = args.func(args)
         _emit(report, args.format, args.output, render)
     except VerificationError as exc:

@@ -29,7 +29,13 @@ plus its projection onto the live columns, which the rows with two or more
 live entries, restricted to the live columns, span.  So the pivots are the
 forced columns and the pivots of those restricted rows, and the free
 columns and each normalized kernel vector are the ones the whole system
-gives; only the restricted rows go into the echelon.
+gives; only the restricted rows go into the echelon.  _peel is the one
+cascade: singular_search.singular_block also runs it after each condition
+label to learn which columns the next label still needs, in the order
+POSITIVE generators, then e_4..e_1.  By the same induction a row built
+only on the live columns differs from its full row by a combination of
+the forced unit vectors, so those rows span the same space, and
+kernel_basis, a function of the span, gives the same kernel.
 """
 
 from math import gcd

@@ -7,15 +7,24 @@ annihilator of a raising-invariant vector is closed under bracketing with
 raisings, and the degree +1 part is generated from x_5 d_45 by them.
 
 For a fixed (degree, weight) block the conditions are one sparse linear
-system; its kernel is computed exactly over the rationals.  The module
-builds the block's integer rows in one pass (InducedModule.condition_rows),
-with the rep matrices looked up once per block, and the rows of one
-condition share one denominator.  A row's positive scale and the order of
-the rows do not change the kernel.  Many rows of the e_i and x_5 d_45
-conditions have one entry, and each forces its column to zero;
-linalg.kernel_basis follows that cascade before it eliminates, which
-leaves many blocks with no row to eliminate, and it stops as soon as the
-pivots cover the columns that are left.  Any vector in the kernel is
+system; its kernel is computed exactly over the rationals.  The rows are
+integers, and the rows of one condition built in one call share one
+denominator; a row's positive scale and the order of the rows do not
+change the kernel.  Many rows of the e_i and x_5 d_45 conditions have one
+entry, and each forces its column to zero.  So singular_block assembles
+the rows one condition label at a time, in the order of
+InducedModule.condition_rows (the POSITIVE generators, then e_4, e_3,
+e_2, e_1): after each label it runs the forced-zero peel of linalg over
+the rows built so far, builds the next label's images only for the
+columns still live, and stops once no column is live.  The assembled rows
+span the row space of the full system: by induction the unit vector of
+every forced column lies in the span of the rows built before it, and a
+later label's row on the live columns differs from its full row by a
+combination of those unit vectors.  linalg.kernel_basis gets every
+assembled row; its output depends only on that span and the column
+order, so the kernel is that of the full system, and its entry cap counts
+the entries assembled.  It peels again, eliminates what is left and stops
+as soon as the pivots cover the live columns.  Any vector in the kernel is
 re-verified through the module action (InducedModule.is_singular, on the
 independent per-element path int_conditions) before being reported in a
 certificate; a vector that fails raises VerificationError naming the first
@@ -28,7 +37,7 @@ import os
 
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
-from .linalg import DEFAULT_ENTRY_CAP, kernel_basis
+from .linalg import DEFAULT_ENTRY_CAP, _peel, kernel_basis
 from .verma import VermaModule, tensor_from_terms
 
 TOOL_VERSION = "0.1.0"
@@ -40,11 +49,26 @@ def candidate_weights(module, d):
 
 
 def singular_block(module, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
-    """Block basis and exact kernel of the module's singularity conditions."""
+    """Block basis and exact kernel of the module's singularity conditions.
+
+    The rows are assembled one condition label at a time, in the order of
+    module.condition_rows, and only on the columns that the rows so far
+    leave live (module docstring); every assembled row goes to kernel_basis.
+    The rows so far force what the last peel forced plus what its core,
+    the rows left on the live columns, forces with the new rows, so each
+    peel runs over that core and the new rows.
+    """
     block = module.weight_space(d, tuple(nu))
-    rows = module.condition_rows(block)
-    kern = kernel_basis(list(rows.values()), list(range(len(block))),
-                        entry_cap=entry_cap)
+    ncols = len(block)
+    rows, core, live = [], [], range(ncols)
+    for _, build in module.condition_rows(block):
+        if not live:
+            break
+        new = list(build(live).values())
+        rows += new
+        forced, core = _peel(core + new, ncols)
+        live = [j for j in live if j not in forced]
+    kern = kernel_basis(rows, list(range(ncols)), entry_cap=entry_cap)
     vectors = [{block[j]: c for j, c in k.items()} for k in kern]
     return block, vectors
 

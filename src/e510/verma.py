@@ -35,11 +35,17 @@ _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
 act_e_int, act_pieces_int and int_conditions return the integer
 numerators with their denominator; the rep matrices are those of
 Irrep.mat.  Their loops, _act_e_terms, _leibniz_terms and _leibniz_acc,
-take numerators and rep matrices as arguments, so condition_rows applies
-the conditions to every basis pair of a search block with the rep
-matrices looked up once per block, and builds the block's integer rows
-without a scalar.  int_conditions stays the independent per-element path
-that re-checks the kernel vectors.
+take numerators and rep matrices as arguments, so condition_rows gives
+one row builder per condition label: it applies that condition to the
+basis pairs of given columns of a search block, with the rep matrices
+looked up once per call, and builds integer rows without a scalar.  The
+labels come in search order, the POSITIVE generators (x_5 d_45), then e_4,
+e_3, e_2, e_1: singular_search.singular_block peels the forced zeros
+after each label and builds the next one only on the columns still live,
+which keeps the row space (see there).  x_5 d_45 first forces the most
+columns; with e_4..e_1 after it, degree 11 of M(F(0,0,0,1)) builds 9 994
+of its 21 665 column images.  int_conditions stays the independent
+per-element path that re-checks the kernel vectors.
 
 The search blocks are indexed by dominant weight in fundamental
 coordinates.  Coordinates add, so weight_blocks groups the monomials and
@@ -47,6 +53,7 @@ the rep indices by their own coordinates and crosses the groups, instead of
 checking every monomial against every rep vector.
 """
 
+from functools import partial
 from math import comb, lcm
 from operator import add
 
@@ -149,6 +156,16 @@ def _act_e_terms(a, b, enums, mat):
             key = (m, i2)
             acc[key] = acc.get(key, 0) + n * cv
     return acc
+
+
+def _transpose(images):
+    """Rows image key -> {j: n} from the (j, numerators) images of columns."""
+    rows = {}
+    for j, acc in images:
+        for key, n in acc.items():
+            if n:
+                rows.setdefault(key, {})[j] = n
+    return rows
 
 
 def _leibniz_acc(terms, mats, mden):
@@ -404,38 +421,40 @@ class InducedModule:
             yield label, self.act_pieces_int(x, elem)
 
     def condition_rows(self, block):
-        """The integer condition rows of a block, keyed by (label, image key).
+        """The row builders of a block's conditions, as (label, rows) pairs.
 
-        Column j is the basis pair block[j]; the nonzero numerators of its
-        condition images (those of int_conditions) are the entries of
-        column j.  Rows appear column by column, labels in condition order
-        within a column.  A label's rows share one denominator over the
-        block: that of e_a's rep matrix, and for a positive generator that
-        of its coefficients times the lcm of the denominators of the rep
-        matrices its terms use anywhere in block.  So each row is its
-        rational row times one positive integer per label.
+        Labels come in search order: the POSITIVE generators, then e_4,
+        e_3, e_2, e_1.  rows(columns) builds the label's integer rows over
+        the given positions of block, a dict image key -> {j: numerator}:
+        column j is the basis pair block[j], and the nonzero numerators of
+        its image (that of int_conditions) are its entries.  Rows appear in
+        the order their first column adds them.  All rows of one call share
+        one denominator over those columns: that of e_a's rep matrix, and
+        for a positive generator that of its coefficients times the lcm of
+        the denominators of the rep matrices its terms use on them.  So each
+        row is its rational row times one positive integer per call.
         """
-        e_mats = [("e%d" % a, a, self.rep.mat(a, a + 1)) for a in range(1, 5)]
-        positive = []
-        for label, x in self.POSITIVE:
-            xnums = _numerators(x, _den(x.values()))
-            mats = {}
-            terms = [self._leibniz_terms(xnums, ((pair, 1),), mats)
-                     for pair in block]
-            positive.append((label, terms, mats,
-                             lcm(*(d for d, _ in mats.values()))))
-        rows = {}
-        for j, pair in enumerate(block):
-            one = ((pair, 1),)
-            images = [(label, _act_e_terms(a, a + 1, one, mat))
-                      for label, a, mat in e_mats]
-            images += [(label, _leibniz_acc(terms[j], mats, mden))
-                       for label, terms, mats, mden in positive]
-            for label, acc in images:
-                for key, n in acc.items():
-                    if n:
-                        rows.setdefault((label, key), {})[j] = n
-        return rows
+        out = [(label, partial(self._leibniz_rows, block, x))
+               for label, x in self.POSITIVE]
+        out += [("e%d" % a, partial(self._act_e_rows, block, a))
+                for a in (4, 3, 2, 1)]
+        return out
+
+    def _act_e_rows(self, block, a, columns):
+        """condition_rows of e_a on the columns of block."""
+        mat = self.rep.mat(a, a + 1)
+        return _transpose((j, _act_e_terms(a, a + 1, ((block[j], 1),), mat))
+                          for j in columns)
+
+    def _leibniz_rows(self, block, x, columns):
+        """condition_rows of the positive generator x on the columns of
+        block, over the lcm of the rep matrix denominators they use."""
+        xnums = _numerators(x, _den(x.values()))
+        mats = {}
+        terms = [(j, self._leibniz_terms(xnums, ((block[j], 1),), mats))
+                 for j in columns]
+        mden = lcm(*(d for d, _ in mats.values()))
+        return _transpose((j, _leibniz_acc(t, mats, mden)) for j, t in terms)
 
     def failed_condition(self, elem):
         """Label of the first condition that does not kill elem, or None."""

@@ -10,8 +10,8 @@ last-column row order, with the Echelon reduction that took every row
 through _den and _numerators, and singular_search.condition_rows as it
 built one one-term element per block column and applied int_conditions to
 it.  Last, InducedModule.block_conditions and the singular_search
-condition_rows that transposed its images into rows, both now the one
-InducedModule.condition_rows.  And linalg.kernel_basis with its early
+condition_rows that transposed its images into rows, both now the label
+builders of InducedModule.condition_rows.  And linalg.kernel_basis with its early
 stop and last-column row order, before it peeled the forced zeros, as
 unpeeled_kernel_basis.
 """

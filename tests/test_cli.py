@@ -137,6 +137,29 @@ def test_entry_cap_too_small_exits_two(capsys):
         assert "raise the cap" in captured.err
 
 
+def test_entry_cap_below_one_exits_two_before_any_search(monkeypatch,
+                                                        capsys):
+    # the cap is checked when the arguments are read, so no block is built
+    from e510.verma import InducedModule
+
+    def no_blocks(module, d):
+        raise AssertionError("a search block was built")
+
+    monkeypatch.setattr(InducedModule, "weight_blocks", no_blocks)
+    for argv in (["search", "--mu", "0,0,0,1", "--degree", "1"],
+                 ["sweep", "--mu", "0,0,0,1", "--degree", "1"],
+                 ["classify", "--budget", "1", "--max-degree", "1"],
+                 ["dual", "--mu", "0,0,0,1", "--degree", "1",
+                  "--weight", "1,0,0,0"],
+                 ["s5-baseline"]):
+        for cap in ("-5", "0"):
+            assert main(argv + ["--entry-cap", cap]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                "error: --entry-cap must be positive: %s\n" % cap, argv
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     # the report cannot be written: a missing directory, and a directory
     for out in (tmp_path / "missing" / "x.json", tmp_path):
@@ -391,16 +414,16 @@ def test_recheck_failure_names_the_condition(monkeypatch, capsys):
 
 
 def test_recheck_failure_names_x5d45(monkeypatch, capsys):
-    # without the x5d45 rows the kernel is the block's highest weight
+    # without the x5d45 builder the kernel is the block's highest weight
     # vectors, which x5d45 does not kill
     from e510.verma import VermaModule
-    rows = VermaModule.condition_rows
+    builders = VermaModule.condition_rows
 
-    def e_rows(module, block):
-        return {key: row for key, row in rows(module, block).items()
-                if key[0] != "x5d45"}
+    def e_builders(module, block):
+        return [(label, build) for label, build in builders(module, block)
+                if label != "x5d45"]
 
-    monkeypatch.setattr(VermaModule, "condition_rows", e_rows)
+    monkeypatch.setattr(VermaModule, "condition_rows", e_builders)
     assert main(["search", "--mu", "1,0,0,0", "--degree", "1",
                  "--format", "json"]) == 1
     assert capsys.readouterr().err.endswith(

@@ -208,6 +208,24 @@ def ordered(rows):
     return [(key, list(row.items())) for key, row in rows.items()]
 
 
+def full_condition_rows(module, block):
+    """Every row of a block, keyed by (label, image key), from the label
+    builders of module.condition_rows over all columns.
+
+    Rows appear as a one-pass assembly adds them: column by column, labels
+    e_1..e_4 then the POSITIVE generators within a column, and each label's
+    rows in its builder's order.
+    """
+    columns = range(len(block))
+    rank = {label: n for n, label in enumerate(
+        ["e%d" % a for a in range(1, 5)] + [lab for lab, _ in module.POSITIVE])}
+    rows = [((label, key), row)
+            for label, build in module.condition_rows(block)
+            for key, row in build(columns).items()]
+    rows.sort(key=lambda kr: (next(iter(kr[1])), rank[kr[0][0]]))
+    return dict(rows)
+
+
 MODULE_CLASSES = st.sampled_from((VermaModule, S5Verma))
 SMALL_MUS = st.sampled_from(dominant_weights_up_to(3))
 
@@ -238,7 +256,7 @@ def test_condition_rows_and_kernels_match_reference(cls, mu, d, data):
     if not blocks:  # S5 has no monomials of odd degree
         return
     block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
-    rows, ref = m.condition_rows(block), ref_condition_rows(m, block)
+    rows, ref = full_condition_rows(m, block), ref_condition_rows(m, block)
     assert_rows_match_reference(rows, ref)
     columns = list(range(len(block)))
     assert kernel_basis(list(rows.values()), columns) \
@@ -253,7 +271,7 @@ def test_condition_rows_rescale_when_the_denominator_grows():
     x5d45 = dict(m.POSITIVE)["x5d45"]
     assert [m.act_pieces_int(x5d45, {pair: 1})[1] for pair in block] \
         == [2, 4, 8]
-    rows, ref = m.condition_rows(block), ref_condition_rows(m, block)
+    rows, ref = full_condition_rows(m, block), ref_condition_rows(m, block)
     assert assert_rows_match_reference(rows, ref)["x5d45"] == 8
     assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
     columns = list(range(len(block)))
@@ -270,7 +288,7 @@ def test_condition_rows_rescale_when_the_denominator_grows():
 def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
     m = cls(mu)
     block = m.weight_space(d, nu)
-    rows, ref = m.condition_rows(block), ref_condition_rows(m, block)
+    rows, ref = full_condition_rows(m, block), ref_condition_rows(m, block)
     assert_rows_match_reference(rows, ref)
     assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
     columns = list(range(len(block)))
@@ -284,14 +302,15 @@ def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
 def test_condition_rows_match_the_one_term_reference(cls, mu, d, data):
     # the older assemblies: one one-term element per column through
     # int_conditions, with the label rows rescaled as the lcm grows; and
-    # the block-wide images transposed into rows, which condition_rows
-    # equals exactly, down to key order and integers
+    # the block-wide images transposed into rows, which the label builders
+    # of condition_rows over all columns equal exactly, down to key order
+    # and integers
     m = cls(mu)
     blocks = m.weight_blocks(d)
     if not blocks:
         return
     block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
-    rows = m.condition_rows(block)
+    rows = full_condition_rows(m, block)
     assert_rows_match_reference(rows, kernel_refs.condition_rows(m, block))
     assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
 
@@ -322,7 +341,8 @@ def brauer_klimyk(blocks, nu):
 
 
 def e_kernel_dim(module, block):
-    rows = [row for (label, _), row in module.condition_rows(block).items()
+    rows = full_condition_rows(module, block)
+    rows = [row for (label, _), row in rows.items()
             if label in ("e1", "e2", "e3", "e4")]
     return len(kernel_basis(rows, list(range(len(block)))))
 
@@ -344,3 +364,128 @@ def test_e_kernel_dimension_is_the_brauer_klimyk_multiplicity(cls, mus,
                     (mu, d, nu)
                 checked += 1
     assert checked == count
+
+
+# Lazy assembly: singular_block builds one label's rows at a time, on the
+# columns that the rows of the earlier labels leave live.
+
+def forced_columns(rows):
+    """The columns the forced-zero cascade of rows forces, found by sweeping
+    the rows until no row has exactly one entry outside the forced set."""
+    forced, grew = set(), True
+    while grew:
+        grew = False
+        for row in rows:
+            rest = [c for c in row if c not in forced]
+            if len(rest) == 1:
+                forced.add(rest[0])
+                grew = True
+    return forced
+
+
+def spy_builders(monkeypatch, cls):
+    """Record every label builder call of singular_block on cls modules as
+    (block, label, columns, rows), in call order."""
+    calls = []
+    builders = cls.condition_rows
+
+    def spied(module, block):
+        def wrap(label, build):
+            def call(columns):
+                columns = list(columns)
+                rows = build(columns)
+                calls.append((block, label, columns, rows))
+                return rows
+            return label, call
+        return [wrap(*lb) for lb in builders(module, block)]
+
+    monkeypatch.setattr(cls, "condition_rows", spied)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4), st.data())
+def test_singular_block_is_the_kernel_of_the_full_rows(cls, mu, d, data):
+    m = cls(mu)
+    blocks = m.weight_blocks(d)
+    if not blocks:
+        return
+    nu = data.draw(st.sampled_from(sorted(blocks)))
+    block, vectors = singular_search.singular_block(m, d, nu)
+    assert block == blocks[nu]
+    full = kernel_refs.block_condition_rows(m, block)
+    ref = kernel_refs.kernel_basis(list(full.values()),
+                                   list(range(len(block))))
+    assert vectors == [{block[j]: c for j, c in k.items()} for k in ref]
+    assert all(list(v) == [block[j] for j in k] for v, k in zip(vectors, ref))
+
+
+def calls_by_block(calls):
+    """The spied calls grouped by block, in order: (block, [(label,
+    columns, rows)])."""
+    groups = {}
+    for block, label, columns, rows in calls:
+        groups.setdefault(id(block), (block, []))[1].append(
+            (label, columns, rows))
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("cls, mus, degrees", [
+    (VermaModule, dominant_weights_up_to(1), range(1, 4)),
+    (S5Verma, dominant_weights_up_to(1), (2, 4)),
+])
+def test_builders_get_exactly_the_live_columns(monkeypatch, cls, mus,
+                                               degrees):
+    # labels in search order; each builder gets the columns that the
+    # forced-zero cascade of the rows of the earlier labels of its block
+    # leaves live, so no forced column and no fewer; and the builders stop
+    # once no column is live
+    order = [label for label, _ in cls.POSITIVE] + ["e4", "e3", "e2", "e1"]
+    calls = spy_builders(monkeypatch, cls)
+    for mu in mus:
+        for d in degrees:
+            singular_search.search_blocks(cls(mu), d)
+    groups = calls_by_block(calls)
+    assert len(groups) > 20
+    stopped = 0
+    for block, seq in groups:
+        assert [label for label, _, _ in seq] == order[:len(seq)]
+        rows = []
+        for label, columns, built in seq:
+            forced = forced_columns(rows)
+            assert columns, label
+            assert columns == [j for j in range(len(block))
+                               if j not in forced], label
+            rows += built.values()
+        if len(seq) < len(order):
+            assert len(forced_columns(rows)) == len(block)
+            stopped += 1
+    assert stopped
+
+
+def test_lazy_assembly_builds_under_half_the_column_images(monkeypatch):
+    # search --mu 0,0,0,1 --degree 11: 30 blocks, 4333 columns, so the
+    # full system would build 5 x 4333 = 21665 column images
+    calls = spy_builders(monkeypatch, VermaModule)
+    certs = search_module((0, 0, 0, 1), 11)
+    groups = calls_by_block(calls)
+    assert len(groups) == 30
+    assert sum(len(block) for block, _ in groups) == 4333
+    built = sum(len(columns) for _, _, columns, _ in calls)
+    assert built < 21665 / 2
+    assert [c["kernel_dim"] for c in certs] == [1]
+
+
+def test_a_block_forced_by_x5d45_never_builds_an_e_row(monkeypatch):
+    # the x5d45 rows of M(1,0,0,0), degree 3, weight (0,0,1,1) force all
+    # 10 columns, though the e_i rows are not empty
+    m = VermaModule((1, 0, 0, 0))
+    block = m.weight_space(3, (0, 0, 1, 1))
+    full = kernel_refs.block_condition_rows(m, block)
+    x_rows = [row for (label, _), row in full.items() if label == "x5d45"]
+    assert len(forced_columns(x_rows)) == len(block) == 10
+    assert len(x_rows) < len(full)
+    calls = spy_builders(monkeypatch, VermaModule)
+    assert singular_search.singular_block(m, 3, (0, 0, 1, 1)) == (block, [])
+    assert [(label, columns) for _, label, columns, _ in calls] \
+        == [("x5d45", list(range(10)))]
