@@ -30,12 +30,18 @@ live entries, restricted to the live columns, span.  So the pivots are the
 forced columns and the pivots of those restricted rows, and the free
 columns and each normalized kernel vector are the ones the whole system
 gives; only the restricted rows go into the echelon.  _peel is the one
-cascade: singular_search.singular_block also runs it after each condition
-label to learn which columns the next label still needs, in the order
-POSITIVE generators, then e_4..e_1.  By the same induction a row built
+cascade: singular_search.singular_block runs it after each condition
+label, in the order POSITIVE generators, then e_4..e_1, to learn which
+columns the next label still needs.  By the same induction a row built
 only on the live columns differs from its full row by a combination of
-the forced unit vectors, so those rows span the same space, and
-kernel_basis, a function of the span, gives the same kernel.
+the forced unit vectors, so the last peel's core spans the projection of
+the full row space onto the live columns.  singular_block hands
+kernel_basis only that core, over the live columns in block order, and
+the kernel is that of the full system, each vector's key order included;
+on a core the peel of kernel_basis finds no row with one live entry and
+returns at its first check.  check_entry_cap is the one entry-cap test:
+kernel_basis applies it to the rows handed in, singular_block to the rows
+it assembled.
 """
 
 from math import gcd
@@ -50,6 +56,15 @@ DEFAULT_ENTRY_CAP = 200000  # stored entries of one search block's rows
 class MatrixTooLargeError(RuntimeError):
     """Raised when a search block's assembled rows exceed the entry cap,
     before elimination."""
+
+
+def check_entry_cap(entries, entry_cap):
+    """Raise MatrixTooLargeError when a search block's entries exceed
+    entry_cap; None is no cap."""
+    if entry_cap is not None and entries > entry_cap:
+        raise MatrixTooLargeError(
+            "search block has %d stored entries (cap %d); raise the cap "
+            "to proceed" % (entries, entry_cap))
 
 
 def _make_primitive(row, combo):
@@ -206,12 +221,7 @@ def kernel_basis(rows, column_order, entry_cap=None):
     before the peel.  The caller's rows are never changed.
     """
     rows = [r for r in rows if r]
-    if entry_cap is not None:
-        entries = sum(len(r) for r in rows)
-        if entries > entry_cap:
-            raise MatrixTooLargeError(
-                "search block has %d stored entries (cap %d); raise the cap "
-                "to proceed" % (entries, entry_cap))
+    check_entry_cap(sum(map(len, rows)), entry_cap)
     colpos = {c: i for i, c in enumerate(column_order)}
     ncols = len(column_order)
     owned = []

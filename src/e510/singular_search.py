@@ -20,15 +20,18 @@ columns still live, and stops once no column is live.  The assembled rows
 span the row space of the full system: by induction the unit vector of
 every forced column lies in the span of the rows built before it, and a
 later label's row on the live columns differs from its full row by a
-combination of those unit vectors.  linalg.kernel_basis gets every
-assembled row; its output depends only on that span and the column
-order, so the kernel is that of the full system, and its entry cap counts
-the entries assembled.  It peels again, eliminates what is left and stops
-as soon as the pivots cover the live columns.  Any vector in the kernel is
-re-verified through the module action (InducedModule.is_singular, on the
-independent per-element path int_conditions) before being reported in a
-certificate; a vector that fails raises VerificationError naming the first
-condition it fails.  The search reads only the protocol of
+combination of those unit vectors.  So the last peel's core, the rows
+left with two or more live entries, spans the projection of that space
+onto the live columns, and every kernel vector vanishes on the forced
+columns: linalg.kernel_basis gets only the core, over the live columns in
+block order, and its kernel, each vector's normalization and key order
+included, is that of the full system.  It eliminates the core and stops
+as soon as the pivots cover the live columns.  The entry cap counts the
+entries assembled, checked before the elimination.  Any vector in the
+kernel is re-verified through the module action (InducedModule.is_singular,
+on the independent per-element path int_conditions) before being reported
+in a certificate; a vector that fails raises VerificationError naming the
+first condition it fails.  The search reads only the protocol of
 verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
 """
 
@@ -37,7 +40,7 @@ import os
 
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
-from .linalg import DEFAULT_ENTRY_CAP, _peel, kernel_basis
+from .linalg import DEFAULT_ENTRY_CAP, _peel, check_entry_cap, kernel_basis
 from .verma import VermaModule, tensor_from_terms
 
 TOOL_VERSION = "0.1.0"
@@ -53,22 +56,24 @@ def singular_block(module, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
 
     The rows are assembled one condition label at a time, in the order of
     module.condition_rows, and only on the columns that the rows so far
-    leave live (module docstring); every assembled row goes to kernel_basis.
-    The rows so far force what the last peel forced plus what its core,
-    the rows left on the live columns, forces with the new rows, so each
-    peel runs over that core and the new rows.
+    leave live (module docstring).  The rows so far force what the last
+    peel forced plus what its core, the rows left on the live columns,
+    forces with the new rows, so each peel runs over that core and the new
+    rows.  The entry cap is checked on the entries assembled, and
+    kernel_basis gets the last peel's core over the live columns.
     """
     block = module.weight_space(d, tuple(nu))
     ncols = len(block)
-    rows, core, live = [], [], range(ncols)
+    entries, core, live = 0, [], range(ncols)
     for _, build in module.condition_rows(block):
         if not live:
             break
         new = list(build(live).values())
-        rows += new
+        entries += sum(map(len, new))
         forced, core = _peel(core + new, ncols)
         live = [j for j in live if j not in forced]
-    kern = kernel_basis(rows, list(range(ncols)), entry_cap=entry_cap)
+    check_entry_cap(entries, entry_cap)
+    kern = kernel_basis(core, list(live))
     vectors = [{block[j]: c for j, c in k.items()} for k in kern]
     return block, vectors
 

@@ -9,18 +9,23 @@ Irrep.mat).  Then linalg.kernel_basis before its early stop and its
 last-column row order, with the Echelon reduction that took every row
 through _den and _numerators, and singular_search.condition_rows as it
 built one one-term element per block column and applied int_conditions to
-it.  Last, InducedModule.block_conditions and the singular_search
+it.  Then InducedModule.block_conditions and the singular_search
 condition_rows that transposed its images into rows, both now the label
-builders of InducedModule.condition_rows.  And linalg.kernel_basis with its early
-stop and last-column row order, before it peeled the forced zeros, as
-unpeeled_kernel_basis.
+builders of InducedModule.condition_rows.  And linalg.kernel_basis with
+its early stop and last-column row order, before it peeled the forced
+zeros, as unpeeled_kernel_basis.  Last, singular_search.singular_block as
+it kept every assembled row and handed them all to linalg.kernel_basis,
+which checked the entry cap and peeled them again, as
+assembled_singular_block.
 """
 
 from math import lcm
 from operator import add
 
+from e510 import linalg
 from e510.linalg import (
-    _INT, Echelon, MatrixTooLargeError, _eliminate, _make_primitive,
+    _INT, DEFAULT_ENTRY_CAP, Echelon, MatrixTooLargeError, _eliminate,
+    _make_primitive, _peel,
 )
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import act_ambient
@@ -315,3 +320,28 @@ def unpeeled_kernel_basis(rows, column_order, entry_cap=None):
         basis.append((first, vec))
     basis.sort(key=lambda t: t[0])
     return [vec for _, vec in basis]
+
+
+def assembled_singular_block(module, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
+    """Block basis and exact kernel of the module's singularity conditions.
+
+    The rows are assembled one condition label at a time, in the order of
+    module.condition_rows, and only on the columns that the rows so far
+    leave live (module docstring); every assembled row goes to kernel_basis.
+    The rows so far force what the last peel forced plus what its core,
+    the rows left on the live columns, forces with the new rows, so each
+    peel runs over that core and the new rows.
+    """
+    block = module.weight_space(d, tuple(nu))
+    ncols = len(block)
+    rows, core, live = [], [], range(ncols)
+    for _, build in module.condition_rows(block):
+        if not live:
+            break
+        new = list(build(live).values())
+        rows += new
+        forced, core = _peel(core + new, ncols)
+        live = [j for j in live if j not in forced]
+    kern = linalg.kernel_basis(rows, list(range(ncols)), entry_cap=entry_cap)
+    vectors = [{block[j]: c for j, c in k.items()} for k in kern]
+    return block, vectors

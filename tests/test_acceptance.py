@@ -119,6 +119,5 @@ def test_composition_complexes(tmp_path):
         "e8d7916a33a1c57ddae593622c1afc561d4a7a3956b15e8d1e46c028ef2914b5")
 
 
-@pytest.mark.long
 def test_deep_emptiness_sweep():
     assert sweep(coord_sum=1, degrees=(12, 13, 14)) == []

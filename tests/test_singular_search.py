@@ -10,6 +10,7 @@ import kernel_refs
 
 from e510.scalars import Q, _scalars
 from e510.uminus import add_scaled, d_elem
+from e510 import linalg
 from e510.linalg import MatrixTooLargeError, kernel_basis
 from e510.sl5_reps import ambient_monomial, eps_to_coords, is_dominant
 from e510.s5_verma import S5Verma
@@ -489,3 +490,81 @@ def test_a_block_forced_by_x5d45_never_builds_an_e_row(monkeypatch):
     assert singular_search.singular_block(m, 3, (0, 0, 1, 1)) == (block, [])
     assert [(label, columns) for _, label, columns, _ in calls] \
         == [("x5d45", list(range(10)))]
+
+
+# One peel per block: singular_block hands kernel_basis only the core, the
+# rows its own peels leave on the live columns, and checks the entry cap on
+# the rows it assembled.
+
+def spy_kernel_basis(monkeypatch):
+    """Record every (rows, column_order) that singular_block hands to
+    kernel_basis, in call order."""
+    handed = []
+    kb = singular_search.kernel_basis
+
+    def spied(rows, column_order, entry_cap=None):
+        handed.append((rows, column_order))
+        return kb(rows, column_order, entry_cap=entry_cap)
+
+    monkeypatch.setattr(singular_search, "kernel_basis", spied)
+    return handed
+
+
+def test_singular_block_hands_kernel_basis_only_the_core(monkeypatch):
+    # every candidate block of classify --budget 2 --max-degree 4 and of
+    # the S5 baseline gives the (block, vectors) of the reference that
+    # handed over every assembled row, key order included; kernel_basis
+    # gets each block once, with rows of two or more entries in its column
+    # order, and its own peel forces no column
+    cells = [(VermaModule, mu, d) for mu in dominant_weights_up_to(2)
+             for d in range(1, 5)]
+    cells += [(S5Verma, lam, d) for lam in dominant_weights_up_to(1)
+              for d in (2, 4)]
+    blocks = [(cls(mu), d, nu) for cls, mu, d in cells
+              for nu in candidate_weights(cls(mu), d)]
+    refs = [kernel_refs.assembled_singular_block(*b) for b in blocks]
+    forced = []
+    peel = linalg._peel
+
+    def spied_peel(rows, ncols):
+        out = peel(rows, ncols)
+        forced.append(out[0])
+        return out
+
+    handed = spy_kernel_basis(monkeypatch)
+    monkeypatch.setattr(linalg, "_peel", spied_peel)
+    cores = 0
+    for (m, d, nu), (ref_block, ref_vectors) in zip(blocks, refs):
+        handed.clear()
+        block, vectors = singular_search.singular_block(m, d, nu)
+        assert block == ref_block and vectors == ref_vectors, (m.mu, d, nu)
+        assert [list(v) for v in vectors] == [list(v) for v in ref_vectors]
+        [(rows, column_order)] = handed
+        assert all(len(r) >= 2 and set(r) <= set(column_order)
+                   for r in rows), (m.mu, d, nu)
+        cores += bool(rows)
+    assert len(blocks) > 500 and cores > 50
+    assert len(forced) == len(blocks) and not any(forced)
+
+
+def test_entry_cap_counts_the_assembled_rows_not_the_core(monkeypatch):
+    # M(0,0,0,1), degree 11, weight (1,0,0,0): the block with a kernel;
+    # the cap is met by the N entries the builders return, not by the
+    # fewer entries of the core, and the reference refuses the same caps
+    m = VermaModule((0, 0, 0, 1))
+    nu = (1, 0, 0, 0)
+    calls = spy_builders(monkeypatch, VermaModule)
+    handed = spy_kernel_basis(monkeypatch)
+    block, vectors = singular_search.singular_block(m, 11, nu)
+    assert len(vectors) == 1
+    n = sum(len(r) for _, _, _, rows in calls for r in rows.values())
+    [(core, _)] = handed
+    assert 0 < sum(map(len, core)) < n
+    assert singular_search.singular_block(m, 11, nu, entry_cap=n) \
+        == (block, vectors)
+    for singular_block in (singular_search.singular_block,
+                           kernel_refs.assembled_singular_block):
+        with pytest.raises(MatrixTooLargeError,
+                           match="has %d stored entries \\(cap %d\\)"
+                           % (n, n - 1)):
+            singular_block(m, 11, nu, entry_cap=n - 1)
