@@ -343,15 +343,16 @@ def _fundamental_suite():
     from .omega_basis import fundamental_equation_residuals, reconstruct_theta
     failures = []
     counts = {}
+    thetas = {}
     for fam in ("1A", "4D", "7", "11"):
         mod, w = known_vector(fam)
-        theta = reconstruct_theta(mod, w)
+        theta = thetas[fam] = reconstruct_theta(mod, w)
         bad = fundamental_equation_residuals(theta)
         counts["equations_" + fam] = 1
         if bad:
             failures.append({"check": "equations", "family": fam,
                              "first": repr(bad[0])})
-    counts["chain_7"], chain_bad = _theta_chain_seven()
+    counts["chain_7"], chain_bad = _theta_chain_seven(thetas["7"])
     failures.extend(chain_bad)
     return counts, failures
 
@@ -378,11 +379,7 @@ CHAIN7 = (
 )
 
 
-def _theta_chain_seven():
-    from .catalog import known_vector
-    from .omega_basis import reconstruct_theta
-    mod, w = known_vector("7")
-    theta = reconstruct_theta(mod, w)
+def _theta_chain_seven(theta):
     base_rs, base_codes, _ = CHAIN7[0]
     base_pairs = tuple(divmod(t, 10) for t in base_codes)
     base = theta.value(base_rs, base_pairs, 0)

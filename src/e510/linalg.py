@@ -16,32 +16,10 @@ any order, and it inserts them in order of their last column, which keeps
 the pivot rows short; and it may stop inserting rows as soon as the pivots
 cover every column: the kernel is then 0, whatever the remaining rows are.
 Each row is copied once, into column positions; the echelon reduces that
-copy, so the caller's rows never change.
-
-Before the echelon, kernel_basis peels the forced zeros, the first step of
-structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO 1990): a row
-with one live entry forces its column to 0, that column is no longer live
-in any row, and the cascade goes on while some row has one live entry.  By
-induction the unit vector of each forced column lies in the row space, so
-the forced columns lead rows of every echelon of it, and every kernel
-vector vanishes on them.  The row space is the span of those unit vectors
-plus its projection onto the live columns, which the rows with two or more
-live entries, restricted to the live columns, span.  So the pivots are the
-forced columns and the pivots of those restricted rows, and the free
-columns and each normalized kernel vector are the ones the whole system
-gives; only the restricted rows go into the echelon.  _peel is the one
-cascade: singular_search.singular_block runs it after each condition
-label, in the order POSITIVE generators, then e_4..e_1, to learn which
-columns the next label still needs.  By the same induction a row built
-only on the live columns differs from its full row by a combination of
-the forced unit vectors, so the last peel's core spans the projection of
-the full row space onto the live columns.  singular_block hands
-kernel_basis only that core, over the live columns in block order, and
-the kernel is that of the full system, each vector's key order included;
-on a core the peel of kernel_basis finds no row with one live entry and
-returns at its first check.  check_entry_cap is the one entry-cap test:
-kernel_basis applies it to the rows handed in, singular_block to the rows
-it assembled.
+copy, so the caller's rows never change.  The search peels forced zeros
+off its rows before it asks for a kernel; why that keeps the kernel is
+argued once, in singular_search.  check_entry_cap is the one entry-cap
+test.
 """
 
 from math import gcd
@@ -167,41 +145,6 @@ class Echelon:
         return not self._reduce(*_integer_row(row), None)[0]
 
 
-def _peel(rows, ncols):
-    """(forced columns, the other rows restricted to the live columns).
-
-    rows are nonempty dicts over column positions 0..ncols-1.  Each row
-    keeps a count of its live entries; while some row has one, its live
-    column is forced to zero and every row through that column loses one.
-    The rows returned are those left with two or more live entries,
-    restricted to the live columns; a row that lost none is not copied.
-    """
-    live = [len(r) for r in rows]
-    stack = [i for i, n in enumerate(live) if n == 1]
-    if not stack:
-        return (), rows
-    through = [[] for _ in range(ncols)]
-    for i, r in enumerate(rows):
-        for c in r:
-            through[c].append(i)
-    forced = set()
-    while stack:
-        i = stack.pop()
-        if live[i] != 1:  # its last live column was forced meanwhile
-            continue
-        for c in rows[i]:
-            if c not in forced:
-                break
-        forced.add(c)
-        for j in through[c]:
-            n = live[j] = live[j] - 1
-            if n == 1:
-                stack.append(j)
-    return forced, [r if n == len(r) else
-                    {c: v for c, v in r.items() if c not in forced}
-                    for r, n in zip(rows, live) if n > 1]
-
-
 def kernel_basis(rows, column_order, entry_cap=None):
     """Exact kernel of the linear map given by constraint rows.
 
@@ -212,13 +155,10 @@ def kernel_basis(rows, column_order, entry_cap=None):
     of that coordinate.  The result depends only on the span of the rows
     (module docstring): row order, duplicates and positive row scales do
     not change it.  So each row is copied once, as an integer row over
-    column positions that the echelon reduces in place.  The forced zeros
-    are peeled off first (module docstring): only the copies with two or
-    more live entries, restricted to the live columns, are inserted, in
-    order of their last column, and the insertion stops with [] once the
-    pivots cover the live columns; back-substitution runs over the live
-    free columns.  entry_cap counts every entry of the rows handed in,
-    before the peel.  The caller's rows are never changed.
+    column positions that the echelon reduces in place; the copies are
+    inserted in order of their last column, and the insertion stops with []
+    once the pivots cover every column.  entry_cap counts every entry of the
+    rows handed in.  The caller's rows are never changed.
     """
     rows = [r for r in rows if r]
     check_entry_cap(sum(map(len, rows)), entry_cap)
@@ -231,17 +171,15 @@ def kernel_basis(rows, column_order, entry_cap=None):
             row = dict(_numerators(row, _den(row.values())))
         if row:
             owned.append(row)
-    forced, owned = _peel(owned, ncols)
     owned.sort(key=max)
-    nlive = ncols - len(forced)
     ech = Echelon()
     pivots = ech.pivots
     for row in owned:
         ech._insert(1, row, None)
-        if len(pivots) == nlive:
+        if len(pivots) == ncols:
             return []
 
-    free = [i for i in range(ncols) if i not in pivots and i not in forced]
+    free = [i for i in range(ncols) if i not in pivots]
     basis = []
     for f in free:
         x = {f: Q(1)}

@@ -11,22 +11,18 @@ system; its kernel is computed exactly over the rationals.  The rows are
 integers, and the rows of one condition built in one call share one
 denominator; a row's positive scale and the order of the rows do not
 change the kernel.  Many rows of the e_i and x_5 d_45 conditions have one
-entry, and each forces its column to zero.  So singular_block assembles
-the rows one condition label at a time, in the order of
-InducedModule.condition_rows (the POSITIVE generators, then e_4, e_3,
-e_2, e_1): after each label it runs the forced-zero peel of linalg over
-the rows built so far, builds the next label's images only for the
-columns still live, and stops once no column is live.  The assembled rows
-span the row space of the full system: by induction the unit vector of
-every forced column lies in the span of the rows built before it, and a
+entry, and each forces its column to zero (_peel).  So singular_block
+assembles the rows one condition label at a time, in the order of
+InducedModule.condition_rows (x_5 d_45, then e_4, e_3, e_2, e_1): after
+each label it peels the rows built so far, builds the next label's images
+only on the columns still live, and stops once no column is live.  This
+keeps the kernel of the full system: by induction the unit vector of
+every forced column lies in the span of the rows built before it, so a
 later label's row on the live columns differs from its full row by a
-combination of those unit vectors.  So the last peel's core, the rows
-left with two or more live entries, spans the projection of that space
-onto the live columns, and every kernel vector vanishes on the forced
-columns: linalg.kernel_basis gets only the core, over the live columns in
-block order, and its kernel, each vector's normalization and key order
-included, is that of the full system.  It eliminates the core and stops
-as soon as the pivots cover the live columns.  The entry cap counts the
+combination of those unit vectors, and, as _peel argues, the last peel's
+core over the live columns in block order gives the kernel of the full
+system, each vector's normalization and key order included.  So
+linalg.kernel_basis gets only that core.  The entry cap counts the
 entries assembled, checked before the elimination.  Any vector in the
 kernel is re-verified through the module action (InducedModule.is_singular,
 on the independent per-element path int_conditions) before being reported
@@ -40,7 +36,7 @@ import os
 
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
-from .linalg import DEFAULT_ENTRY_CAP, _peel, check_entry_cap, kernel_basis
+from .linalg import DEFAULT_ENTRY_CAP, check_entry_cap, kernel_basis
 from .verma import VermaModule, tensor_from_terms
 
 TOOL_VERSION = "0.1.0"
@@ -51,16 +47,58 @@ def candidate_weights(module, d):
     return sorted(module.weight_blocks(d))
 
 
+def _peel(rows, ncols):
+    """(forced columns, the other rows restricted to the live columns).
+
+    rows are nonempty dicts over column positions 0..ncols-1.  Each row
+    keeps a count of its live entries; while some row has one, its live
+    column is forced to zero and every row through that column loses one.
+    The rows returned are those left with two or more live entries,
+    restricted to the live columns; a row that lost none is not copied.
+
+    This is the first step of structured Gaussian elimination (LaMacchia
+    and Odlyzko, CRYPTO 1990).  By induction the unit vector of each forced
+    column lies in the row space, so the forced columns lead rows of every
+    echelon of it and every kernel vector vanishes on them, and the rows
+    returned span the projection of the row space onto the live columns.
+    So the rows returned, over the live columns in their order, give the
+    same free columns and the same normalized kernel vectors.
+    """
+    live = [len(r) for r in rows]
+    stack = [i for i, n in enumerate(live) if n == 1]
+    if not stack:
+        return (), rows
+    through = [[] for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for c in r:
+            through[c].append(i)
+    forced = set()
+    while stack:
+        i = stack.pop()
+        if live[i] != 1:  # its last live column was forced meanwhile
+            continue
+        for c in rows[i]:
+            if c not in forced:
+                break
+        forced.add(c)
+        for j in through[c]:
+            n = live[j] = live[j] - 1
+            if n == 1:
+                stack.append(j)
+    return forced, [r if n == len(r) else
+                    {c: v for c, v in r.items() if c not in forced}
+                    for r, n in zip(rows, live) if n > 1]
+
+
 def singular_block(module, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
     """Block basis and exact kernel of the module's singularity conditions.
 
     The rows are assembled one condition label at a time, in the order of
     module.condition_rows, and only on the columns that the rows so far
-    leave live (module docstring).  The rows so far force what the last
-    peel forced plus what its core, the rows left on the live columns,
-    forces with the new rows, so each peel runs over that core and the new
-    rows.  The entry cap is checked on the entries assembled, and
-    kernel_basis gets the last peel's core over the live columns.
+    leave live (module docstring).  Each peel runs over the last peel's
+    core and the new rows, which force all that the rows so far force.
+    The entry cap is checked on the entries assembled, and kernel_basis
+    gets the last peel's core over the live columns.
     """
     block = module.weight_space(d, tuple(nu))
     ncols = len(block)
@@ -148,19 +186,31 @@ def _is_cert_of(cert, key):
                     for n in ("degree", "block_dim", "kernel_dim"))
                 and key == "%s|%d" % (cert["mu"], cert["degree"])
                 and cert["algebra"] == VermaModule.algebra
-                and cert["kernel_dim"] == len(vectors)
+                and cert["kernel_dim"] == len(vectors) > 0
                 and type(cert["full_g1"]) is bool)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ZeroDivisionError):
         return False
 
 
-def _vectors_hold(cert):
-    """Whether every vector of a saved certificate lies in the weight space
-    of its degree and weight and passes is_singular under its full_g1."""
+def _is_cell(certs, key):
+    """Whether certs are well-formed certificates of the cell key at
+    strictly increasing weights, as search_blocks lists them."""
+    return (isinstance(certs, list)
+            and all(_is_cert_of(c, key) for c in certs)
+            and all(parse_weight(a["weight"]) < parse_weight(b["weight"])
+                    for a, b in zip(certs, certs[1:])))
+
+
+def _cert_holds(cert):
+    """Whether a saved certificate's block_dim is the dimension of the
+    weight space of its degree and weight, and every vector lies in that
+    space and passes is_singular under its full_g1."""
     module = VermaModule(parse_weight(cert["mu"]))
-    block = set(module.weight_space(cert["degree"],
-                                    parse_weight(cert["weight"])))
+    block = module.weight_space(cert["degree"], parse_weight(cert["weight"]))
+    if cert["block_dim"] != len(block):
+        return False
+    block = set(block)
     for terms in cert["vectors"]:
         v = tensor_from_terms(terms)
         if not (all(type(i) is int for _, i in v) and block.issuperset(v)
@@ -172,8 +222,9 @@ def _vectors_hold(cert):
 def _load_checkpoint(path):
     """The saved "mu|degree" -> certificate list map, or {} when absent.
 
-    Every saved certificate must be a well-formed certificate of its cell;
-    anything else raises ConfigError.
+    Every saved cell must be a list of well-formed certificates of that
+    cell at strictly increasing weights (_is_cell); anything else raises
+    ConfigError.
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -183,8 +234,7 @@ def _load_checkpoint(path):
         except (ValueError, RecursionError) as exc:
             raise ConfigError("unreadable checkpoint %s: %s" % (path, exc))
     if not (isinstance(state, dict) and all(
-            isinstance(certs, list) and all(_is_cert_of(c, key) for c in certs)
-            for key, certs in state.items())):
+            _is_cell(certs, key) for key, certs in state.items())):
         raise ConfigError("checkpoint %s is not a map of cells to their "
                           "certificate lists" % path)
     return state
@@ -225,9 +275,9 @@ def search_cells(cells, checkpoint=None, entry_cap=DEFAULT_ENTRY_CAP,
     with the requested full_g1 (an empty cell does not depend on it); any
     other cell is searched again and overwritten.  So interrupting and
     restarting yields byte-identical results, and a resumed run never mixes
-    in results computed under the other setting.  Each vector of a reused
-    certificate is checked again as _vectors_hold says; a saved vector that
-    fails raises ConfigError naming the cell.
+    in results computed under the other setting.  Each reused certificate
+    is checked again as _cert_holds says; one that fails raises
+    ConfigError naming the cell.
     """
     state = _load_checkpoint(checkpoint)
     encoded = {}  # the checkpoint text of each unchanged cell
@@ -241,10 +291,10 @@ def search_cells(cells, checkpoint=None, entry_cap=DEFAULT_ENTRY_CAP,
                 mu, d, entry_cap=entry_cap, full_g1=full_g1)
             encoded.pop(key, None)
             _save_checkpoint(checkpoint, state, encoded)
-        elif not all(map(_vectors_hold, certs)):
-            raise ConfigError("checkpoint %s: a saved vector of cell %s is "
-                              "not a singular vector of its degree and "
-                              "weight" % (checkpoint, key))
+        elif not all(map(_cert_holds, certs)):
+            raise ConfigError("checkpoint %s: a saved certificate of cell %s "
+                              "has a block_dim or a vector that its degree "
+                              "and weight do not give" % (checkpoint, key))
         out.append(certs)
     return out
 

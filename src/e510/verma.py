@@ -42,7 +42,7 @@ looked up once per call, and builds integer rows without a scalar.  The
 labels come in search order, the POSITIVE generators (x_5 d_45), then e_4,
 e_3, e_2, e_1: singular_search.singular_block peels the forced zeros
 after each label and builds the next one only on the columns still live,
-which keeps the row space (see there).  x_5 d_45 first forces the most
+which keeps the kernel (argued there).  x_5 d_45 first forces the most
 columns; with e_4..e_1 after it, degree 11 of M(F(0,0,0,1)) builds 9 994
 of its 21 665 column images.  int_conditions stays the independent
 per-element path that re-checks the kernel vectors.

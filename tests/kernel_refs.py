@@ -13,23 +13,25 @@ it.  Then InducedModule.block_conditions and the singular_search
 condition_rows that transposed its images into rows, both now the label
 builders of InducedModule.condition_rows.  And linalg.kernel_basis with
 its early stop and last-column row order, before it peeled the forced
-zeros, as unpeeled_kernel_basis.  Last, singular_search.singular_block as
-it kept every assembled row and handed them all to linalg.kernel_basis,
-which checked the entry cap and peeled them again, as
-assembled_singular_block.
+zeros, as unpeeled_kernel_basis (kernel_basis is that again now, but for
+the entry-cap helper).  Then singular_search.singular_block as it kept
+every assembled row and handed them all to linalg.kernel_basis, which
+checked the entry cap and peeled them again, as assembled_singular_block.  Last, linalg.kernel_basis as it peeled the
+forced zeros of the rows handed in before the echelon, as
+peeling_kernel_basis; assembled_singular_block calls it.
 """
 
 from math import lcm
 from operator import add
 
-from e510 import linalg
 from e510.linalg import (
     _INT, DEFAULT_ENTRY_CAP, Echelon, MatrixTooLargeError, _eliminate,
-    _make_primitive, _peel,
+    _make_primitive, check_entry_cap,
 )
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import act_ambient
 from e510.uminus import _order_forms, add_scaled
+from e510.singular_search import _peel
 from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
 
 
@@ -342,6 +344,65 @@ def assembled_singular_block(module, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
         rows += new
         forced, core = _peel(core + new, ncols)
         live = [j for j in live if j not in forced]
-    kern = linalg.kernel_basis(rows, list(range(ncols)), entry_cap=entry_cap)
+    kern = peeling_kernel_basis(rows, list(range(ncols)), entry_cap=entry_cap)
     vectors = [{block[j]: c for j, c in k.items()} for k in kern]
     return block, vectors
+
+
+def peeling_kernel_basis(rows, column_order, entry_cap=None):
+    """Exact kernel of the linear map given by constraint rows.
+
+    rows: iterable of dicts column_key -> scalar (each row is one constraint).
+    column_order: list fixing the canonical coordinate order.
+    Returns kernel vectors as dicts column_key -> Q, each normalized so its
+    first nonzero coordinate (in column_order) is 1, sorted by the position
+    of that coordinate.  The result depends only on the span of the rows
+    (linalg module docstring): row order, duplicates and positive row
+    scales do not change it.  So each row is copied once, as an integer row
+    over column positions that the echelon reduces in place.  The forced
+    zeros are peeled off first (singular_search._peel): only the copies
+    with two or more live entries, restricted to the live columns, are
+    inserted, in order of their last column, and the insertion stops with
+    [] once the pivots cover the live columns; back-substitution runs over
+    the live free columns.  entry_cap counts every entry of the rows handed in,
+    before the peel.  The caller's rows are never changed.
+    """
+    rows = [r for r in rows if r]
+    check_entry_cap(sum(map(len, rows)), entry_cap)
+    colpos = {c: i for i, c in enumerate(column_order)}
+    ncols = len(column_order)
+    owned = []
+    for r in rows:
+        row = {colpos[c]: v for c, v in r.items() if v}
+        if not _INT.issuperset(map(type, row.values())):
+            row = dict(_numerators(row, _den(row.values())))
+        if row:
+            owned.append(row)
+    forced, owned = _peel(owned, ncols)
+    owned.sort(key=max)
+    nlive = ncols - len(forced)
+    ech = Echelon()
+    pivots = ech.pivots
+    for row in owned:
+        ech._insert(1, row, None)
+        if len(pivots) == nlive:
+            return []
+
+    free = [i for i in range(ncols) if i not in pivots and i not in forced]
+    basis = []
+    for f in free:
+        x = {f: Q(1)}
+        for p in sorted(pivots, reverse=True):
+            prow = pivots[p][0]
+            acc = Q(0)
+            for c, v in prow.items():
+                if c != p and c in x:
+                    acc += v * x[c]
+            if acc:
+                x[p] = -acc / prow[p]
+        first = min(x)
+        lead = x[first]
+        vec = {column_order[i]: v / lead for i, v in x.items() if v}
+        basis.append((first, vec))
+    basis.sort(key=lambda t: t[0])
+    return [vec for _, vec in basis]

@@ -262,6 +262,33 @@ def test_corrupt_checkpoint_exits_two(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("forge", [
+    # a certificate with no vector, at a weight with no block
+    lambda cert: [dict(cert, weight="3,3,3,3", block_dim=999, kernel_dim=0,
+                       vectors=[])],
+    # the real vector under a block_dim its weight space does not have
+    lambda cert: [dict(cert, block_dim=999)],
+    # the real certificate twice, which would report it twice
+    lambda cert: [cert, cert],
+], ids=["no_vectors", "wrong_block_dim", "duplicated"])
+def test_forged_checkpoint_cell_exits_two(tmp_path, capsys, forge):
+    ck, a, b = (tmp_path / n for n in ("ck.json", "a.json", "b.json"))
+    argv = ["sweep", "--mu", "0,0,0,1", "--degree", "1", "--format", "json",
+            "--checkpoint", str(ck)]
+    assert main(argv + ["--output", str(a)]) == 0
+    saved = ck.read_text()
+    [cert] = json.loads(saved)["0,0,0,1|1"]
+    ck.write_text(json.dumps({"0,0,0,1|1": forge(cert)}))
+    assert main(argv + ["--output", str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not b.exists()
+    assert captured.err.startswith("error: checkpoint ")
+    # the honest checkpoint resumes to the fresh report, byte for byte
+    ck.write_text(saved)
+    assert main(argv + ["--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def _good_cert():
     """The certificate search --mu 0,0,0,0 --degree 1 saves."""
     return {"algebra": "E(5,10)", "mu": "0,0,0,0", "degree": 1,

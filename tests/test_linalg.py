@@ -223,10 +223,10 @@ def _kernel_matrices(draw):
     Full-rank matrices get n triangular rows with a nonzero diagonal; the
     others get at most n - 1 random rows and combinations of them, so both
     kinds occur.  Cascades start with a chain of rows, the k-th with a
-    nonzero entry at chain[k] and others only at chain[:k], so the peel
-    forces the whole chain.  A chain over every column leaves nothing to
-    eliminate; a shorter one leaves a core of fewer rows than live
-    columns, so its kernel is not 0.
+    nonzero entry at chain[k] and others only at chain[:k], so the peel of
+    kernel_refs.peeling_kernel_basis forces the whole chain.  A chain over
+    every column leaves nothing to eliminate; a shorter one leaves a core
+    of fewer rows than live columns, so its kernel is not 0.
     """
     n = draw(st.integers(1, 6))
     entry = draw(st.sampled_from((st.integers(-4, 4), _FRAC)))
@@ -271,11 +271,14 @@ def test_kernel_basis_matches_reference(matrix, data):
     want = kernel_refs.kernel_basis(rows, columns)
     got = kernel_basis(rows, columns)
     assert got == want
-    # the key order of each vector too, as before the peel
+    # the key order of each vector too, as the references without and with
+    # the forced-zero peel give it
     assert ([list(v.items()) for v in got]
             == [list(v.items()) for v in want]
             == [list(v.items())
-                for v in kernel_refs.unpeeled_kernel_basis(rows, columns)])
+                for v in kernel_refs.unpeeled_kernel_basis(rows, columns)]
+            == [list(v.items())
+                for v in kernel_refs.peeling_kernel_basis(rows, columns)])
     more = rows + data.draw(st.lists(st.sampled_from(rows), max_size=3)
                             if rows else st.just([]))
     more = data.draw(st.permutations(more))
@@ -292,43 +295,12 @@ def _chain(n, one):
                              for k in range(1, n)]
 
 
-def test_a_chain_is_peeled_without_elimination(monkeypatch):
-    def no_insert(*args):
-        raise AssertionError("Echelon._insert called")
-
-    monkeypatch.setattr(Echelon, "_insert", no_insert)
-    for one in (1, Q(1, 3)):
-        rows = _chain(6, one)
-        assert kernel_basis(rows, list(range(6))) == []
-        assert kernel_basis(rows[::-1], list(range(6))[::-1]) == []
-
-
-def test_the_peel_inserts_only_the_core(monkeypatch):
-    # the first two rows force columns 0 and 1; the other two, restricted
-    # to columns 2..4, are all that goes in, in order of their last column
-    real, inserted = Echelon._insert, []
-
-    def spy(self, den, row, tag):
-        inserted.append(dict(row))
-        return real(self, den, row, tag)
-
-    monkeypatch.setattr(Echelon, "_insert", spy)
-    for one in (1, Q(1, 2)):
-        rows = [{0: 2 * one}, {0: one, 1: -3 * one},
-                {1: one, 2: one, 3: one, 4: -one},
-                {1: one, 2: one, 3: 2 * one}]
-        inserted.clear()
-        got = kernel_basis(rows, list(range(5)))
-        assert got == [{2: 1, 3: Q(-1, 2), 4: Q(1, 2)}]
-        assert inserted == [{2: 1, 3: 2}, {2: 1, 3: 1, 4: -1}]
-        assert got == kernel_refs.unpeeled_kernel_basis(rows, list(range(5)))
-        assert got == kernel_refs.kernel_basis(rows, list(range(5)))
-
-
 def test_entry_cap_counts_every_entry_before_the_peel():
-    # the peel leaves nothing of the chain, but the cap sees its 19 entries
+    # the cap sees all 19 entries of the chain, also in the reference whose
+    # peel leaves nothing of it
     rows = _chain(10, 1)
-    for kb in (kernel_basis, kernel_refs.unpeeled_kernel_basis):
+    for kb in (kernel_basis, kernel_refs.unpeeled_kernel_basis,
+               kernel_refs.peeling_kernel_basis):
         with pytest.raises(MatrixTooLargeError, match="19 stored entries"):
             kb(rows, list(range(10)), entry_cap=18)
         assert kb(rows, list(range(10)), entry_cap=19) == []
