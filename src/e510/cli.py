@@ -82,7 +82,7 @@ def _emit(report, fmt, output, render):
 # ---------------------------------------------------------------- verify
 
 def cmd_verify_catalog(args):
-    from .catalog import FAMILY_NAMES, verify_catalog
+    from .catalog import FAMILIES, FAMILY_NAMES, verify_catalog
     if args.family == "all":
         fams = FAMILY_NAMES
     elif args.family in FAMILY_NAMES:
@@ -90,6 +90,13 @@ def cmd_verify_catalog(args):
     else:
         raise ConfigError("unknown family %r (choose from %s or all)"
                           % (args.family, ", ".join(FAMILY_NAMES)))
+    taken = {p for fam in fams for p in FAMILIES[fam][0]}
+    for name in ("m", "n"):
+        if getattr(args, name) is None:
+            setattr(args, name, "0..2")
+        elif name not in taken:
+            raise ConfigError("family %s takes no parameter --%s"
+                              % (args.family, name))
     ms, ns = tuple(_parse_range(args.m)), tuple(_parse_range(args.n))
     if min(ms + ns) < 0:
         raise ConfigError("family parameters must be nonnegative: --m %s "
@@ -596,8 +603,8 @@ def build_parser():
 
     p = sub.add_parser("verify-catalog", help="check the known families")
     p.add_argument("--family", default="all")
-    p.add_argument("--m", default="0..2", help="parameter range, e.g. 0..2")
-    p.add_argument("--n", default="0..2")
+    p.add_argument("--m", help="parameter range, e.g. 0..1 (default 0..2)")
+    p.add_argument("--n", help="parameter range (default 0..2)")
     p.add_argument("--skip-g1", action="store_true",
                    help="only check a spanning subset of the raising action")
     _add_common(p)

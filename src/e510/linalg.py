@@ -133,6 +133,18 @@ class Echelon:
         """Add a vector as the member called tag; True if it was independent."""
         return self._insert(*_integer_row(row), tag)
 
+    def place(self, row, tag):
+        """Add a vector as the member called tag and return None if it was
+        independent; else return its coordinates w.r.t. the tagged members
+        from the same reduction, as (den, int numerators) in lowest terms."""
+        row, combo = self._reduce(*_integer_row(row), tag)
+        if row:
+            self.pivots[min(row)] = (row, combo)
+            return None
+        own = combo.pop(tag)
+        sign = -1 if own > 0 else 1
+        return abs(own), {t: sign * c for t, c in combo.items()}
+
     def coords(self, row):
         """Coordinates of row w.r.t. the tagged members, or None if outside."""
         row, combo = self._reduce(*_integer_row(row), _SELF)

@@ -17,7 +17,20 @@ records for each basis vector which lowering operator produced it from which
 earlier vector (used to transport vectors along module morphisms).  The
 closure starts from a monomial and acts with integers, so the basis
 vectors are integral: their coefficients are ints.  Irrep.mat keeps the
-matrices of x_a p_b as integer columns over one denominator.
+matrices of x_a p_b as integer columns over one denominator, and solves
+for none of them:
+
+- f_b = x_(b+1) p_b: the closure applies every f_b to every basis vector
+  and reduces the image in its weight block, so it keeps the column, the
+  new index when the image joins the basis, else the image's coordinates
+  from the same reduction.
+- e_a = x_a p_(a+1): basis vector j > 0 is v_j = f_l v_par, and
+  [e_a, f_l] is h_a = x_a p_a - x_(a+1) p_(a+1) when a = l, else 0, so
+  e_a v_j = f_l (e_a v_par) + [a = l] (w_par[a] - w_par[a+1]) v_par,
+  column by column down the lowering tree from e_a v_0 = 0.
+- any other x_a p_c: [x_a p_b, x_b p_c] = x_a p_c for a != c, with b the
+  neighbour of a on the way to c, so each is a commutator of a simple
+  matrix and a shorter one.
 
 Irrep.project takes the F-component of an ambient vector of F's multidegree
 by orthogonal projection under the monomial form <x^A, x^B> = delta_AB * A!,
@@ -30,7 +43,7 @@ invariant complement.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .scalars import _den, _numerators, _scalars
 from .linalg import Echelon
@@ -197,7 +210,6 @@ class Irrep:
         self._blocks = {self.eps_weights[0]: Echelon()}
         self._blocks[self.eps_weights[0]].insert(self.basis[0], 0)
         self._close()
-        self._mats = {}
         self._grams = {}
         self._by_weight = {}
         for j, wkey in enumerate(self.eps_weights):
@@ -206,22 +218,37 @@ class Irrep:
             raise AssertionError(
                 "closure dimension %d disagrees with Weyl formula %d for %s"
                 % (len(self.basis), weyl_dim(self.weight), self.weight))
+        for i in range(1, 5):
+            if act_ambient(i, i + 1, self.basis[0]):
+                raise AssertionError("e_%d does not kill the highest weight "
+                                     "vector of F%s" % (i, self.weight))
         self.dim = len(self.basis)
 
     def _close(self):
+        """Close under f_1..f_4, keeping the matrix of each f_low: on every
+        basis vector, {new index: 1} when its image joins the basis, else
+        the image's coordinates from the same reduction."""
+        lower = {low: [] for low in range(1, 5)}
         i = 0
         while i < len(self.basis):
             for low in range(1, 5):
                 img = act_ambient(low + 1, low, self.basis[i])
-                if not img:
-                    continue
-                wkey = _mono_eps_weight(next(iter(img)))
-                block = self._blocks.setdefault(wkey, Echelon())
-                if block.insert(img, len(self.basis)):
-                    self.basis.append(img)
-                    self.eps_weights.append(wkey)
-                    self.parents.append((i, low))
+                den, col = 1, {}
+                if img:
+                    wkey = _mono_eps_weight(next(iter(img)))
+                    block = self._blocks.setdefault(wkey, Echelon())
+                    got = block.place(img, len(self.basis))
+                    if got is None:
+                        col = {len(self.basis): 1}
+                        self.basis.append(img)
+                        self.eps_weights.append(wkey)
+                        self.parents.append((i, low))
+                    else:
+                        den, col = got
+                lower[low].append((den, col))
             i += 1
+        self._mats = {(low + 1, low): _over_lcm(lower[low])
+                      for low in range(1, 5)}
 
     def coords(self, vec):
         """Coordinates of an ambient vector, split per weight block."""
@@ -240,18 +267,45 @@ class Irrep:
         return {k: v for k, v in out.items() if v}
 
     def mat(self, a, b):
-        """x_a p_b on the basis as (den, columns of int numerators)."""
+        """x_a p_b on the basis as (den, columns of int numerators).
+
+        Nothing is solved for a != b (module docstring): f_b = x_(b+1) p_b
+        is the matrix _close kept, e_a = x_a p_(a+1) follows the lowering
+        tree (_raising), and any other x_a p_c is [x_a p_b, x_b p_c], b the
+        neighbour of a on the way to c.
+        """
         got = self._mats.get((a, b))
         if got is None:
             if a == b:
                 got = (1, [{j: w[a - 1]} if w[a - 1] else {}
                            for j, w in enumerate(self.eps_weights)])
+            elif b == a + 1:
+                got = self._raising(a)
             else:
-                cols = [self.coords(act_ambient(a, b, v)) for v in self.basis]
-                den = _den(v for col in cols for v in col.values())
-                got = (den, [dict(_numerators(col, den)) for col in cols])
+                n = a + 1 if b > a else a - 1
+                got = _commutator(self.mat(a, n), self.mat(n, b))
             self._mats[(a, b)] = got
         return got
+
+    def _raising(self, a):
+        """e_a column by column, parent before child down the lowering tree.
+
+        v_j = f_l v_par, so e_a v_j = f_l (e_a v_par) + [a = l] h_a v_par
+        with h_a v_par = (w_par[a] - w_par[a+1]) v_par.  e_a v_0 = 0 is
+        checked in __init__.
+        """
+        cols = [(1, {})]
+        for j in range(1, self.dim):
+            par, low = self.parents[j]
+            fden, fcols = self._mats[(low + 1, low)]
+            pden, pcol = cols[par]
+            acc = _product_into({}, fcols, pcol)
+            den = fden * pden
+            if low == a:
+                w = self.eps_weights[par]
+                acc[par] = acc.get(par, 0) + (w[a - 1] - w[a]) * den
+            cols.append(_lowest(den, acc))
+        return _over_lcm(cols)
 
     def act(self, a, b, coeffs):
         """x_a p_b on a coordinate vector (dict index -> scalar)."""
@@ -311,6 +365,42 @@ class Irrep:
                 ech.insert({i: _form(self.basis[i], self.basis[j])
                             for i in idx}, j)
         return ech
+
+
+def _product_into(acc, mcols, col, sign=1):
+    """acc += sign * M col, for M given by its int columns."""
+    for k, n in col.items():
+        n *= sign
+        for i, v in mcols[k].items():
+            acc[i] = acc.get(i, 0) + n * v
+    return acc
+
+
+def _lowest(den, acc):
+    """An int column over den in lowest terms, as (den, nonzero entries)."""
+    col = {i: v for i, v in acc.items() if v}
+    g = gcd(den, *col.values())
+    if g > 1:
+        den, col = den // g, {i: v // g for i, v in col.items()}
+    return den, col
+
+
+def _over_lcm(cols):
+    """(den, int columns) from (den_j, column_j) pairs in lowest terms, with
+    den the lcm of the den_j."""
+    den = lcm(*(d for d, _ in cols))
+    return den, [col if d == den else {i: v * (den // d)
+                                       for i, v in col.items()}
+                 for d, col in cols]
+
+
+def _commutator(x, y):
+    """[X, Y] from the (den, int columns) of X and Y."""
+    (xden, xcols), (yden, ycols) = x, y
+    return _over_lcm([
+        _lowest(xden * yden, _product_into(_product_into({}, xcols, ycol),
+                                           ycols, xcol, -1))
+        for xcol, ycol in zip(xcols, ycols)])
 
 
 def _form(u, v):

@@ -18,7 +18,11 @@ the entry-cap helper).  Then singular_search.singular_block as it kept
 every assembled row and handed them all to linalg.kernel_basis, which
 checked the entry cap and peeled them again, as assembled_singular_block.  Last, linalg.kernel_basis as it peeled the
 forced zeros of the rows handed in before the echelon, as
-peeling_kernel_basis; assembled_singular_block calls it.
+peeling_kernel_basis; assembled_singular_block calls it.  Then
+omega_basis.equivariant_family as it checked each image through
+InducedModule.act_e_int, which takes the image's own denominator again.
+The rational Irrep.mat above is the ambient solve Irrep.mat made before it
+read its matrices off the closure.
 """
 
 from math import lcm
@@ -29,7 +33,7 @@ from e510.linalg import (
     _make_primitive, check_entry_cap,
 )
 from e510.scalars import Q, _den, _numerators
-from e510.sl5_reps import act_ambient
+from e510.sl5_reps import act_ambient, build_irrep
 from e510.uminus import _order_forms, add_scaled
 from e510.singular_search import _peel
 from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
@@ -406,3 +410,45 @@ def peeling_kernel_basis(rows, column_order, entry_cap=None):
         basis.append((first, vec))
     basis.sort(key=lambda t: t[0])
     return [vec for _, vec in basis]
+
+
+def equivariant_family(module, w, check=True):
+    """Images of a weight-module basis under the map generated by w.
+
+    Transports w along the lowering tree of its weight module and verifies
+    that the family intertwines the sl5 action: for each simple raising or
+    lowering E and each j, E images[j] == sum_i M[i, j] images[i] with M
+    the matrix of E on rep_in, compared as integer numerators over one
+    common denominator.  Returns (rep_in, images).
+    """
+    if not w:
+        raise ValueError("zero vector has no morphism")
+    if check and not module.is_singular(w):
+        raise ValueError("vector is not singular")
+    lam = tuple(module.element_coords(w))
+    if min(lam) < 0:
+        raise ValueError("weight of the vector is not dominant")
+    rep_in = build_irrep(lam)
+    images = [None] * rep_in.dim
+    images[0] = w
+    for jj in range(1, rep_in.dim):
+        par, low = rep_in.parents[jj]
+        images[jj] = module.act_e(low + 1, low, images[par])
+    iden = _den(v for im in images for v in im.values())
+    nums = [_numerators(im, iden) for im in images]
+    for aa in range(1, 5):
+        for x, y in ((aa, aa + 1), (aa + 1, aa)):
+            mden, cols = rep_in.mat(x, y)
+            for jj in range(rep_in.dim):
+                acc, den = module.act_e_int(x, y, images[jj])
+                common = lcm(den, mden * iden)
+                s, t = common // den, common // (mden * iden)
+                got = {k: n * s for k, n in acc.items()}
+                for ii, cc in cols[jj].items():
+                    tc = t * cc
+                    for k, n in nums[ii]:
+                        got[k] = got.get(k, 0) - tc * n
+                if any(got.values()):
+                    raise ValueError(
+                        "vector does not generate an equivariant family")
+    return rep_in, images

@@ -52,6 +52,22 @@ def test_negative_catalog_parameters_exit_two(capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_parameter_the_family_does_not_take_exits_two(tmp_path, capsys):
+    # 4E takes n only, 2CA takes none: an explicit --m (or --n for 2CA)
+    # used to be ignored, checking m = 0 and exiting 0
+    for argv in (["--family", "4E", "--m", "5"],
+                 ["--family", "2CA", "--n", "0"],
+                 ["--family", "2CA", "--m", "0..2"]):
+        assert main(["verify-catalog"] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes no parameter" in captured.err
+    out = tmp_path / "rep.json"
+    assert main(["verify-catalog", "--family", "4E", "--n", "1",
+                 "--format", "json", "--output", str(out)]) == 0
+    assert [(r["m"], r["n"]) for r in json.loads(out.read_text())["records"]
+            ] == [(0, 1)]
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,9 +1,14 @@
 """Oracle tests for the antisymmetrized form basis and morphism coefficients."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernel_refs as ref
+from e510 import omega_basis
+from e510.catalog import FAMILY_NAMES, known_vector
 from e510.scalars import Q
 from e510.uminus import PAIR_INDEX, add_scaled, d_elem, forms_elem, p_elem, pbw_product
 from e510.omega_basis import (
@@ -300,6 +305,66 @@ def test_equivariance_check_rejects_non_highest_vector():
     good = mod.tensor(d_elem(1, 2), {0: Q(1)})
     rep_in, images = equivariant_family(mod, good, check=False)
     assert rep_in.weight == (1, 1, 0, 0) and len(images) == rep_in.dim > 1
+
+
+def _family_outcome(family_of, mod, w):
+    """(weight, images) of an accepted family, the message of a rejected one."""
+    try:
+        rep_in, images = family_of(mod, w, check=False)
+    except ValueError as exc:
+        return str(exc)
+    return rep_in.weight, images
+
+
+def _perturbed(mod, w, pick, c):
+    """w plus c times one basis pair of its weight block."""
+    block = mod.weight_space(mod.element_degree(w), mod.element_coords(w))
+    v = dict(w)
+    add_scaled(v, {block[pick % len(block)]: Q(1)}, c)
+    return v
+
+
+def test_equivariance_check_matches_reference_on_every_family():
+    # each catalog vector is accepted, and moving it by a basis pair of its
+    # weight block makes both checks reject it alike, unless the block is a
+    # line (1A, 4D), where the move only rescales it
+    for fam in FAMILY_NAMES:
+        mod, w = known_vector(fam)
+        got = _family_outcome(equivariant_family, mod, w)
+        assert got == _family_outcome(ref.equivariant_family, mod, w)
+        assert got[0] == tuple(mod.element_coords(w))
+        block = mod.weight_space(mod.element_degree(w), mod.element_coords(w))
+        bad = _perturbed(mod, w, 0, Q(1))
+        got = _family_outcome(equivariant_family, mod, bad)
+        assert got == _family_outcome(ref.equivariant_family, mod, bad)
+        assert ((got == "vector does not generate an equivariant family")
+                == (len(block) > 1)), fam
+
+
+def test_equivariance_check_applies_all_eight_simple_operators(monkeypatch):
+    seen = Counter()
+    inner = omega_basis._act_e_terms
+
+    def counted(a, b, enums, mat):
+        seen[a, b] += 1
+        return inner(a, b, enums, mat)
+
+    monkeypatch.setattr(omega_basis, "_act_e_terms", counted)
+    mod, w = known_vector("3CBA")
+    rep_in, _ = equivariant_family(mod, w, check=False)
+    simple = [(a, a + 1) for a in range(1, 5)] + [(a + 1, a)
+                                                 for a in range(1, 5)]
+    assert seen == Counter({op: rep_in.dim for op in simple})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FAMILY_NAMES), st.integers(0, 10 ** 6),
+       st.fractions(-3, 3, max_denominator=4))
+def test_equivariance_check_matches_act_e_int_reference(fam, pick, c):
+    mod, w = known_vector(fam)
+    v = _perturbed(mod, w, pick, Q(c.numerator, c.denominator))
+    assert (_family_outcome(equivariant_family, mod, v)
+            == _family_outcome(ref.equivariant_family, mod, v))
 
 
 def test_reconstruct_theta_four_forms():

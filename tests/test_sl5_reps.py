@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import kernel_refs as ref
 from e510.linalg import Echelon, kernel_basis
 from e510.scalars import Q
+from e510 import sl5_reps
 from e510.sl5_reps import (
-    build_irrep, weyl_dim, gt_pattern_count, dual_weight, eps_to_coords,
+    Irrep, build_irrep, weyl_dim, gt_pattern_count, dual_weight, eps_to_coords,
     highest_weight_vectors, act_ambient, ambient_monomial, parse_weight,
     weight_str, _bump, _mono_eps_weight, _mono_profile,
 )
@@ -122,6 +124,34 @@ def test_mat_matches_rational_reference():
                            for col in cols for n in col.values())
                 dens.add(den)
     assert {2, 4, 8} <= dens
+
+
+DOMINANT_SUM_4 = tuple(w for w in product(range(5), repeat=4) if sum(w) <= 4)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(DOMINANT_SUM_4))
+def test_mat_matches_ambient_solve(weight):
+    rep = build_irrep(weight)
+    for a in range(1, 6):
+        for b in range(1, 6):
+            assert rep.mat(a, b) == ref.int_mat(rep, a, b), (weight, a, b)
+
+
+def test_mat_solves_nothing(monkeypatch):
+    # every matrix comes off the closure, the lowering tree and commutators
+    def refuse(*args):
+        raise AssertionError("Irrep.mat solved for a matrix")
+
+    for weight in MAT_WEIGHTS + ((1, 1, 0, 1), (0, 1, 1, 1)):
+        rep = Irrep(weight)
+        with monkeypatch.context() as patched:
+            patched.setattr(Irrep, "coords", refuse)
+            patched.setattr(sl5_reps, "act_ambient", refuse)
+            mats = {(a, b): rep.mat(a, b)
+                    for a in range(1, 6) for b in range(1, 6)}
+        for (a, b), got in mats.items():
+            assert got == ref.int_mat(rep, a, b), (weight, a, b)
 
 
 @settings(max_examples=40, deadline=None)
