@@ -166,6 +166,11 @@ def cmd_search(args):
 def cmd_sweep(args):
     from .singular_search import sweep
     mus = [_parse_mu(t) for t in args.mu] if args.mu else None
+    if args.budget is None:
+        args.budget = 3
+    elif mus:
+        # the listed modules are swept whatever the budget says
+        raise ConfigError("--budget does not apply with --mu")
     degrees = _check_degrees(_parse_range(args.degree))
     certs = sweep(mus=mus, coord_sum=_check_budget(args.budget),
                   degrees=tuple(degrees), checkpoint=args.checkpoint,
@@ -229,6 +234,7 @@ def _omega_suite(max_d, samples, seed):
         keys.extend(combinations(range(10), k))
     tuples = [tuple(PAIRS[i] for i in key) for key in keys]
 
+    # up to omega_basis._LITERAL_LIMIT (5) factors, three independent routes
     n = 0
     for tp in tuples:
         a = omega_direct(tp)
@@ -237,6 +243,8 @@ def _omega_suite(max_d, samples, seed):
         n += 1
     counts["routes_exhaustive"] = n
 
+    # 5..8 factors: beyond 5, omega_symmetrized evaluates _omega_sym_key,
+    # the recursion of omega_recursive, so omega_direct meets one route
     rng = random.Random(seed)
     n = 0
     for _ in range(samples):
@@ -403,6 +411,12 @@ def _theta_chain_seven(theta):
 
 
 def cmd_identities(args):
+    for name, default in (("max_d", 4), ("samples", 1000), ("seed", 0)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.suite != "omega":
+            raise ConfigError("--%s applies to --suite omega only"
+                              % name.replace("_", "-"))
     if args.suite == "omega":
         # with no form word every count would be 0 and the suite pass
         _positive("--max-d", args.max_d)
@@ -623,8 +637,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="search a grid of modules")
     p.add_argument("--mu", action="append", default=None,
                    help="repeatable; default all weights within --budget")
-    p.add_argument("--budget", type=int, default=3,
-                   help="max coordinate sum of swept highest weights")
+    p.add_argument("--budget", type=int,
+                   help="max coordinate sum of swept highest weights "
+                        "(default 3; not with --mu)")
     p.add_argument("--degree", default="1..4")
     _add_search_flags(p)
     _add_common(p)
@@ -641,10 +656,13 @@ def build_parser():
     p = sub.add_parser("identities", help="identity and self-test sweeps")
     p.add_argument("--suite", choices=("omega", "structure", "fundamental"),
                    default="omega")
-    p.add_argument("--max-d", type=int, default=4)
-    p.add_argument("--samples", type=int, default=1000,
-                   help="random tuples for the long-form route comparison")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-d", type=int,
+                   help="longest exhaustive form tuple (omega; default 4)")
+    p.add_argument("--samples", type=int,
+                   help="random tuples for the long-form route comparison "
+                        "(omega; default 1000)")
+    p.add_argument("--seed", type=int,
+                   help="seed of the random tuples (omega; default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_identities)
 

@@ -27,10 +27,6 @@ class DegreeError(ValueError):
     """Bracket lands outside the supported grading range g_-2..g_1."""
 
 
-def grade_of(sym):
-    return GRADE[sym[0]]
-
-
 def parity_of(elem):
     ps = {PARITY[s[0]] for s in elem}
     if len(ps) > 1:
@@ -156,10 +152,6 @@ def raising_gen(i):
     return e_gen(i, i + 1)
 
 
-def lowering_gen(i):
-    return e_gen(i + 1, i)
-
-
 def cartan_gen(i):
     return {("e", i, i): Q(1), ("e", i + 1, i + 1): Q(-1)}
 
@@ -207,48 +199,3 @@ def closed_two_form_space():
             sgn = perm_sign((k, i, j))
             rows.setdefault(tri, {})[("xd", k, f)] = Q(sgn)
     return kernel_basis(rows.values(), cols)
-
-
-def sym_weight(sym):
-    """eps-weight 5-vector of a basis symbol."""
-    w = [0] * 5
-    kind = sym[0]
-    if kind == "p":
-        w[sym[1] - 1] -= 1
-    elif kind == "d":
-        i, j = PAIRS[sym[1]]
-        w[i - 1] += 1
-        w[j - 1] += 1
-    elif kind == "e":
-        w[sym[1] - 1] += 1
-        w[sym[2] - 1] -= 1
-    elif kind == "xd":
-        i, j = PAIRS[sym[2]]
-        w[sym[1] - 1] += 1
-        w[i - 1] += 1
-        w[j - 1] += 1
-    return tuple(w)
-
-
-def parse_generator(text: str):
-    """Parse generator names: p3, d12, x5*d45, E2, F2, H2, x1p2."""
-    t = text.strip()
-    if t.startswith("p") and t[1:].isdigit():
-        return p_gen(int(t[1:]))
-    if t.startswith("d") and len(t) == 3 and t[1:].isdigit():
-        return d_gen(int(t[1]), int(t[2]))
-    if t and t[0] in "EFH" and t[1:].isdigit():
-        i = int(t[1:])
-        if not 1 <= i <= 4:
-            raise ValueError("simple index out of range in %r" % text)
-        return {"E": raising_gen, "F": lowering_gen, "H": cartan_gen}[t[0]](i)
-    if t.startswith("x") and "*d" in t:
-        head, tail = t.split("*d")
-        k = int(head[1:])
-        if len(tail) != 2:
-            raise ValueError("bad 2-form in %r" % text)
-        return xd_gen(k, int(tail[0]), int(tail[1]))
-    if t.startswith("x") and "p" in t[1:]:
-        head, tail = t[1:].split("p")
-        return e_gen(int(head), int(tail))
-    raise ValueError("cannot parse generator %r" % text)

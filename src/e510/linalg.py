@@ -1,8 +1,8 @@
 """Sparse exact linear algebra over the rationals.
 
 Rows are dicts column_key -> value with arbitrary orderable column keys.
-One fraction-free reduction loop, Echelon._reduce, serves kernels, ranks
-and member coordinates: every row is scaled to an integer vector that the
+One fraction-free reduction loop, Echelon._reduce, serves kernels and
+member coordinates: every row is scaled to an integer vector that the
 echelon owns and reduces in place, and the elimination never divides
 except by the gcd that keeps rows primitive.  Scalars are built only by
 kernel back-substitution and by coords.  All orderings are canonical, which
@@ -89,16 +89,13 @@ class Echelon:
 
     Each pivot holds (row, combo), both integer dicts, with row equal to
     sum(combo[t] * member_t) over the inserted members.  A member inserted
-    with a tag lets coords() express any vector of the span in the tagged
-    members; tag None tracks no combinations (kernels, ranks, contains), and
+    with a tag lets place() and coords() express any vector of the span in
+    the tagged members; tag None tracks no combinations (kernel_basis), and
     an echelon uses either tags for all its members or None for all.
     """
 
     def __init__(self):
         self.pivots = {}  # leading column -> (primitive int row, int combo)
-
-    def rank(self):
-        return len(self.pivots)
 
     def _reduce(self, den, row, tag):
         # the integer row, which the echelon owns and reduces in place, is
@@ -152,9 +149,6 @@ class Echelon:
             return None
         own = combo.pop(_SELF)
         return {t: Q(-c, own) for t, c in combo.items()}
-
-    def contains(self, row):
-        return not self._reduce(*_integer_row(row), None)[0]
 
 
 def kernel_basis(rows, column_order, entry_cap=None):

@@ -15,8 +15,8 @@ from .scalars import Q, _den, _numerators
 from .e510_algebra import bracket, d_gen, xd_gen
 from .sl5_reps import build_irrep
 from .uminus import (EPS, PAIRS, ONE_MONO, TMATE, add_scaled, d_elem,
-                     form_step, forms_elem, mono_degree, oriented, p_elem,
-                     pair_eps, pair_mate, pbw_product, perm_sign, scale)
+                     form_step, forms_elem, oriented, p_elem, pair_eps,
+                     pair_mate, pbw_product, perm_sign, scale)
 from .verma import VermaModule, _act_e_terms
 
 
@@ -148,7 +148,10 @@ def omega_symmetrized(pairs):
 
     Up to _LITERAL_LIMIT factors the permutation sum is expanded term by
     term; beyond that the identical sum is evaluated by factoring on the
-    first letter, which only regroups the terms (omega_recursive).
+    first letter, which only regroups the terms (omega_recursive).  That
+    factoring is _omega_sym_key, the cached recursion omega_recursive
+    evaluates, so beyond _LITERAL_LIMIT factors the two routes are one and
+    a comparison of them checks nothing.
     """
     sign, key = canonical_index(pairs)
     if not sign:
@@ -325,26 +328,6 @@ def _parts_to_rs(parts):
     for n, e in enumerate(parts):
         rs.extend([n + 1] * e)
     return tuple(rs)
-
-
-def pbw_to_omega(u):
-    """Coefficients of a homogeneous element over {partials^R * omega_I}."""
-    if not u:
-        return {}
-    if len({mono_degree(m) for m in u}) != 1:
-        raise ValueError("element is not homogeneous")
-    return {k: coords[0] for k, coords in
-            _expand_partial_omega({(m, 0): c for m, c in u.items()}).items()}
-
-
-def omega_to_pbw(coeffs):
-    out = {}
-    for (rs, key), c in coeffs.items():
-        parts = [0] * 5
-        for r in rs:
-            parts[r - 1] += 1
-        add_scaled(out, _partial_omega_elem(tuple(parts), key), c)
-    return out
 
 
 class ThetaFamily:

@@ -64,13 +64,15 @@ def _first_derivative(a, b, i):
 
 
 @lru_cache(maxsize=None)
-def _quad_pieces(field_key):
+def _quad_pieces(field_key, forms):
     """The p-free int pieces (D, c, A, B) of x_a x_b p_k, for act_pieces_int.
 
     D = e_i: one derivative leaves the linear symbol x_var p_k acting on
     the rep factor (into B).  D = e_i + e_var: two derivatives leave the
     constant field (ad p_var)(ad p_i)(x_a x_b p_k), a multiple of p_k,
-    multiplying back in (into A); var >= i counts each D once.
+    multiplying back in (into A); var >= i counts each D once.  The form
+    word of a C[p] monomial is always (), so the cache holds one entry per
+    field.
     """
     a, b, k = field_key
     out = []
@@ -96,8 +98,7 @@ class S5Verma(InducedModule):
             return []
         return sorted((parts, ()) for parts in _partials_of_total(d // 2))
 
-    def pieces(self, field_key, forms):
-        return _quad_pieces(field_key)
+    pieces = staticmethod(_quad_pieces)
 
 
 def search_s5(lam, d, entry_cap=DEFAULT_ENTRY_CAP):
@@ -121,15 +122,14 @@ def rudakov_vectors():
     m1 = S5Verma((1, 0, 0, 0))
     r1 = {}
     for i in range(1, 6):
-        add_scaled(r1, m1.tensor({unit(i): Q(1)},
-                                 m1.rep.coords({ambient_monomial(x=(i,)): Q(1)})),
-                   Q(1))
+        coeffs = m1.rep.project({ambient_monomial(x=(i,)): Q(1)})
+        add_scaled(r1, m1.tensor({unit(i): Q(1)}, coeffs), Q(1))
     out["R1"] = ((1, 0, 0, 0), 2, r1)
 
     m2 = S5Verma((0, 1, 0, 0))
     r2 = {}
     for j in range(2, 6):
-        coeffs = m2.rep.coords({ambient_monomial(w=((1, j),)): Q(1)})
+        coeffs = m2.rep.project({ambient_monomial(w=((1, j),)): Q(1)})
         add_scaled(r2, m2.tensor({unit(j): Q(1)}, coeffs), Q(1))
     out["R2"] = ((0, 1, 0, 0), 2, r2)
 
@@ -137,15 +137,14 @@ def rudakov_vectors():
     r3 = {}
     # p3 (x) x45* + p4 (x) x53* + p5 (x) x34*, with x53* = -x35*
     for i, pair, sgn in ((3, (4, 5), 1), (4, (3, 5), -1), (5, (3, 4), 1)):
-        coeffs = m3.rep.coords({ambient_monomial(dw=(pair,)): Q(sgn)})
+        coeffs = m3.rep.project({ambient_monomial(dw=(pair,)): Q(sgn)})
         add_scaled(r3, m3.tensor({unit(i): Q(1)}, coeffs), Q(1))
     out["R3"] = ((0, 0, 1, 0), 2, r3)
 
     m4 = S5Verma((0, 0, 0, 1))
     r4 = {}
     for i, sgn in ((4, 1), (5, -1)):
-        coeffs = m4.rep.coords(
-            {ambient_monomial(dx=(9 - i,)): Q(1)})
+        coeffs = m4.rep.project({ambient_monomial(dx=(9 - i,)): Q(1)})
         add_scaled(r4, m4.tensor({unit(i): Q(1)}, coeffs), Q(sgn))
     out["R4"] = ((0, 0, 0, 1), 2, r4)
 

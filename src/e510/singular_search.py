@@ -37,7 +37,7 @@ import os
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
 from .linalg import DEFAULT_ENTRY_CAP, check_entry_cap, kernel_basis
-from .verma import VermaModule, tensor_from_terms
+from .verma import VermaModule, tensor_from_terms, tensor_terms
 
 TOOL_VERSION = "0.1.0"
 
@@ -144,7 +144,7 @@ def search_blocks(module, d, nu=None, entry_cap=DEFAULT_ENTRY_CAP, **checks):
             weight=weight_str(cand),
             block_dim=len(block),
             kernel_dim=len(vectors),
-            vectors=[module.terms(v) for v in vectors],
+            vectors=[tensor_terms(v) for v in vectors],
             tool_version=TOOL_VERSION,
             **checks))
     return certs

@@ -207,8 +207,6 @@ class Irrep:
         self.basis = [{hw: 1}]
         self.eps_weights = [_mono_eps_weight(hw)]
         self.parents = [None]  # index -> (parent index, lowering op i)
-        self._blocks = {self.eps_weights[0]: Echelon()}
-        self._blocks[self.eps_weights[0]].insert(self.basis[0], 0)
         self._close()
         self._grams = {}
         self._by_weight = {}
@@ -227,7 +225,10 @@ class Irrep:
     def _close(self):
         """Close under f_1..f_4, keeping the matrix of each f_low: on every
         basis vector, {new index: 1} when its image joins the basis, else
-        the image's coordinates from the same reduction."""
+        the image's coordinates from the same reduction, in the echelon of
+        its weight block."""
+        blocks = {self.eps_weights[0]: Echelon()}
+        blocks[self.eps_weights[0]].insert(self.basis[0], 0)
         lower = {low: [] for low in range(1, 5)}
         i = 0
         while i < len(self.basis):
@@ -236,7 +237,7 @@ class Irrep:
                 den, col = 1, {}
                 if img:
                     wkey = _mono_eps_weight(next(iter(img)))
-                    block = self._blocks.setdefault(wkey, Echelon())
+                    block = blocks.setdefault(wkey, Echelon())
                     got = block.place(img, len(self.basis))
                     if got is None:
                         col = {len(self.basis): 1}
@@ -249,22 +250,6 @@ class Irrep:
             i += 1
         self._mats = {(low + 1, low): _over_lcm(lower[low])
                       for low in range(1, 5)}
-
-    def coords(self, vec):
-        """Coordinates of an ambient vector, split per weight block."""
-        if not vec:
-            return {}
-        split = {}
-        for mono, c in vec.items():
-            split.setdefault(_mono_eps_weight(mono), {})[mono] = c
-        out = {}
-        for wkey, part in split.items():
-            block = self._blocks.get(wkey)
-            combo = block.coords(part) if block is not None else None
-            if combo is None:
-                raise ValueError("vector outside the module span")
-            out.update(combo)
-        return {k: v for k, v in out.items() if v}
 
     def mat(self, a, b):
         """x_a p_b on the basis as (den, columns of int numerators).
@@ -317,9 +302,6 @@ class Irrep:
                 acc[i] = acc.get(i, 0) + n * v
         return _scalars(acc, cden * den)
 
-    def coord_weight(self, idx):
-        return eps_to_coords(self.eps_weights[idx])
-
     def project(self, vec):
         """Coordinates of the component of an ambient vector along this module.
 
@@ -330,8 +312,9 @@ class Irrep:
         F occurs once in that space it is the only invariant complement: the
         orthogonal projection is the isotypic one.  Per weight w it solves
         G_w c = (<b_i, vec>)_i, G_w the Gram matrix of the basis vectors b_i
-        of weight w, and returns c in basis coordinates.  Agrees with coords
-        on vectors already in the span.
+        of weight w, and returns c in basis coordinates: on a vector already
+        in the span, its coordinates.  It is the one route from ambient
+        vectors to coordinates.
         """
         if not vec:
             return {}
@@ -422,23 +405,6 @@ def _mono_norm(mono):
 @lru_cache(maxsize=None)
 def build_irrep(weight) -> Irrep:
     return Irrep(weight)
-
-
-def highest_weight_vectors(rep: Irrep):
-    """Indices-with-coefficients of the joint kernel of e_1..e_4.
-
-    Returns a list of coordinate dicts; for an irreducible module this is a
-    single vector supported on index 0.  Dropping the denominator of
-    Irrep.mat does not change the kernel.
-    """
-    from .linalg import kernel_basis
-    rows = {}
-    for i in range(1, 5):
-        _, cols = rep.mat(i, i + 1)
-        for j in range(rep.dim):
-            for r, v in cols[j].items():
-                rows.setdefault((i, r), {})[j] = v
-    return kernel_basis(rows.values(), list(range(rep.dim)))
 
 
 def ambient_monomial(x=(), w=(), dw=(), dx=()):

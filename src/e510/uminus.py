@@ -107,10 +107,6 @@ def mono_degree(mono) -> int:
     return 2 * sum(mono[0]) + len(mono[1])
 
 
-def mono_height(mono) -> int:
-    return len(mono[1])
-
-
 def mono_weight(mono):
     """Weight of a PBW monomial as a 5-vector of eps-coordinates.
 
@@ -122,21 +118,6 @@ def mono_weight(mono):
         w[i - 1] += 1
         w[j - 1] += 1
     return tuple(w)
-
-
-def degree(elem) -> int:
-    """Common degree of a homogeneous element (error if mixed)."""
-    degs = {mono_degree(m) for m in elem}
-    if len(degs) != 1:
-        raise ValueError("element is not degree-homogeneous: %s" % sorted(degs))
-    return degs.pop()
-
-
-def height(elem) -> int:
-    """Maximum number of 2-form factors over the support."""
-    if not elem:
-        raise ValueError("height of zero element is undefined")
-    return max(mono_height(m) for m in elem)
 
 
 @lru_cache(maxsize=None)

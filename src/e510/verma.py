@@ -59,7 +59,7 @@ from operator import add
 
 from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
 from .uminus import (
-    PAIRS, EPS, TMATE, ZERO_PARTIALS, ONE_MONO, _order_forms, mono_degree,
+    PAIRS, EPS, TMATE, ZERO_PARTIALS, _order_forms, mono_degree,
     mono_weight, add_scaled, d_elem, p_elem, form_step, product_int,
     enumerate_monomials, format_monomial, parse_monomial,
 )
@@ -92,8 +92,9 @@ def _ad_e_forms(a, b, forms):
     return got
 
 
-def xd_pieces(k, f, forms):
-    """x_k d_(pair f) past p^P on the form word w, as act_pieces_int pieces.
+def xd_pieces(sym, forms):
+    """x_k d_(pair f), sym ("xd", k, f), past p^P on the form word w, as
+    act_pieces_int pieces.
 
     Termwise bookkeeping; sum over a closed combination of symbols to act
     with an actual degree +1 element.  Two Leibniz terms (module
@@ -103,6 +104,7 @@ def xd_pieces(k, f, forms):
     from one q_j, so B[k, t] is the single word w without q_j.  D = e_k,
     the factor -1 on the shared pieces of d_f w.  Cached per (k, f, forms).
     """
+    _, k, f = sym
     key = (k, f, forms)
     got = _XD_CACHE.get(key)
     if got is None:
@@ -195,12 +197,13 @@ class InducedModule:
     """U(g_-) (x) F(mu) for some negative part g_- and the sl5 irrep F(mu).
 
     Elements are dicts (PBW monomial of U(g_-), rep index) -> scalar.  A
-    subclass supplies the protocol: an algebra tag, monomials(d) (the
-    degree-d PBW monomials of its negative part), pieces(sym, forms) (the
-    p-free Leibniz terms of a positive symbol, see act_pieces_int) and
+    subclass supplies the protocol, four attributes: algebra, a tag;
+    monomials(d), the degree-d PBW monomials of its negative part;
+    pieces(sym, forms), the p-free Leibniz terms of a positive symbol (see
+    act_pieces_int), a plain function of the symbol and the form word; and
     POSITIVE, the (label, element) pairs that with e_1..e_4 generate the
     positive part.  Everything that does not depend on the algebra lives
-    here: weights, degrees, serialization, left multiplication, the gl5
+    here: weight blocks, weights, degrees, left multiplication, the gl5
     action, the one action kernel of the positive part, act, the
     singularity conditions and the condition rows of a search block.
     """
@@ -235,11 +238,11 @@ class InducedModule:
                 pc = pcs.get(parts)
                 if pc is None:
                     pc = pcs[parts] = eps_to_coords(
-                        self.monomial_weight((parts, ())))
+                        mono_weight((parts, ())))
                 fc = fcs.get(forms)
                 if fc is None:
                     fc = fcs[forms] = eps_to_coords(
-                        self.monomial_weight((ZERO_PARTIALS, forms)))
+                        mono_weight((ZERO_PARTIALS, forms)))
                 c = (pc[0] + fc[0], pc[1] + fc[1], pc[2] + fc[2],
                      pc[3] + fc[3])
                 monos.setdefault(c, []).append(mono)
@@ -265,28 +268,11 @@ class InducedModule:
         """Ordered basis pairs (monomial, rep index) of dominant weight nu."""
         return self.weight_blocks(d).get(tuple(nu), [])
 
-    def monomial_weight(self, mono):
-        return mono_weight(mono)
-
-    def _pair_weight(self, mono, i):
-        mw = self.monomial_weight(mono)
-        return tuple(x + y for x, y in zip(mw, self.rep.eps_weights[i]))
-
-    def element_weight(self, elem):
-        """Common raw eps-weight 5-vector (error when inhomogeneous).
-
-        Raw 5-vectors follow the literal symbol weights, under which terms
-        with different p-counts differ by trace multiples even inside one
-        weight-homogeneous element; use element_coords for those.
-        """
-        ws = {self._pair_weight(m, i) for m, i in elem}
-        if len(ws) != 1:
-            raise ValueError("element is not weight-homogeneous")
-        return ws.pop()
-
     def element_coords(self, elem):
         """sl5 weight in fundamental coordinates."""
-        cs = {eps_to_coords(self._pair_weight(m, i)) for m, i in elem}
+        eps = self.rep.eps_weights
+        cs = {eps_to_coords(tuple(map(add, mono_weight(m), eps[i])))
+              for m, i in elem}
         if len(cs) != 1:
             raise ValueError("element is not weight-homogeneous")
         return cs.pop()
@@ -296,12 +282,6 @@ class InducedModule:
         if len(degs) != 1:
             raise ValueError("element is not degree-homogeneous")
         return degs.pop()
-
-    def terms(self, elem):
-        return tensor_terms(elem)
-
-    def vacuum(self):
-        return {(ONE_MONO, 0): Q(1)}
 
     def tensor(self, u, coeffs):
         """(U(g_-) element) (x) (rep coordinate vector)."""
@@ -475,11 +455,12 @@ class VermaModule(InducedModule):
     # x_5 d_45, the lowest weight vector of the degree +1 part
     POSITIVE = (("x5d45", {("xd", 5, 9): 1}),)
 
+    # a method, not staticmethod(enumerate_monomials), so that it reads the
+    # module global at each call: perfbench/tracer.py times that global
     def monomials(self, d):
         return enumerate_monomials(d)
 
-    def pieces(self, sym, forms):
-        return xd_pieces(sym[1], sym[2], forms)
+    pieces = staticmethod(xd_pieces)
 
     def failed_condition(self, elem, full_g1=False):
         """As InducedModule.failed_condition; with full_g1, then g1_failure.

@@ -21,8 +21,11 @@ forced zeros of the rows handed in before the echelon, as
 peeling_kernel_basis; assembled_singular_block calls it.  Then
 omega_basis.equivariant_family as it checked each image through
 InducedModule.act_e_int, which takes the image's own denominator again.
-The rational Irrep.mat above is the ambient solve Irrep.mat made before it
-read its matrices off the closure.
+InducedModule.element_weight, which only the tests read, is
+element_weight.  The rational Irrep.mat above is the ambient solve
+Irrep.mat made before it read its matrices off the closure; it solves with
+Irrep.coords, kept here as coords over echelons of the basis vectors of
+each weight, since Irrep.project became the one route to coordinates.
 """
 
 from math import lcm
@@ -33,8 +36,8 @@ from e510.linalg import (
     _make_primitive, check_entry_cap,
 )
 from e510.scalars import Q, _den, _numerators
-from e510.sl5_reps import act_ambient, build_irrep
-from e510.uminus import _order_forms, add_scaled
+from e510.sl5_reps import _mono_eps_weight, act_ambient, build_irrep
+from e510.uminus import _order_forms, add_scaled, mono_weight
 from e510.singular_search import _peel
 from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
 
@@ -85,6 +88,45 @@ def ad_e_mono(a, b, mono):
                             for (dp, f2), c in _ad_e_forms(a, b, forms)}, 1)
 
 
+def element_weight(module, elem):
+    """Common raw eps-weight 5-vector (error when inhomogeneous).
+
+    Raw 5-vectors follow the literal symbol weights, under which terms
+    with different p-counts differ by trace multiples even inside one
+    weight-homogeneous element; use element_coords for those.
+    """
+    ws = {tuple(map(add, mono_weight(m), module.rep.eps_weights[i]))
+          for m, i in elem}
+    if len(ws) != 1:
+        raise ValueError("element is not weight-homogeneous")
+    return ws.pop()
+
+
+_BLOCKS = {}
+
+
+def coords(rep, vec):
+    """Coordinates of an ambient vector, split per weight block."""
+    blocks = _BLOCKS.get(rep.weight)
+    if blocks is None:
+        blocks = _BLOCKS[rep.weight] = {}
+        for j, (v, wkey) in enumerate(zip(rep.basis, rep.eps_weights)):
+            blocks.setdefault(wkey, Echelon()).insert(v, j)
+    if not vec:
+        return {}
+    split = {}
+    for mono, c in vec.items():
+        split.setdefault(_mono_eps_weight(mono), {})[mono] = c
+    out = {}
+    for wkey, part in split.items():
+        block = blocks.get(wkey)
+        combo = block.coords(part) if block is not None else None
+        if combo is None:
+            raise ValueError("vector outside the module span")
+        out.update(combo)
+    return {k: v for k, v in out.items() if v}
+
+
 _MATS = {}
 
 
@@ -98,7 +140,7 @@ def mat(rep, a, b):
                 ev = rep.eps_weights[j][a - 1]
                 cols.append({j: Q(ev)} if ev else {})
             else:
-                cols.append(rep.coords(act_ambient(a, b, rep.basis[j])))
+                cols.append(coords(rep, act_ambient(a, b, rep.basis[j])))
         _MATS[key] = cols
     return _MATS[key]
 

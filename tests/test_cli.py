@@ -68,6 +68,29 @@ def test_parameter_the_family_does_not_take_exits_two(tmp_path, capsys):
             ] == [(0, 1)]
 
 
+def test_omega_flags_with_another_suite_exit_two(capsys):
+    # --max-d, --samples and --seed steer only the omega suite; with
+    # another suite they used to be ignored and the run exited 0
+    for suite in ("structure", "fundamental"):
+        for argv in (["--max-d", "0"], ["--samples", "5"], ["--seed", "3"]):
+            assert main(["identities", "--suite", suite] + argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--suite omega only" in captured.err
+
+
+def test_sweep_budget_with_mu_exits_two(tmp_path, capsys):
+    # the listed modules are swept whatever the budget; --budget 0 used to
+    # search coordinate sum 1 and report "budget": 0
+    assert main(["sweep", "--mu", "0,0,0,1", "--budget", "0",
+                 "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget" in captured.err
+    out = tmp_path / "rep.json"
+    assert main(["sweep", "--mu", "0,0,0,1", "--degree", "1", "--format",
+                 "json", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["budget"] == 3
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

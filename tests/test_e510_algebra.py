@@ -5,11 +5,32 @@ import pytest
 from e510.scalars import Q
 from e510.linalg import Echelon
 from e510.sl5_reps import build_irrep, eps_to_coords
+from e510.uminus import PAIRS
 from e510.e510_algebra import (
-    DegreeError, bracket, jacobi_residual, g1_basis, closed_two_form_space,
-    p_gen, d_gen, xd_gen, e_gen, lowering_gen, cartan_gen,
-    parse_generator, sym_weight,
+    GRADE, DegreeError, bracket, jacobi_residual, g1_basis,
+    closed_two_form_space, p_gen, d_gen, xd_gen, e_gen, cartan_gen,
 )
+
+
+def sym_weight(sym):
+    """eps-weight 5-vector of a basis symbol."""
+    w = [0] * 5
+    kind = sym[0]
+    if kind == "p":
+        w[sym[1] - 1] -= 1
+    elif kind == "d":
+        i, j = PAIRS[sym[1]]
+        w[i - 1] += 1
+        w[j - 1] += 1
+    elif kind == "e":
+        w[sym[1] - 1] += 1
+        w[sym[2] - 1] -= 1
+    elif kind == "xd":
+        i, j = PAIRS[sym[2]]
+        w[sym[1] - 1] += 1
+        w[i - 1] += 1
+        w[j - 1] += 1
+    return tuple(w)
 
 
 def test_bracket_hand_examples():
@@ -62,8 +83,7 @@ def test_jacobi_residual_sweep():
 
 
 def _grade(elem):
-    from e510.e510_algebra import grade_of
-    return max(grade_of(s) for s in elem)
+    return max(GRADE[s[0]] for s in elem)
 
 
 def test_g1_dimension_and_closedness():
@@ -77,13 +97,13 @@ def test_g1_dimension_and_closedness():
     for v in kernel:
         ech.insert(v, n)
         n += 1
-    assert all(ech.contains(v) for v in basis)
+    assert all(ech.coords(v) is not None for v in basis)
 
 
 def test_g1_lowest_weight_vector():
     lw = xd_gen(5, 4, 5)
     for i in range(1, 5):
-        assert bracket(lowering_gen(i), lw) == {}
+        assert bracket(e_gen(i + 1, i), lw) == {}
     assert eps_to_coords(sym_weight(("xd", 5, 9))) == (0, 0, -1, -1)
 
 
@@ -108,14 +128,3 @@ def test_cartan_acts_by_weight_on_g1():
             want = {k: ev * c for k, c in v.items()} if ev else {}
             assert got == want
 
-
-def test_parse_generator():
-    assert parse_generator("p3") == p_gen(3)
-    assert parse_generator("d12") == d_gen(1, 2)
-    assert parse_generator("x5*d45") == xd_gen(5, 4, 5)
-    assert parse_generator("E2") == e_gen(2, 3)
-    assert parse_generator("F1") == e_gen(2, 1)
-    assert parse_generator("H4") == cartan_gen(4)
-    assert parse_generator("x1p2") == e_gen(1, 2)
-    with pytest.raises(ValueError):
-        parse_generator("q7")

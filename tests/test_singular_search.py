@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import kernel_refs
 
 from e510.scalars import Q, _scalars
-from e510.uminus import add_scaled, d_elem
+from e510.uminus import add_scaled, d_elem, mono_weight
 from e510.linalg import MatrixTooLargeError, kernel_basis
 from e510.sl5_reps import ambient_monomial, eps_to_coords, is_dominant
 from e510.s5_verma import S5Verma
@@ -48,7 +48,7 @@ def test_search_dual_vector_module_degree_one():
     m = VermaModule((0, 0, 0, 1))
     w = {}
     for j in (2, 3, 4, 5):
-        coeffs = m.rep.coords({ambient_monomial(dx=(j,)): Q(1)})
+        coeffs = m.rep.project({ambient_monomial(dx=(j,)): Q(1)})
         add_scaled(w, m.tensor(d_elem(1, j), coeffs), Q(1))
     assert proportional(w, tensor_from_terms(certs[0]["vectors"][0]))
 
@@ -146,7 +146,7 @@ def test_sweep_with_checkpoint(tmp_path):
 def ref_weight_blocks(self, d):
     blocks = {}
     for mono in self.monomials(d):
-        mw = self.monomial_weight(mono)
+        mw = mono_weight(mono)
         for i, rw in enumerate(self.rep.eps_weights):
             c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
             if is_dominant(c):
@@ -161,7 +161,7 @@ def ref_crossed_blocks(self, d):
     # and is_dominant for each pair of groups
     monos, reps = {}, {}
     for mono in self.monomials(d):
-        c = eps_to_coords(self.monomial_weight(mono))
+        c = eps_to_coords(mono_weight(mono))
         monos.setdefault(c, []).append(mono)
     for i, rw in enumerate(self.rep.eps_weights):
         reps.setdefault(eps_to_coords(rw), []).append(i)

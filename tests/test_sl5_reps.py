@@ -12,7 +12,7 @@ from e510.scalars import Q
 from e510 import sl5_reps
 from e510.sl5_reps import (
     Irrep, build_irrep, weyl_dim, gt_pattern_count, dual_weight, eps_to_coords,
-    highest_weight_vectors, act_ambient, ambient_monomial, parse_weight,
+    act_ambient, ambient_monomial, parse_weight,
     weight_str, _bump, _mono_eps_weight, _mono_profile,
 )
 
@@ -60,7 +60,7 @@ def test_build_small_irreps():
         rep = build_irrep(w)
         assert rep.dim == weyl_dim(w)
         # the highest weight line is index 0 with the declared weight
-        assert rep.coord_weight(0) == w
+        assert eps_to_coords(rep.eps_weights[0]) == w
 
 
 def test_standard_module_action():
@@ -86,6 +86,22 @@ def test_dual_standard_action():
     assert rep.act(4, 5, {0: Q(1)}) == {}
     low = rep.act(5, 4, {0: Q(1)})
     assert list(low.values()) == [Q(1)]  # basis vector recorded as the image
+
+
+def highest_weight_vectors(rep):
+    """Indices-with-coefficients of the joint kernel of e_1..e_4.
+
+    Returns a list of coordinate dicts; for an irreducible module this is a
+    single vector supported on index 0.  Dropping the denominator of
+    Irrep.mat does not change the kernel.
+    """
+    rows = {}
+    for i in range(1, 5):
+        _, cols = rep.mat(i, i + 1)
+        for j in range(rep.dim):
+            for r, v in cols[j].items():
+                rows.setdefault((i, r), {})[j] = v
+    return kernel_basis(rows.values(), list(range(rep.dim)))
 
 
 def test_raising_kills_only_highest():
@@ -146,7 +162,7 @@ def test_mat_solves_nothing(monkeypatch):
     for weight in MAT_WEIGHTS + ((1, 1, 0, 1), (0, 1, 1, 1)):
         rep = Irrep(weight)
         with monkeypatch.context() as patched:
-            patched.setattr(Irrep, "coords", refuse)
+            patched.setattr(Irrep, "project", refuse)
             patched.setattr(sl5_reps, "act_ambient", refuse)
             mats = {(a, b): rep.mat(a, b)
                     for a in range(1, 6) for b in range(1, 6)}
@@ -347,7 +363,7 @@ def _ref_split_blocks(weight):
     for idx, v in enumerate(rep.basis):
         if not _insert(v, (0, idx)):
             raise AssertionError("module meets its invariant complement")
-    if sum(b.rank() for b in blocks.values()) != len(monos):
+    if sum(len(b.pivots) for b in blocks.values()) != len(monos):
         raise AssertionError("isotypic decomposition misses the space")
     return blocks
 
