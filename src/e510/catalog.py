@@ -9,7 +9,7 @@ and the classification sweep diff) is what the tests run.
 from .linalg import DEFAULT_ENTRY_CAP
 from .omega_basis import equivariant_family
 from .scalars import Q
-from .singular_search import dominant_weights_up_to, search_cells
+from .singular_search import dominant_weights_up_to, sweep
 from .sl5_reps import ambient_monomial, parse_weight, weight_str
 from .uminus import PAIRS, add_scaled, d_elem, forms_elem, pbw_product
 from .verma import VermaModule, proportional, tensor_from_terms
@@ -469,28 +469,26 @@ def classification_sweep(weight_budget, degree_max,
                 expected_instances(weight_budget, degree_max)}
     found = {}
     unexplained = []
-    cells = [(mu, d) for mu in dominant_weights_up_to(weight_budget)
-             for d in range(1, degree_max + 1)]
-    results = search_cells(cells, checkpoint, entry_cap, full_g1)
-    for (mu, d), certs in zip(cells, results):
-        for cert in certs:
-            nu = parse_weight(cert["weight"])
-            sig = (tuple(mu), nu, d)
-            entry = {
-                "mu": cert["mu"],
-                "degree": d,
-                "weight": cert["weight"],
-                "kernel_dim": cert["kernel_dim"],
-            }
-            if sig in expected and cert["kernel_dim"] == 1:
-                fam, m, n = expected[sig]
-                _, want = known_vector(fam, m, n)
-                got = tensor_from_terms(cert["vectors"][0])
-                if proportional(got, want):
-                    entry["family"] = [fam, m, n]
-                    found[sig] = entry
-                    continue
-            unexplained.append(entry)
+    for cert in sweep(dominant_weights_up_to(weight_budget),
+                      range(1, degree_max + 1), checkpoint, entry_cap,
+                      full_g1):
+        d = cert["degree"]
+        sig = (parse_weight(cert["mu"]), parse_weight(cert["weight"]), d)
+        entry = {
+            "mu": cert["mu"],
+            "degree": d,
+            "weight": cert["weight"],
+            "kernel_dim": cert["kernel_dim"],
+        }
+        if sig in expected and cert["kernel_dim"] == 1:
+            fam, m, n = expected[sig]
+            _, want = known_vector(fam, m, n)
+            got = tensor_from_terms(cert["vectors"][0])
+            if proportional(got, want):
+                entry["family"] = [fam, m, n]
+                found[sig] = entry
+                continue
+        unexplained.append(entry)
     missing = [{"family": list(expected[sig]), "mu": weight_str(sig[0]),
                 "weight": weight_str(sig[1]), "degree": sig[2]}
                for sig in expected if sig not in found]

@@ -138,7 +138,7 @@ def cmd_search(args):
             certs.extend(search_module(mu, d, nu=nu, entry_cap=args.entry_cap,
                                        full_g1=args.full_g1))
     else:
-        certs = sweep(mus=[mu], degrees=degrees, checkpoint=args.checkpoint,
+        certs = sweep([mu], degrees, checkpoint=args.checkpoint,
                       entry_cap=args.entry_cap, full_g1=args.full_g1)
     report = {
         "command": "search",
@@ -164,16 +164,20 @@ def cmd_search(args):
 # ---------------------------------------------------------------- sweep
 
 def cmd_sweep(args):
-    from .singular_search import sweep
+    from .singular_search import dominant_weights_up_to, sweep
     mus = [_parse_mu(t) for t in args.mu] if args.mu else None
     if args.budget is None:
         args.budget = 3
     elif mus:
         # the listed modules are swept whatever the budget says
         raise ConfigError("--budget does not apply with --mu")
+    if mus and len(set(mus)) < len(mus):
+        # each module would be searched and reported once per listing
+        raise ConfigError("--mu lists a module twice")
     degrees = _check_degrees(_parse_range(args.degree))
-    certs = sweep(mus=mus, coord_sum=_check_budget(args.budget),
-                  degrees=tuple(degrees), checkpoint=args.checkpoint,
+    if not mus:
+        mus = dominant_weights_up_to(_check_budget(args.budget))
+    certs = sweep(mus, degrees, checkpoint=args.checkpoint,
                   entry_cap=args.entry_cap, full_g1=args.full_g1)
     report = {
         "command": "sweep",
@@ -221,8 +225,8 @@ def cmd_classify(args):
 
 def _omega_suite(max_d, samples, seed):
     from .omega_basis import (
-        commutator_identity_residual, dw_product_residual,
-        equivariance_residual, omega_direct, omega_recursive,
+        _LITERAL_LIMIT, commutator_identity_residual, dw_product_residual,
+        equivariance_residual, omega, omega_direct, omega_recursive,
         omega_symmetrized, ricomega_residual)
     from .uminus import PAIRS
     from .verma import VermaModule
@@ -234,25 +238,27 @@ def _omega_suite(max_d, samples, seed):
         keys.extend(combinations(range(10), k))
     tuples = [tuple(PAIRS[i] for i in key) for key in keys]
 
-    # up to omega_basis._LITERAL_LIMIT (5) factors, three independent routes
+    def routes_differ(tp):
+        """Whether omega_direct differs from omega, omega_recursive or,
+        up to _LITERAL_LIMIT (5) factors, the literal omega_symmetrized."""
+        a = omega_direct(tp)
+        return (a != omega(tp) or a != omega_recursive(tp)
+                or (len(tp) <= _LITERAL_LIMIT and a != omega_symmetrized(tp)))
+
     n = 0
     for tp in tuples:
-        a = omega_direct(tp)
-        if a != omega_recursive(tp) or a != omega_symmetrized(tp):
+        if routes_differ(tp):
             failures.append({"check": "routes", "pairs": list(tp)})
         n += 1
     counts["routes_exhaustive"] = n
 
-    # 5..8 factors: beyond 5, omega_symmetrized evaluates _omega_sym_key,
-    # the recursion of omega_recursive, so omega_direct meets one route
     rng = random.Random(seed)
     n = 0
     for _ in range(samples):
         d = rng.randrange(5, 9)
         sel = rng.sample(range(10), d)
         tp = tuple(PAIRS[i] for i in sel)
-        a = omega_direct(tp)
-        if a != omega_recursive(tp) or a != omega_symmetrized(tp):
+        if routes_differ(tp):
             failures.append({"check": "routes", "pairs": list(tp)})
         n += 1
     counts["routes_random"] = n
@@ -426,10 +432,8 @@ def cmd_identities(args):
         counts, failures = _omega_suite(args.max_d, args.samples, args.seed)
     elif args.suite == "structure":
         counts, failures = _structure_suite()
-    elif args.suite == "fundamental":
+    else:  # argparse admits no other suite
         counts, failures = _fundamental_suite()
-    else:
-        raise ConfigError("unknown suite %r" % args.suite)
     report = {
         "command": "identities",
         "suite": args.suite,

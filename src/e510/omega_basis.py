@@ -10,6 +10,7 @@ morphism coefficients can be read off singular vectors against it.
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 from .scalars import Q, _den, _numerators
 from .e510_algebra import bracket, d_gen, xd_gen
@@ -139,34 +140,29 @@ def omega_recursive(pairs):
 
 
 # omega_symmetrized expands the permutation sum literally up to this many
-# factors
+# factors, 5! = 120 orderings
 _LITERAL_LIMIT = 5
 
 
 def omega_symmetrized(pairs):
-    """Signed average of the form word over all orderings.
+    """Signed average of the form word over all orderings, term by term.
 
-    Up to _LITERAL_LIMIT factors the permutation sum is expanded term by
-    term; beyond that the identical sum is evaluated by factoring on the
-    first letter, which only regroups the terms (omega_recursive).  That
-    factoring is _omega_sym_key, the cached recursion omega_recursive
-    evaluates, so beyond _LITERAL_LIMIT factors the two routes are one and
-    a comparison of them checks nothing.
+    The literal sum is independent of the recursions of omega and
+    omega_recursive.  It refuses more than _LITERAL_LIMIT factors with
+    ValueError.
     """
+    if len(pairs) > _LITERAL_LIMIT:
+        raise ValueError("omega_symmetrized expands at most %d factors, "
+                         "not %d" % (_LITERAL_LIMIT, len(pairs)))
     sign, key = canonical_index(pairs)
     if not sign:
         return {}
     d = len(key)
-    if d <= _LITERAL_LIMIT:
-        out = {}
-        fact = 1
-        for n in range(2, d + 1):
-            fact *= n
-        for order in permutations(range(d)):
-            word = forms_elem([PAIRS[key[j]] for j in order])
-            add_scaled(out, word, Q(perm_sign(order), fact))
-        return scale(out, Q(sign))
-    return scale(_omega_sym_key(key), Q(sign))
+    out = {}
+    for order in permutations(range(d)):
+        word = forms_elem([PAIRS[key[j]] for j in order])
+        add_scaled(out, word, Q(perm_sign(order), factorial(d)))
+    return scale(out, Q(sign))
 
 
 @lru_cache(maxsize=None)

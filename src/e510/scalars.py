@@ -1,29 +1,17 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in this package is exact.  gmpy2.mpq is used when
-available (much faster); fractions.Fraction otherwise.  Both stringify as
-"p" or "p/q", which the JSON writers rely on, and both expose .numerator and
-.denominator (as ints do).  The module actions of verma and the echelon of
-linalg read those through _den, _numerators and _scalars: they take an
-input's coefficients to one common denominator, compute on the numerators
-as ints and build one scalar per nonzero output entry, so the scalar type is
-not on their inner loop.
+All coefficient arithmetic in this package is exact: the scalar type Q is
+fractions.Fraction.  Ints and Fractions both stringify as "p" or "p/q",
+which the JSON writers rely on, and both expose .numerator and
+.denominator.  The module actions of verma and the echelon of linalg read
+those through _den, _numerators and _scalars: they take an input's
+coefficients to one common denominator, compute on the numerators as ints
+and build one scalar per nonzero output entry, so the scalar type is not on
+their inner loop.
 """
 
-from fractions import Fraction
+from fractions import Fraction as Q
 from math import lcm
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
-
-def qstr(x) -> str:
-    """Canonical string form of a rational: "p" or "p/q" with q > 0."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
 
 
 def qparse(s: str):

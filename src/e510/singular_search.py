@@ -33,6 +33,7 @@ verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
 
 import json
 import os
+from itertools import product
 
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
@@ -161,14 +162,15 @@ def search_module(mu, d, nu=None, entry_cap=DEFAULT_ENTRY_CAP, full_g1=False):
 
 
 def dominant_weights_up_to(coord_sum):
-    """All dominant weights with coordinate sum <= coord_sum, sorted."""
+    """All dominant weights with coordinate sum <= coord_sum, in
+    lexicographic order."""
     out = []
     for a in range(coord_sum + 1):
         for b in range(coord_sum + 1 - a):
             for c in range(coord_sum + 1 - a - b):
                 for d in range(coord_sum + 1 - a - b - c):
                     out.append((a, b, c, d))
-    return sorted(out)
+    return out
 
 
 def _is_cert_of(cert, key):
@@ -258,17 +260,15 @@ def _save_checkpoint(path, state, encoded):
             state[key], sort_keys=True, indent=1).replace("\n", "\n "))
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        if encoded:
-            fh.write("{\n %s\n}" % ",\n ".join(
-                encoded[key] for key in sorted(encoded)))
-        else:
-            fh.write("{}")
+        fh.write("{\n %s\n}" % ",\n ".join(
+            encoded[key] for key in sorted(encoded)))
     os.replace(tmp, path)
 
 
-def search_cells(cells, checkpoint=None, entry_cap=DEFAULT_ENTRY_CAP,
-                 full_g1=False):
-    """Certificate lists of (mu, degree) cells, resumable through a checkpoint.
+def sweep(mus, degrees, checkpoint=None, entry_cap=DEFAULT_ENTRY_CAP,
+          full_g1=False):
+    """Certificates of the (mu, degree) cells of a grid, mu-major, resumable
+    through a checkpoint.
 
     The checkpoint file maps "mu|degree" cells to their certificate lists.
     A saved cell is reused only when each of its certificates was checked
@@ -277,12 +277,13 @@ def search_cells(cells, checkpoint=None, entry_cap=DEFAULT_ENTRY_CAP,
     restarting yields byte-identical results, and a resumed run never mixes
     in results computed under the other setting.  Each reused certificate
     is checked again as _cert_holds says; one that fails raises
-    ConfigError naming the cell.
+    ConfigError naming the cell.  A saved empty cell is trusted as it
+    stands.
     """
     state = _load_checkpoint(checkpoint)
     encoded = {}  # the checkpoint text of each unchanged cell
     out = []
-    for mu, d in cells:
+    for mu, d in product(mus, degrees):
         key = "%s|%d" % (weight_str(mu), d)
         certs = state.get(key)
         if certs is None or any(c.get("full_g1") != bool(full_g1)
@@ -295,19 +296,8 @@ def search_cells(cells, checkpoint=None, entry_cap=DEFAULT_ENTRY_CAP,
             raise ConfigError("checkpoint %s: a saved certificate of cell %s "
                               "has a block_dim or a vector that its degree "
                               "and weight do not give" % (checkpoint, key))
-        out.append(certs)
+        out.extend(certs)
     return out
-
-
-def sweep(mus=None, coord_sum=None, degrees=(1, 2, 3, 4), checkpoint=None,
-          entry_cap=DEFAULT_ENTRY_CAP, full_g1=False):
-    """Search a grid of modules and degrees; see search_cells for resuming."""
-    if mus is None:
-        mus = dominant_weights_up_to(coord_sum if coord_sum is not None else 3)
-    cells = [(tuple(mu), d) for mu in mus for d in degrees]
-    return [cert for certs in search_cells(cells, checkpoint, entry_cap,
-                                           full_g1)
-            for cert in certs]
 
 
 def dual_pair_check(mu, d, nu, entry_cap=DEFAULT_ENTRY_CAP):

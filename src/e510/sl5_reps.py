@@ -125,12 +125,13 @@ def gt_pattern_count(w) -> int:
 
 
 def act_ambient(a, b, vec):
-    """Action of the gl5 element x_a p_b on an ambient vector."""
+    """Action of the gl5 element x_a p_b on an ambient vector.
+
+    With a == b the same rule scales each monomial by entry a of its
+    eps-weight.
+    """
     out = {}
     for mono, c in vec.items():
-        if a == b:
-            _bump(out, mono, c * _mono_eps_weight(mono)[a - 1])
-            continue
         xs, ws, wds, xds = mono
         # Sym(C^5): x_b -> x_a
         k = xs[b - 1]

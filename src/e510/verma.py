@@ -57,7 +57,7 @@ from functools import partial
 from math import comb, lcm
 from operator import add
 
-from .scalars import Q, qstr, qparse, _den, _numerators, _scalars
+from .scalars import Q, qparse, _den, _numerators, _scalars
 from .uminus import (
     PAIRS, EPS, TMATE, ZERO_PARTIALS, _order_forms, mono_degree,
     mono_weight, add_scaled, d_elem, p_elem, form_step, product_int,
@@ -488,7 +488,7 @@ def tensor_terms(elem):
     rows = []
     for (m, i), c in elem.items():
         rows.append({"monomial": format_monomial(m), "index": i,
-                     "coeff": qstr(c)})
+                     "coeff": str(c)})
     rows.sort(key=lambda t: (t["monomial"], t["index"]))
     return rows
 
@@ -510,9 +510,7 @@ def proportional(a, b):
         return None
     k = next(iter(a))
     if k not in b:
-        k = next(iter(b))
-        if k not in a:
-            return None
+        return None
     c = Q(b[k]) / a[k]
     if c and b == {kk: c * v for kk, v in a.items()}:
         return c

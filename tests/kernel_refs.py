@@ -26,8 +26,13 @@ element_weight.  The rational Irrep.mat above is the ambient solve
 Irrep.mat made before it read its matrices off the closure; it solves with
 Irrep.coords, kept here as coords over echelons of the basis vectors of
 each weight, since Irrep.project became the one route to coordinates.
+Last, two rules the package dropped for a general one: scalars.qstr, the
+text of a rational that verma.tensor_terms wrote before it used str, and
+the a == b branch of sl5_reps.act_ambient, which scaled each ambient
+monomial by its eps-weight, as act_ambient_diagonal.
 """
 
+from fractions import Fraction
 from math import lcm
 from operator import add
 
@@ -36,7 +41,7 @@ from e510.linalg import (
     _make_primitive, check_entry_cap,
 )
 from e510.scalars import Q, _den, _numerators
-from e510.sl5_reps import _mono_eps_weight, act_ambient, build_irrep
+from e510.sl5_reps import _bump, _mono_eps_weight, act_ambient, build_irrep
 from e510.uminus import _order_forms, add_scaled, mono_weight
 from e510.singular_search import _peel
 from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
@@ -494,3 +499,19 @@ def equivariant_family(module, w, check=True):
                     raise ValueError(
                         "vector does not generate an equivariant family")
     return rep_in, images
+
+
+def qstr(x) -> str:
+    """Canonical string form of a rational: "p" or "p/q" with q > 0."""
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return "%d/%d" % (f.numerator, f.denominator)
+
+
+def act_ambient_diagonal(a, vec):
+    """Action of the gl5 element x_a p_a on an ambient vector."""
+    out = {}
+    for mono, c in vec.items():
+        _bump(out, mono, c * _mono_eps_weight(mono)[a - 1])
+    return out

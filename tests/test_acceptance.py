@@ -13,7 +13,8 @@ import pytest
 
 from e510.catalog import classification_sweep, known_vector, verify_catalog
 from e510.cli import _fundamental_suite, _omega_suite, _structure_suite, main
-from e510.singular_search import dual_pair_check, sweep
+from e510.singular_search import (
+    dominant_weights_up_to, dual_pair_check, sweep)
 from e510.sl5_reps import parse_weight
 from e510.verma import proportional, tensor_from_terms
 
@@ -55,7 +56,7 @@ def test_degree_seven_found_and_six_empty(tmp_path):
     got = tensor_from_terms(cert["vectors"][0])
     _, want = known_vector("7")
     assert proportional(want, got)
-    assert sweep(coord_sum=2, degrees=(6,)) == []
+    assert sweep(dominant_weights_up_to(2), (6,)) == []
 
 
 def test_low_degree_classification(classification):
@@ -120,4 +121,4 @@ def test_composition_complexes(tmp_path):
 
 
 def test_deep_emptiness_sweep():
-    assert sweep(coord_sum=1, degrees=(12, 13, 14)) == []
+    assert sweep(dominant_weights_up_to(1), (12, 13, 14)) == []

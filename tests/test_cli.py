@@ -91,6 +91,14 @@ def test_sweep_budget_with_mu_exits_two(tmp_path, capsys):
     assert json.loads(out.read_text())["budget"] == 3
 
 
+def test_sweep_repeated_mu_exits_two(capsys):
+    # a module listed twice used to be searched and reported twice
+    assert main(["sweep", "--mu", "0,0,0,1", "--mu", "0,0,0,1",
+                 "--degree", "1", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--mu" in captured.err
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -255,6 +263,31 @@ def test_identities_small_sweep(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["ok"] and rep["checks"]["routes_exhaustive"] == 55
+
+
+def test_omega_routes_compare_omega(tmp_path, monkeypatch):
+    # omega, the route every residual reads, is one of the routes compared
+    from e510 import omega_basis
+    from e510.uminus import ONE_MONO
+    real = omega_basis._omega_key
+
+    def perturbed(key):
+        out = dict(real(key))
+        if len(key) == 2:
+            out[ONE_MONO] = out.get(ONE_MONO, 0) + 1
+        return out
+
+    monkeypatch.setattr(omega_basis, "_omega_key", perturbed)
+    out = tmp_path / "rep.json"
+    try:
+        assert main(["identities", "--suite", "omega", "--max-d", "2",
+                     "--samples", "0", "--format", "json",
+                     "--output", str(out)]) == 1
+    finally:
+        # the real recursion cached answers built on the perturbed one
+        real.cache_clear()
+    failures = json.loads(out.read_text())["failures"]
+    assert {"check": "routes", "pairs": [[1, 2], [1, 3]]} in failures
 
 
 def test_corrupt_checkpoint_exits_two(tmp_path, capsys):

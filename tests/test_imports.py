@@ -1,13 +1,13 @@
-"""Lint: every name a source, test or demo file imports is used there, and
-every function or class the package defines is referenced by a program:
-the package itself, a demo or the benchmark.  A reference from a test does
-not count, so code that only tests call is reported."""
+"""Lint: every name a source, test, demo or benchmark file imports is used
+there, and every function or class the package defines is referenced by a
+program: the package itself, a demo or the benchmark.  A reference from a
+test does not count, so code that only tests call is reported."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src/e510", "tests", "demos")
+FILES = sorted(p for d in ("src/e510", "tests", "demos", "perfbench")
                for p in (ROOT / d).glob("*.py"))
 # the benchmark looks program functions up by name, so its files count as
 # references too; tests do not

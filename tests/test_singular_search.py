@@ -91,6 +91,10 @@ def test_dominant_weight_grid():
     assert grid == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0),
                     (0, 1, 0, 0), (1, 0, 0, 0)]
     assert len(dominant_weights_up_to(3)) == 35
+    # the nested loops yield lexicographic order, which sweep visits
+    for budget in range(6):
+        grid = dominant_weights_up_to(budget)
+        assert grid == sorted(grid)
 
 
 def test_checkpoint_bytes_are_the_json_dump_of_the_state(tmp_path,

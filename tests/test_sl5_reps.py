@@ -121,6 +121,28 @@ def test_diagonal_action_matches_weights():
             assert col == ({j: Q(ev)} if ev else {})
 
 
+def _exponents(n):
+    return st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+        any).map(tuple)
+
+
+# ambient monomials with every factor present: Sym(C^5), Sym(L), Sym(L*)
+# and Sym(C^5*)
+AMBIENT_MONOMIALS = st.tuples(_exponents(5), _exponents(10), _exponents(10),
+                              _exponents(5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.dictionaries(
+    AMBIENT_MONOMIALS,
+    st.builds(Q, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+    min_size=1, max_size=5))
+def test_diagonal_action_is_the_eps_weight_rule(a, vec):
+    # the general rule of act_ambient at a == b against the dropped
+    # diagonal branch, which scaled each monomial by its eps-weight
+    assert act_ambient(a, a, vec) == ref.act_ambient_diagonal(a, vec)
+
+
 # F(2,0,0,0) has matrices with denominators 2, 4 and 8; the dual and
 # mixed weights reach the dual factors and the wedges
 MAT_WEIGHTS = ((2, 0, 0, 0), (0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 0, 1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import kernel_refs as ref
 
 from e510.e510_algebra import bracket
-from e510.scalars import Q, qstr
+from e510.scalars import Q
 from e510.sl5_reps import act_ambient
 from e510.uminus import (
     EPS, TMATE, PAIR_INDEX, PAIRS, ONE_MONO, ZERO_PARTIALS,
@@ -277,7 +277,7 @@ def _profile_monomials(profile):
 def _digest(rows):
     h = hashlib.sha256()
     for key, out in rows:
-        h.update(repr((key, sorted((k, qstr(v)) for k, v in out.items())))
+        h.update(repr((key, sorted((k, str(v)) for k, v in out.items())))
                  .encode())
     return h.hexdigest()
 

@@ -20,6 +20,13 @@ from e510.verma import (
 )
 
 
+@given(st.one_of(st.integers(), st.builds(Q, st.integers(),
+                                          st.integers(1, 10 ** 6))))
+def test_str_is_the_canonical_rational_text(x):
+    # tensor_terms writes coefficients with str, for ints and Fractions
+    assert str(x) == ref.qstr(x)
+
+
 def dual_vec(module, i):
     """Coordinates of x_i* inside F(0,0,0,1)."""
     return module.rep.project({ambient_monomial(dx=(i,)): Q(1)})
