@@ -7,13 +7,10 @@ and the classification sweep diff) is what the tests run.
 """
 
 from .linalg import DEFAULT_ENTRY_CAP
-from .omega_basis import equivariant_family
 from .scalars import Q
-from .singular_search import dominant_weights_up_to, sweep
 from .sl5_reps import ambient_monomial, parse_weight, weight_str
 from .uminus import PAIRS, add_scaled, d_elem, forms_elem, pbw_product
 from .verma import VermaModule, proportional, tensor_from_terms
-from .vector_tables import W11_TERMS, W4E_TERMS
 
 # degree-7 vector: inner terms behind the common prefix d12 d13 d14 d15,
 # each row (sign, partial exponents, form pairs, dual index pair)
@@ -55,9 +52,14 @@ _PREFIX = ((1, 2), (1, 3), (1, 4), (1, 5))
 
 
 def _tensor(module, u, **factors):
-    """u (x) (ambient monomial) as a module element."""
+    """u (x) (ambient monomial) as a module element.
+
+    The monomial's coordinates come from Irrep.monomial_coords, so each
+    (irrep, monomial) pair costs one Gram solve however many terms and
+    instances name it.
+    """
     amb = ambient_monomial(**factors)
-    return module.tensor(u, module.rep.project({amb: Q(1)}))
+    return module.tensor(u, module.rep.monomial_coords(amb))
 
 
 def _w_1a(m, n):
@@ -133,6 +135,7 @@ def _w_4d(m):
 
 
 def _w_4e(n):
+    from .vector_tables import W4E_TERMS
     mod = VermaModule((0, 0, 0, n + 3))
     out = {}
     for sign, partials, forms, fexp in W4E_TERMS:
@@ -158,8 +161,8 @@ def _w_5cd():
     return mod, out
 
 
-def _w_5ea():
-    mod, w4 = _w_4e(0)
+def _w_5ea(vector):
+    mod, w4 = vector("4E", 0, 0)
     return mod, mod.mult(d_elem(1, 2), w4)
 
 
@@ -175,6 +178,7 @@ def _w_7():
 
 
 def _w_11():
+    from .vector_tables import W11_TERMS
     mod = VermaModule((0, 0, 0, 1))
     pre = forms_elem(_PREFIX)
     out = {}
@@ -185,7 +189,9 @@ def _w_11():
     return mod, out
 
 
-# family -> (parameters used, builder, (mu, lam, degree) as functions of m, n)
+# family -> (parameters used, builder, (mu, lam, degree) as functions of m, n);
+# a builder that starts from another instance takes the parameter "vector",
+# the lookup (family, m, n) -> (module, element) that known_vector passes on
 FAMILIES = {
     "1A": (("m", "n"), _w_1a,
            lambda m, n: ((m, n, 0, 0), (m, n + 1, 0, 0), 1)),
@@ -207,7 +213,7 @@ FAMILIES = {
            lambda m, n: ((0, 0, 0, n + 3), (0, 0, 0, n), 4)),
     "5CD": ((), _w_5cd,
             lambda m, n: ((0, 0, 1, 0), (3, 0, 0, 0), 5)),
-    "5EA": ((), _w_5ea,
+    "5EA": (("vector",), _w_5ea,
             lambda m, n: ((0, 0, 0, 3), (0, 1, 0, 0), 5)),
     "7": ((), _w_7,
           lambda m, n: ((0, 0, 0, 2), (2, 0, 0, 0), 7)),
@@ -223,11 +229,16 @@ def family_data(family, m=0, n=0):
     return FAMILIES[family][2](m, n)
 
 
-def known_vector(family, m=0, n=0):
-    """The catalog singular vector; returns (module, element)."""
+def known_vector(family, m=0, n=0, vector=None):
+    """The catalog singular vector; returns (module, element).
+
+    vector(family, m, n) gives the instances a builder starts from (5EA is
+    d_12 times 4E(0)): a MorphismTable passes its own lookup, so a run
+    builds each instance once; by default they are built afresh.
+    """
     params, build, _ = FAMILIES[family]
-    args = tuple({"m": m, "n": n}[p] for p in params)
-    return build(*args)
+    env = {"m": m, "n": n, "vector": vector or known_vector}
+    return build(*(env[p] for p in params))
 
 
 def verify_family(family, m=0, n=0, full_g1=True):
@@ -303,6 +314,7 @@ def morphism_from_singular(module, w, check=True):
     source basis from its highest weight vector; equivariance and
     annihilation by the whole degree +1 part are verified on every image.
     """
+    from .omega_basis import equivariant_family
     rep_in, images = equivariant_family(module, w, check=check)
     if check and any(map(module.g1_failure, images)):
         raise ValueError("image not annihilated by degree +1 part")
@@ -340,22 +352,56 @@ def compose_vector(*factors):
     return v
 
 
-def family_morphism(family, m=0, n=0, check=True):
-    mod, w = known_vector(family, m, n)
+def family_morphism(family, m=0, n=0, check=True, vector=None):
+    """The morphism of a catalog instance; vector as for known_vector."""
+    mod, w = (vector or known_vector)(family, m, n)
     return morphism_from_singular(mod, w, check=check)
 
 
-def morphism_table(check=False):
-    """get(family, m=0, n=0): one run's catalog morphisms, each built once."""
-    built = {}
+class MorphismTable:
+    """One run's catalog objects, each built once and shared, not copied.
 
-    def get(fam, m=0, n=0):
+    table(family, m, n) is the morphism of an instance (checked when check
+    is set, as morphism_from_singular checks), table.vector(family, m, n)
+    its (module, singular vector), and table.composite(*keys) the singular
+    vector of a composite, keys the instances (family, m, n) of its
+    factors, outermost first.  A composite is its outer factor applied to
+    the composite of the other factors, so each composite step is taken
+    once however many chains end in it.  Callers only read what the table
+    returns.
+    """
+
+    def __init__(self, check=False):
+        self.check = check
+        self._morphisms, self._vectors, self._composites = {}, {}, {}
+
+    def __call__(self, fam, m=0, n=0):
         key = (fam, m, n)
-        if key not in built:
-            built[key] = family_morphism(fam, m, n, check=check)
-        return built[key]
+        got = self._morphisms.get(key)
+        if got is None:
+            got = self._morphisms[key] = family_morphism(
+                fam, m, n, check=self.check, vector=self.vector)
+        return got
 
-    return get
+    def vector(self, fam, m=0, n=0):
+        key = (fam, m, n)
+        got = self._vectors.get(key)
+        if got is None:
+            got = self._vectors[key] = known_vector(fam, m, n, self.vector)
+        return got
+
+    def composite(self, *keys):
+        """compose_vector of the morphisms at keys, each step taken once."""
+        got = self._composites.get(keys)
+        if got is None:
+            outer = self(*keys[0])
+            if len(keys) == 1:
+                got = outer.singular_vector()
+            else:
+                _check_composable((outer, self(*keys[1])))
+                got = outer.apply(self.composite(*keys[1:]))
+            self._composites[keys] = got
+        return got
 
 
 # composition identities: target instance and its factors, outermost first
@@ -370,16 +416,18 @@ COMPOSITION_IDENTITIES = (
 )
 
 
-def composition_identity_reports(get=None):
+def composition_identity_reports(table=None):
     """Each named composition equals its target vector up to a scalar.
 
-    get is a morphism_table (a fresh unchecked one by default).
+    table is a MorphismTable (a fresh unchecked one by default); targets,
+    morphisms and composites are read from it.
     """
-    get = get or morphism_table()
+    table = table or MorphismTable()
     out = []
     for target, targs, factors in COMPOSITION_IDENTITIES:
-        _, want = known_vector(target, **targs)
-        got = compose_vector(*(get(fam, **args) for fam, args in factors))
+        got = table.composite(*((fam, args.get("m", 0), args.get("n", 0))
+                                for fam, args in factors))
+        _, want = table.vector(target, **targs)
         c = proportional(want, got) if got else None
         out.append({
             "target": target,
@@ -404,27 +452,29 @@ def _morphism_instances():
     return list(_instances((0, 1), (0, 1)))
 
 
-def composition_sweep(get=None):
+def composition_sweep(table=None):
     """Compose every composable ordered pair of catalog instances.
 
-    Each record reports whether the composite's singular vector (computed
-    by compose_vector; morphisms come from get, a morphism_table, a fresh
-    unchecked one by default) vanishes and, when it does not, which
-    catalog instance it matches up to a scalar.  Note that no
+    Each record reports whether the composite's singular vector vanishes
+    and, when it does not, which catalog instance it matches up to a
+    scalar.  Composites, morphisms and the instances matched against come
+    from table, a MorphismTable (a fresh unchecked one by default), so a
+    pair the composition identities already composed is not composed
+    again, and no instance is built twice.  Note that no
     family provides a degree-1 arrow out of the trivial-weight module into
     M(1,0,0,0): degree-1 singular vectors sit at weight mu + eps_i + eps_j,
     never at mu itself shifted to (0,0,0,0).  Chains through the trivial
     module are therefore reported as found, not matched against any
     preconceived sequence of arrows.
     """
-    get = get or morphism_table()
+    table = table or MorphismTable()
     insts = _morphism_instances()
     records = []
     for of, om, on, omu, olam, odeg in insts:
         for inf, im, inn, imu, ilam, ideg in insts:
             if olam != imu:
                 continue
-            vec = compose_vector(get(of, om, on), get(inf, im, inn))
+            vec = table.composite((of, om, on), (inf, im, inn))
             rec = {
                 "outer": [of, om, on],
                 "inner": [inf, im, inn],
@@ -438,7 +488,7 @@ def composition_sweep(get=None):
                 for tf, tm, tn, tmu, tlam, tdeg in insts:
                     if (tmu, tlam, tdeg) != (omu, ilam, odeg + ideg):
                         continue
-                    _, want = known_vector(tf, tm, tn)
+                    _, want = table.vector(tf, tm, tn)
                     if proportional(vec, want):
                         match = [tf, tm, tn]
                         break
@@ -464,6 +514,7 @@ def classification_sweep(weight_budget, degree_max,
     one-dimensional kernel and a matching vector up to scalar) and every
     in-range instance is found.
     """
+    from .singular_search import dominant_weights_up_to, sweep
     expected = {(mu, lam, deg): (fam, m, n)
                 for fam, m, n, mu, lam, deg in
                 expected_instances(weight_budget, degree_max)}

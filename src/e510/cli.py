@@ -453,13 +453,13 @@ def cmd_identities(args):
 # ---------------------------------------------------------------- complexes
 
 def cmd_complexes(args):
-    from .catalog import (composition_identity_reports, composition_sweep,
-                          compose_vector, morphism_table)
-    get = morphism_table(check=args.check)
-    idents = composition_identity_reports(get)
+    from .catalog import (MorphismTable, composition_identity_reports,
+                          composition_sweep)
+    table = MorphismTable(check=args.check)
+    idents = composition_identity_reports(table)
     # a morphism of Verma modules is zero when its singular vector is
-    square_zero = not compose_vector(get("1A", 0, 0), get("1A", 0, 1))
-    records = composition_sweep(get)
+    square_zero = not table.composite(("1A", 0, 0), ("1A", 0, 1))
+    records = composition_sweep(table)
     unmatched = [r for r in records if not r["zero"] and not r["matches"]]
     report = {
         "command": "complexes",

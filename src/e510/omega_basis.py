@@ -10,7 +10,7 @@ morphism coefficients can be read off singular vectors against it.
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, lcm
 
 from .scalars import Q, _den, _numerators
 from .e510_algebra import bracket, d_gen, xd_gen
@@ -384,14 +384,27 @@ def _expand_partial_omega(elem):
 def equivariant_family(module, w, check=True):
     """Images of a weight-module basis under the map generated by w.
 
-    Transports w along the lowering tree of its weight module and verifies
-    that the family intertwines the sl5 action: for each simple raising or
-    lowering E and each j, E images[j] == sum_i M[i, j] images[i] with M
-    the matrix of E on rep_in.  Both sides are integer numerators over
-    iden * mden * aden: iden the common denominator of the images, whose
-    numerators _act_e_terms takes as they are, and mden, aden those of the
-    matrices of E on rep_in and on the module's rep.  Returns (rep_in,
-    images).
+    Transports w along the lowering tree of its weight module on integer
+    numerators: for each tree edge, child c = f_l v_par, _act_e_terms takes
+    the numerators of images[par] over den[par] to n_c, those of images[c]
+    over den[c] = den[par] * aden, aden the denominator of f_l on the
+    module's rep.  The family then goes over iden, the lcm of the den[c],
+    as nums[c] = (iden / den[c]) n_c, and each image is built once, one
+    scalar per entry.
+
+    It verifies that the family intertwines the sl5 action: for each simple
+    raising or lowering E and each j, E images[j] == sum_i M[i, j] images[i]
+    with M the matrix of E on rep_in.  Both sides are integer numerators
+    over iden * mden * aden, mden and aden the denominators of the matrices
+    of E on rep_in and on the module's rep.  When E = f_l and j is the
+    parent of a tree edge to c, the transport has already applied E to
+    images[j]: _act_e_terms is linear in the numerators, and nums[j] is
+    iden / den[j] times the numerators over den[j], so it gives
+    (iden / den[j]) n_c = (den[c] / den[j]) nums[c] = aden nums[c].  Those
+    integers are taken from the transport; every other E images[j] is
+    computed, and the sum over M[i, j] images[i] is subtracted and tested
+    for zero for every E and j, tree edges included.
+    Returns (rep_in, images).
     """
     if not w:
         raise ValueError("zero vector has no morphism")
@@ -401,20 +414,30 @@ def equivariant_family(module, w, check=True):
     if min(lam) < 0:
         raise ValueError("weight of the vector is not dominant")
     rep_in = build_irrep(lam)
-    images = [None] * rep_in.dim
-    images[0] = w
+    wden = _den(w.values())
+    tree = [(_numerators(w, wden), wden)]
+    child = {}
     for jj in range(1, rep_in.dim):
         par, low = rep_in.parents[jj]
-        images[jj] = module.act_e(low + 1, low, images[par])
-    iden = _den(v for im in images for v in im.values())
-    nums = [_numerators(im, iden) for im in images]
+        amat = module.rep.mat(low + 1, low)
+        pnums, pden = tree[par]
+        acc = _act_e_terms(low + 1, low, pnums, amat)
+        tree.append(([(k, n) for k, n in acc.items() if n], pden * amat[0]))
+        child[par, low] = jj
+    iden = lcm(*(den for _, den in tree))
+    nums = [[(k, n * (iden // den)) for k, n in kn] for kn, den in tree]
     for aa in range(1, 5):
         for x, y in ((aa, aa + 1), (aa + 1, aa)):
             mden, cols = rep_in.mat(x, y)
             amat = module.rep.mat(x, y)
             aden = amat[0]
+            edges = child if x > y else {}
             for jj in range(rep_in.dim):
-                got = _act_e_terms(x, y, nums[jj], amat)
+                kid = edges.get((jj, aa))
+                if kid is None:
+                    got = _act_e_terms(x, y, nums[jj], amat)
+                else:
+                    got = {k: aden * n for k, n in nums[kid]}
                 if mden != 1:
                     for k in got:
                         got[k] *= mden
@@ -425,6 +448,7 @@ def equivariant_family(module, w, check=True):
                 if any(got.values()):
                     raise ValueError(
                         "vector does not generate an equivariant family")
+    images = [w] + [{k: Q(n, den) for k, n in kn} for kn, den in tree[1:]]
     return rep_in, images
 
 

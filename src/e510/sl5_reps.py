@@ -209,7 +209,10 @@ class Irrep:
         self.eps_weights = [_mono_eps_weight(hw)]
         self.parents = [None]  # index -> (parent index, lowering op i)
         self._close()
+        # per weight, the Gram echelon of project; per ambient monomial x,
+        # project({x: 1}), solved once and shared by monomial_coords
         self._grams = {}
+        self._monomial_coords = {}
         self._by_weight = {}
         for j, wkey in enumerate(self.eps_weights):
             self._by_weight.setdefault(wkey, []).append(j)
@@ -337,6 +340,16 @@ class Irrep:
                     {i: _form(self.basis[i], part)
                      for i in self._by_weight[wkey]}))
         return {k: v for k, v in sorted(out.items()) if v}
+
+    def monomial_coords(self, mono):
+        """project({mono: 1}), one Gram solve per ambient monomial.
+
+        The dict is kept and shared with every caller, which only reads it.
+        """
+        got = self._monomial_coords.get(mono)
+        if got is None:
+            got = self._monomial_coords[mono] = self.project({mono: 1})
+        return got
 
     def _gram(self, wkey):
         """The Gram matrix of one weight's basis vectors, as an echelon whose

@@ -136,7 +136,7 @@ def _act_e_terms(a, b, enums, mat):
     the denominator of the n.  The bracket [x_a p_b, p^P w] (module
     docstring) is accumulated in place: the p_a term directly, then the
     cached form-word pieces of [x_a p_b, w] shifted by P, then the rep
-    column of v_i.
+    column of v_i.  The cache is read here; _ad_e_forms runs on a miss.
     """
     mden, cols = mat
     acc = {}
@@ -150,7 +150,10 @@ def _act_e_terms(a, b, enums, mat):
             pl[b - 1] += 1
             key = ((tuple(pl), forms), i)
             acc[key] = acc.get(key, 0) - nm * pa
-        for (dp, f2), ca in _ad_e_forms(a, b, forms):
+        pieces = _AD_E_CACHE.get((a, b, forms))
+        if pieces is None:
+            pieces = _ad_e_forms(a, b, forms)
+        for (dp, f2), ca in pieces:
             key = ((parts if dp is ZERO_PARTIALS else
                     tuple(map(add, parts, dp)), f2), i)
             acc[key] = acc.get(key, 0) + nm * ca

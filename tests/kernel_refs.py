@@ -20,7 +20,10 @@ checked the entry cap and peeled them again, as assembled_singular_block.  Last,
 forced zeros of the rows handed in before the echelon, as
 peeling_kernel_basis; assembled_singular_block calls it.  Then
 omega_basis.equivariant_family as it checked each image through
-InducedModule.act_e_int, which takes the image's own denominator again.
+InducedModule.act_e_int, which takes the image's own denominator again,
+and as act_e_transport_family, as it transported w through
+InducedModule.act_e, one Fraction image at a time, and took the numerators
+of every image again for the check.
 InducedModule.element_weight, which only the tests read, is
 element_weight.  The rational Irrep.mat above is the ambient solve
 Irrep.mat made before it read its matrices off the closure; it solves with
@@ -493,6 +496,53 @@ def equivariant_family(module, w, check=True):
                 got = {k: n * s for k, n in acc.items()}
                 for ii, cc in cols[jj].items():
                     tc = t * cc
+                    for k, n in nums[ii]:
+                        got[k] = got.get(k, 0) - tc * n
+                if any(got.values()):
+                    raise ValueError(
+                        "vector does not generate an equivariant family")
+    return rep_in, images
+
+
+def act_e_transport_family(module, w, check=True):
+    """Images of a weight-module basis under the map generated by w.
+
+    Transports w along the lowering tree of its weight module and verifies
+    that the family intertwines the sl5 action: for each simple raising or
+    lowering E and each j, E images[j] == sum_i M[i, j] images[i] with M
+    the matrix of E on rep_in.  Both sides are integer numerators over
+    iden * mden * aden: iden the common denominator of the images, whose
+    numerators _act_e_terms takes as they are, and mden, aden those of the
+    matrices of E on rep_in and on the module's rep.  Returns (rep_in,
+    images).
+    """
+    if not w:
+        raise ValueError("zero vector has no morphism")
+    if check and not module.is_singular(w):
+        raise ValueError("vector is not singular")
+    lam = tuple(module.element_coords(w))
+    if min(lam) < 0:
+        raise ValueError("weight of the vector is not dominant")
+    rep_in = build_irrep(lam)
+    images = [None] * rep_in.dim
+    images[0] = w
+    for jj in range(1, rep_in.dim):
+        par, low = rep_in.parents[jj]
+        images[jj] = module.act_e(low + 1, low, images[par])
+    iden = _den(v for im in images for v in im.values())
+    nums = [_numerators(im, iden) for im in images]
+    for aa in range(1, 5):
+        for x, y in ((aa, aa + 1), (aa + 1, aa)):
+            mden, cols = rep_in.mat(x, y)
+            amat = module.rep.mat(x, y)
+            aden = amat[0]
+            for jj in range(rep_in.dim):
+                got = _act_e_terms(x, y, nums[jj], amat)
+                if mden != 1:
+                    for k in got:
+                        got[k] *= mden
+                for ii, cc in cols[jj].items():
+                    tc = aden * cc
                     for k, n in nums[ii]:
                         got[k] = got.get(k, 0) - tc * n
                 if any(got.values()):

@@ -1,14 +1,18 @@
+from collections import Counter
+
 import pytest
 
 import kernel_refs as ref
 
+from e510 import catalog, sl5_reps
 from e510.catalog import (
     FAMILY_NAMES, COMPOSITION_IDENTITIES, _morphism_instances,
     classification_sweep, compose, compose_vector,
     composition_identity_reports, composition_sweep, expected_instances,
     family_data, family_morphism, known_vector, morphism_from_singular,
-    morphism_table, verify_catalog, verify_family,
+    MorphismTable, verify_catalog, verify_family,
 )
+from e510.cli import main
 from e510.scalars import Q
 from e510.uminus import ONE_MONO, add_scaled, d_elem, p_elem
 from e510.verma import VermaModule, proportional
@@ -103,7 +107,7 @@ def test_composition_identities():
 
 
 def test_compose_vector_is_singular_vector_of_compose():
-    get = morphism_table()
+    get = MorphismTable()
     insts = _morphism_instances()
     pairs = [(o[:3], i[:3]) for o in insts for i in insts if o[4] == i[3]]
     assert len(pairs) == 32
@@ -150,8 +154,40 @@ def test_composition_sweep_pattern():
     }
 
 
+def test_complexes_builds_each_catalog_object_once(tmp_path, monkeypatch):
+    # fresh irreps: no monomial coordinates kept from earlier tests
+    sl5_reps.build_irrep.cache_clear()
+    builds, calls = Counter(), Counter()
+    known, apply, project = (catalog.known_vector,
+                             catalog.VermaMorphism.apply,
+                             sl5_reps.Irrep.project)
+
+    def counted_known(family, m=0, n=0, *vector):
+        builds[family, m, n] += 1
+        return known(family, m, n, *vector)
+
+    def counted_apply(self, elem):
+        calls["apply"] += 1
+        return apply(self, elem)
+
+    def counted_project(self, vec):
+        calls["single"] += len(vec) == 1
+        return project(self, vec)
+
+    monkeypatch.setattr(catalog, "known_vector", counted_known)
+    monkeypatch.setattr(catalog.VermaMorphism, "apply", counted_apply)
+    monkeypatch.setattr(sl5_reps.Irrep, "project", counted_project)
+    out = tmp_path / "rep.json"
+    assert main(["complexes", "--format", "json", "--output", str(out)]) == 0
+    # 24 instances; 33 composite steps: the 5 two-factor identities, the
+    # outer step of 3CBA (its inner one is 2BA's), the degree-1 square and
+    # the 26 sweep pairs that none of those composed; 190 (irrep, ambient
+    # monomial) pairs
+    assert len(builds) == 24 and set(builds.values()) == {1}
+    assert calls == Counter(apply=33, single=190)
+
+
 def test_expected_instance_counts():
-    from collections import Counter
     got = Counter(fam for fam, *_ in expected_instances(3, 4))
     assert dict(got) == {"1A": 10, "1B": 6, "1C": 6, "2BA": 3, "2CB": 2,
                          "2CA": 1, "3CBA": 1, "4D": 4, "4E": 1}

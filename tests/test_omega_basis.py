@@ -1,5 +1,6 @@
 """Oracle tests for the antisymmetrized form basis and morphism coefficients."""
 
+import copy
 import random
 from collections import Counter
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_refs as ref
 from e510 import omega_basis
-from e510.catalog import FAMILY_NAMES, known_vector
+from e510.catalog import FAMILY_NAMES, _morphism_instances, known_vector
 from e510.scalars import Q
 from e510.uminus import PAIR_INDEX, add_scaled, d_elem, forms_elem, p_elem, pbw_product
 from e510.omega_basis import (
@@ -376,6 +377,56 @@ def test_equivariance_check_applies_all_eight_simple_operators(monkeypatch):
     simple = [(a, a + 1) for a in range(1, 5)] + [(a + 1, a)
                                                  for a in range(1, 5)]
     assert seen == Counter({op: rep_in.dim for op in simple})
+
+
+def test_transport_matches_act_e_reference_on_morphism_instances():
+    # the same rep_in and the same images, key order included, as the
+    # transport through act_e, on every instance the pair sweep composes
+    for fam, m, n, *_ in _morphism_instances():
+        mod, w = known_vector(fam, m, n)
+        rep_in, images = equivariant_family(mod, w, check=False)
+        ref_in, ref_images = ref.act_e_transport_family(mod, w, check=False)
+        assert rep_in is ref_in
+        assert ([list(im.items()) for im in images]
+                == [list(im.items()) for im in ref_images]), (fam, m, n)
+
+
+def test_equivariance_check_rejects_vectors_a_raising_operator_moves():
+    # every degree-1 basis pair of dominant weight in M(F(0,0,1,0)) that
+    # some e_i does not kill is refused, though its weight module exists
+    mod = VermaModule((0, 0, 1, 0))
+    refused = 0
+    for block in mod.weight_blocks(1).values():
+        for pair in block:
+            v = {pair: Q(1)}
+            if all(not mod.act_e(i, i + 1, v) for i in range(1, 5)):
+                continue
+            with pytest.raises(ValueError, match="equivariant family"):
+                equivariant_family(mod, v, check=False)
+            refused += 1
+    assert refused > 0
+
+
+def test_equivariance_check_tests_the_transported_tree_edges(monkeypatch):
+    # the check takes f_l images[par] from the transport on a tree edge; a
+    # rep_in whose f_l column at that edge is doubled must still be refused
+    mod, w = known_vector("3CBA")
+    real = omega_basis.build_irrep(tuple(mod.element_coords(w)))
+    kid = real.dim - 1
+    par, low = real.parents[kid]
+    fake = copy.copy(real)
+    fake._mats = {op: real.mat(*op)
+                  for op in [(a, a + 1) for a in range(1, 5)]
+                  + [(a + 1, a) for a in range(1, 5)]}
+    mden, cols = fake._mats[low + 1, low]
+    cols = list(cols)
+    assert cols[par] == {kid: mden}
+    cols[par] = {kid: 2 * mden}
+    fake._mats[low + 1, low] = (mden, cols)
+    equivariant_family(mod, w, check=False)
+    monkeypatch.setattr(omega_basis, "build_irrep", lambda lam: fake)
+    with pytest.raises(ValueError, match="equivariant family"):
+        equivariant_family(mod, w, check=False)
 
 
 @settings(max_examples=40, deadline=None)
