@@ -8,8 +8,8 @@ extending with lowering words.  Compositions reproduce the higher families.
 """
 
 from e510.catalog import (
-    FAMILY_NAMES, family_data, verify_family, family_morphism, compose,
-    compose_vector, composition_identity_reports,
+    FAMILY_NAMES, MorphismTable, family_data, verify_family, family_morphism,
+    compose, composition_identity_reports,
 )
 
 # every family instance carries its module, degree and singular weight
@@ -23,12 +23,11 @@ rec = verify_family("4E", n=1)
 print("4E at n=1 verifies:", rec["ok"], "height", rec["height"])
 
 # morphisms compose; the two degree-1 maps through M(0,0,1,0) hit the
-# degree-2 family on the nose (compose_vector carries only the singular
-# vector through the chain, which is all this reads)
-outer = family_morphism("1C")
-inner = family_morphism("1A")
+# degree-2 family on the nose (MorphismTable.composite carries only the
+# singular vector through the chain, which is all this reads)
 print("1C o 1A lands at",
-      [k for k in compose_vector(outer, inner)][:2], "...")
+      [k for k in MorphismTable().composite(("1C", 0, 0), ("1A", 0, 0))][:2],
+      "...")
 
 # all six stacked identities hold with scalar one
 for r in composition_identity_reports():

@@ -161,8 +161,8 @@ def _w_5cd():
     return mod, out
 
 
-def _w_5ea(vector):
-    mod, w4 = vector("4E", 0, 0)
+def _w_5ea():
+    mod, w4 = _w_4e(0)
     return mod, mod.mult(d_elem(1, 2), w4)
 
 
@@ -189,9 +189,7 @@ def _w_11():
     return mod, out
 
 
-# family -> (parameters used, builder, (mu, lam, degree) as functions of m, n);
-# a builder that starts from another instance takes the parameter "vector",
-# the lookup (family, m, n) -> (module, element) that known_vector passes on
+# family -> (parameters used, builder, (mu, lam, degree) as functions of m, n)
 FAMILIES = {
     "1A": (("m", "n"), _w_1a,
            lambda m, n: ((m, n, 0, 0), (m, n + 1, 0, 0), 1)),
@@ -213,7 +211,7 @@ FAMILIES = {
            lambda m, n: ((0, 0, 0, n + 3), (0, 0, 0, n), 4)),
     "5CD": ((), _w_5cd,
             lambda m, n: ((0, 0, 1, 0), (3, 0, 0, 0), 5)),
-    "5EA": (("vector",), _w_5ea,
+    "5EA": ((), _w_5ea,
             lambda m, n: ((0, 0, 0, 3), (0, 1, 0, 0), 5)),
     "7": ((), _w_7,
           lambda m, n: ((0, 0, 0, 2), (2, 0, 0, 0), 7)),
@@ -229,16 +227,11 @@ def family_data(family, m=0, n=0):
     return FAMILIES[family][2](m, n)
 
 
-def known_vector(family, m=0, n=0, vector=None):
-    """The catalog singular vector; returns (module, element).
-
-    vector(family, m, n) gives the instances a builder starts from (5EA is
-    d_12 times 4E(0)): a MorphismTable passes its own lookup, so a run
-    builds each instance once; by default they are built afresh.
-    """
+def known_vector(family, m=0, n=0):
+    """The catalog singular vector; returns (module, element)."""
     params, build, _ = FAMILIES[family]
-    env = {"m": m, "n": n, "vector": vector or known_vector}
-    return build(*(env[p] for p in params))
+    args = tuple({"m": m, "n": n}[p] for p in params)
+    return build(*args)
 
 
 def verify_family(family, m=0, n=0, full_g1=True):
@@ -331,29 +324,19 @@ def compose(outer, inner):
     """outer o inner; defined when inner's target is outer's source.
 
     Applies outer to every image of inner, one product per source basis
-    vector; compose_vector computes only the singular vector.
+    vector; MorphismTable.composite computes only the singular vector.
     """
     _check_composable((outer, inner))
     return VermaMorphism(inner.source, outer.target,
                          [outer.apply(im) for im in inner.images])
 
 
-def compose_vector(*factors):
-    """The singular vector of the composite of factors, outermost first.
-
-    Equal to the nested compose(...).singular_vector(), with the same
-    composability checks, but it applies each factor to one vector only:
-    the innermost factor's singular vector, carried outwards.
-    """
-    _check_composable(factors)
-    v = factors[-1].singular_vector()
-    for f in reversed(factors[:-1]):
-        v = f.apply(v)
-    return v
-
-
 def family_morphism(family, m=0, n=0, check=True, vector=None):
-    """The morphism of a catalog instance; vector as for known_vector."""
+    """The morphism of a catalog instance.
+
+    vector(family, m, n) gives its (module, singular vector): known_vector
+    by default, a MorphismTable's stored vectors when the table builds it.
+    """
     mod, w = (vector or known_vector)(family, m, n)
     return morphism_from_singular(mod, w, check=check)
 
@@ -387,11 +370,16 @@ class MorphismTable:
         key = (fam, m, n)
         got = self._vectors.get(key)
         if got is None:
-            got = self._vectors[key] = known_vector(fam, m, n, self.vector)
+            got = self._vectors[key] = known_vector(fam, m, n)
         return got
 
     def composite(self, *keys):
-        """compose_vector of the morphisms at keys, each step taken once."""
+        """The singular vector of the composite of the morphisms at keys.
+
+        Equal to the nested compose(...).singular_vector(), with the same
+        composability checks, but each factor is applied to one vector
+        only: the innermost factor's singular vector, carried outwards.
+        """
         got = self._composites.get(keys)
         if got is None:
             outer = self(*keys[0])

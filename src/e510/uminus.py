@@ -141,10 +141,7 @@ def _insert_form(forms, f):
     return tuple(out)
 
 
-# the benchmark workloads end at 11 545 entries (complexes), 2 088
-# (search --mu 0,0,0,1 --degree 11) and 1 678 (classify --budget 2), so
-# none of them evicts; complexes --check would reach 21 853
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=None)
 def _order_forms(left, right):
     """Normal-ordered product of two sorted form words.
 

@@ -7,7 +7,7 @@ import kernel_refs as ref
 from e510 import catalog, sl5_reps
 from e510.catalog import (
     FAMILY_NAMES, COMPOSITION_IDENTITIES, _morphism_instances,
-    classification_sweep, compose, compose_vector,
+    classification_sweep, compose,
     composition_identity_reports, composition_sweep, expected_instances,
     family_data, family_morphism, known_vector, morphism_from_singular,
     MorphismTable, verify_catalog, verify_family,
@@ -107,30 +107,30 @@ def test_composition_identities():
 
 
 def test_compose_vector_is_singular_vector_of_compose():
-    get = MorphismTable()
+    table = MorphismTable()
     insts = _morphism_instances()
     pairs = [(o[:3], i[:3]) for o in insts for i in insts if o[4] == i[3]]
     assert len(pairs) == 32
     for o, i in pairs:
-        outer, inner = get(*o), get(*i)
-        assert compose_vector(outer, inner) == \
-            compose(outer, inner).singular_vector(), (o, i)
+        assert table.composite(o, i) == \
+            compose(table(*o), table(*i)).singular_vector(), (o, i)
 
 
 def test_compose_vector_folds_chains():
-    c, b, a = (family_morphism("1C", m=0, n=1), family_morphism("1B"),
-               family_morphism("1A", m=1))
-    got = compose_vector(c, b, a)
+    table = MorphismTable()
+    keys = ("1C", 0, 1), ("1B", 0, 0), ("1A", 1, 0)
+    c, b, a = (table(*k) for k in keys)
+    got = table.composite(*keys)
     assert got and got == compose(compose(c, b), a).singular_vector()
     assert proportional(known_vector("3CBA")[1], got) == Q(1)
 
 
 def test_compose_vector_rejects_non_composable():
-    one_a, four_d = family_morphism("1A"), family_morphism("4D")
+    table = MorphismTable()
     with pytest.raises(ValueError, match="not composable"):
-        compose_vector(one_a, four_d)
+        table.composite(("1A", 0, 0), ("4D", 0, 0))
     with pytest.raises(ValueError, match="not composable"):
-        compose_vector(family_morphism("1C"), one_a, four_d)
+        table.composite(("1C", 0, 0), ("1A", 0, 0), ("4D", 0, 0))
 
 
 def test_degree_one_square_vanishes():
@@ -162,9 +162,9 @@ def test_complexes_builds_each_catalog_object_once(tmp_path, monkeypatch):
                              catalog.VermaMorphism.apply,
                              sl5_reps.Irrep.project)
 
-    def counted_known(family, m=0, n=0, *vector):
+    def counted_known(family, m=0, n=0):
         builds[family, m, n] += 1
-        return known(family, m, n, *vector)
+        return known(family, m, n)
 
     def counted_apply(self, elem):
         calls["apply"] += 1
