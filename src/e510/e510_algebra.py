@@ -14,6 +14,8 @@ both arguments in g_1 land in g_2, which is outside the supported range and
 raises DegreeError.
 """
 
+from functools import lru_cache
+
 from .scalars import Q
 from .uminus import (PAIRS, EPS, TMATE, add_scaled, form_step, oriented,
                      perm_sign)
@@ -156,28 +158,24 @@ def cartan_gen(i):
     return {("e", i, i): Q(1), ("e", i + 1, i + 1): Q(-1)}
 
 
-_G1_CACHE = None
-
-
+@lru_cache(maxsize=None)
 def g1_basis():
     """The 40 closed linear 2-forms, generated from x5 d45 by raisings.
 
     Deterministic order: breadth-first closure applying ad(e_1)..ad(e_4).
+    Cached: every call returns the same list.
     """
-    global _G1_CACHE
-    if _G1_CACHE is None:
-        basis = [xd_gen(5, 4, 5)]
-        ech = Echelon()
-        ech.insert(basis[0], 0)
-        i = 0
-        while i < len(basis):
-            for r in range(1, 5):
-                img = bracket(raising_gen(r), basis[i])
-                if img and ech.insert(img, len(basis)):
-                    basis.append(img)
-            i += 1
-        _G1_CACHE = basis
-    return _G1_CACHE
+    basis = [xd_gen(5, 4, 5)]
+    ech = Echelon()
+    ech.insert(basis[0], 0)
+    i = 0
+    while i < len(basis):
+        for r in range(1, 5):
+            img = bracket(raising_gen(r), basis[i])
+            if img and ech.insert(img, len(basis)):
+                basis.append(img)
+        i += 1
+    return basis
 
 
 def closed_two_form_space():

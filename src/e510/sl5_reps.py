@@ -43,15 +43,12 @@ invariant complement.
 """
 
 from functools import lru_cache
+from itertools import product
 from math import factorial, gcd, lcm
 
 from .scalars import _den, _numerators, _scalars
 from .linalg import Echelon
 from .uminus import PAIRS, PAIR_INDEX, form_step
-
-# block order inside an ambient monomial key
-_X, _W, _WD, _XD = 0, 1, 2, 3
-
 
 def parse_weight(text: str):
     parts = tuple(int(x) for x in text.split(","))
@@ -79,12 +76,10 @@ def eps_to_coords(w5):
 
 def weyl_dim(w) -> int:
     """Dimension of F(w) by the Weyl product formula over positive roots."""
-    a, b, c, d = w
-    lam = (a, b, c, d)
     num, den = 1, 1
     for i in range(4):
         for j in range(i, 4):
-            span = sum(lam[i:j + 1]) + (j - i + 1)
+            span = sum(w[i:j + 1]) + (j - i + 1)
             num *= span
             den *= (j - i + 1)
     q, r = divmod(num, den)
@@ -100,28 +95,15 @@ def gt_pattern_count(w) -> int:
     partitions down the gl5 > gl4 > ... > gl1 restriction tower.
     """
     a, b, c, d = w
-    top = (a + b + c + d, b + c + d, c + d, d, 0)
 
     @lru_cache(maxsize=None)
     def count(row):
         if len(row) == 1:
             return 1
-        total = 0
-        for nxt in _interlacing(row):
-            total += count(nxt)
-        return total
+        return sum(map(count, product(*(range(lo, hi + 1)
+                                         for hi, lo in zip(row, row[1:])))))
 
-    def _interlacing(row):
-        def rec(i, prefix):
-            if i == len(row) - 1:
-                yield tuple(prefix)
-                return
-            lo, hi = row[i + 1], row[i]
-            for v in range(lo, hi + 1):
-                yield from rec(i + 1, prefix + [v])
-        yield from rec(0, [])
-
-    return count(top)
+    return count((a + b + c + d, b + c + d, c + d, d, 0))
 
 
 def act_ambient(a, b, vec):

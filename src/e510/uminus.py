@@ -23,8 +23,11 @@ pair_eps and pair_mate give eps and t, and form_step is x_a p_b on a
 2-form, the pair with index b replaced by a.  U(g_-) has integer structure
 constants, so the generators d_elem, p_elem and forms_elem and all their
 products have int coefficients; exact scalars enter with the caller's own
-coefficients.  product_int is the one product loop; pbw_product and the
-left multiplication of the Verma modules are views of it.
+coefficients.  Normal ordering is one cached recursion, _order_forms: a
+word is its cached shorter prefix with one more form placed, and one
+form moves left by the relation above.  product_int is the one product
+loop; pbw_product and the left multiplication of the Verma modules are
+views of it, and the g_0 and g_1 actions of verma read _order_forms too.
 """
 
 from functools import lru_cache
@@ -121,46 +124,42 @@ def mono_weight(mono):
 
 
 @lru_cache(maxsize=None)
-def _insert_form(forms, f):
-    """Normal order the word forms + (f,).
+def _order_forms(left, right):
+    """Normal-ordered product d_left d_right, the one recursion behind every
+    product, action and image in U(g_-).
 
-    Returns a tuple of (sorted_forms, partial_index_or_None, int_coeff)
-    triples; partial_index is set when an eps-contraction produced a p_t.
+    left is a sorted form word; right is any word: unsorted, with repeated
+    forms (d_f d_f = 0) or empty.  Returns a tuple of
+    ((partials_delta, sorted_forms), int_coeff); the delta is ZERO_PARTIALS
+    itself unless a d_p d_q contraction produced a p_t.  A longer right is
+    the cached product with right[:-1], its last form then placed into each
+    term.  One form f after a last form l > f of left anticommutes:
+    d_l d_f = -d_f d_l + eps(l, f) p_t.
     """
-    if not forms or forms[-1] < f:
-        return ((forms + (f,), None, 1),)
-    last = forms[-1]
+    if len(right) > 1:
+        acc = {}
+        tail = right[-1:]
+        for (dp, forms), c in _order_forms(left, right[:-1]):
+            for (dp2, forms2), c2 in _order_forms(forms, tail):
+                if dp is not ZERO_PARTIALS:
+                    dp2 = dp if dp2 is ZERO_PARTIALS else \
+                        tuple(map(add, dp, dp2))
+                key = (dp2, forms2)
+                acc[key] = acc.get(key, 0) + c * c2
+        return tuple((k, c) for k, c in acc.items() if c)
+    if not right or not left or left[-1] < right[0]:
+        return (((ZERO_PARTIALS, left + right), 1),)
+    last, f = left[-1], right[0]
     if last == f:
         return ()
     out = []
     e = EPS[last][f]
     if e:
-        out.append((forms[:-1], TMATE[last][f], e))
-    for sub, part, c in _insert_form(forms[:-1], f):
-        out.append((sub + (last,), part, -c))
+        dp = tuple(int(k == TMATE[last][f]) for k in range(1, 6))
+        out.append(((dp, left[:-1]), e))
+    for (dp, forms), c in _order_forms(left[:-1], right):
+        out.append(((dp, forms + (last,)), -c))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _order_forms(left, right):
-    """Normal-ordered product of two sorted form words.
-
-    Returns a tuple of ((partials_delta, sorted_forms), int_coeff).
-    """
-    terms = {(ZERO_PARTIALS, left): 1}
-    for f in right:
-        nxt = {}
-        for (parts, forms), c in terms.items():
-            for sub, pidx, c2 in _insert_form(forms, f):
-                if pidx is not None:
-                    pl = list(parts)
-                    pl[pidx - 1] += 1
-                    key = (tuple(pl), sub)
-                else:
-                    key = (parts, sub)
-                nxt[key] = nxt.get(key, 0) + c * c2
-        terms = {k: v for k, v in nxt.items() if v}
-    return tuple(terms.items())
 
 
 def add_scaled(dst, src, c):

@@ -32,10 +32,16 @@ each weight, since Irrep.project became the one route to coordinates.
 Last, two rules the package dropped for a general one: scalars.qstr, the
 text of a rational that verma.tensor_terms wrote before it used str, and
 the a == b branch of sl5_reps.act_ambient, which scaled each ambient
-monomial by its eps-weight, as act_ambient_diagonal.
+monomial by its eps-weight, as act_ambient_diagonal.  Then uminus's two
+normal-ordering recursions before they became the one _order_forms:
+_insert_form, which placed one form with its own cache, as insert_form,
+and _order_forms, which placed every form of the right word through it on
+each miss, as order_forms.  And sl5_reps.gt_pattern_count as it built
+the interlacing rows with nested generators.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 
@@ -45,7 +51,9 @@ from e510.linalg import (
 )
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import _bump, _mono_eps_weight, act_ambient, build_irrep
-from e510.uminus import _order_forms, add_scaled, mono_weight
+from e510.uminus import (
+    EPS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled, mono_weight,
+)
 from e510.singular_search import _peel
 from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
 
@@ -565,3 +573,77 @@ def act_ambient_diagonal(a, vec):
     for mono, c in vec.items():
         _bump(out, mono, c * _mono_eps_weight(mono)[a - 1])
     return out
+
+
+@lru_cache(maxsize=None)
+def insert_form(forms, f):
+    """Normal order the word forms + (f,).
+
+    Returns a tuple of (sorted_forms, partial_index_or_None, int_coeff)
+    triples; partial_index is set when an eps-contraction produced a p_t.
+    """
+    if not forms or forms[-1] < f:
+        return ((forms + (f,), None, 1),)
+    last = forms[-1]
+    if last == f:
+        return ()
+    out = []
+    e = EPS[last][f]
+    if e:
+        out.append((forms[:-1], TMATE[last][f], e))
+    for sub, part, c in insert_form(forms[:-1], f):
+        out.append((sub + (last,), part, -c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def order_forms(left, right):
+    """Normal-ordered product of two sorted form words.
+
+    Returns a tuple of ((partials_delta, sorted_forms), int_coeff).
+    """
+    terms = {(ZERO_PARTIALS, left): 1}
+    for f in right:
+        nxt = {}
+        for (parts, forms), c in terms.items():
+            for sub, pidx, c2 in insert_form(forms, f):
+                if pidx is not None:
+                    pl = list(parts)
+                    pl[pidx - 1] += 1
+                    key = (tuple(pl), sub)
+                else:
+                    key = (parts, sub)
+                nxt[key] = nxt.get(key, 0) + c * c2
+        terms = {k: v for k, v in nxt.items() if v}
+    return tuple(terms.items())
+
+
+def gt_pattern_count(w) -> int:
+    """Dimension of F(w) by counting Gelfand-Tsetlin branching patterns.
+
+    Independent of weyl_dim: recursively counts chains of interlacing
+    partitions down the gl5 > gl4 > ... > gl1 restriction tower.
+    """
+    a, b, c, d = w
+    top = (a + b + c + d, b + c + d, c + d, d, 0)
+
+    @lru_cache(maxsize=None)
+    def count(row):
+        if len(row) == 1:
+            return 1
+        total = 0
+        for nxt in _interlacing(row):
+            total += count(nxt)
+        return total
+
+    def _interlacing(row):
+        def rec(i, prefix):
+            if i == len(row) - 1:
+                yield tuple(prefix)
+                return
+            lo, hi = row[i + 1], row[i]
+            for v in range(lo, hi + 1):
+                yield from rec(i + 1, prefix + [v])
+        yield from rec(0, [])
+
+    return count(top)

@@ -89,6 +89,8 @@ def _grade(elem):
 def test_g1_dimension_and_closedness():
     basis = g1_basis()
     assert len(basis) == 40
+    # cached: one list, in one order, whatever the call
+    assert g1_basis() is basis and basis[0] == xd_gen(5, 4, 5)
     kernel = closed_two_form_space()
     assert len(kernel) == 40
     # both spans agree

@@ -1,7 +1,8 @@
 """Lint: every name a source, test, demo or benchmark file imports is used
-there, and every function or class the package defines is referenced by a
-program: the package itself, a demo or the benchmark.  A reference from a
-test does not count, so code that only tests call is reported."""
+there, and every function, class and module-level name the package defines
+is referenced by a program: the package itself, a demo or the benchmark.
+A reference from a test does not count, so code that only tests call is
+reported."""
 
 import ast
 from pathlib import Path
@@ -46,18 +47,27 @@ def test_no_unused_imports():
 
 
 def definitions(source):
-    """(line, name) of each function, method and class, dunders excepted."""
-    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    """(line, name) of each function, method and class, and of each name a
+    module-level assignment binds, dunders excepted."""
+    tree = ast.parse(source)
+    found = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))]
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            found += [(n.lineno, n.id) for n in ast.walk(target)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def references(source):
-    """Every name, attribute and string constant the module mentions."""
+    """Every name read, attribute and string constant the module mentions."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -68,11 +78,11 @@ def references(source):
 
 def test_scan_finds_unreferenced_definitions():
     src = ("class A:\n    def __init__(self): pass\n    def m(self): pass\n"
-           "class B: pass\ndef f(): return g\ndef g(): pass\n"
-           "def h(): pass\ngetattr(A, 'm')\n")
+           "class B: pass\ndef f(): return g + Y\ndef g(): pass\n"
+           "def h(): pass\ngetattr(A, 'm')\nX, Y = 0, 1\n__all__ = []\n")
     refs = references(src)
     assert [(line, name) for line, name in definitions(src)
-            if name not in refs] == [(4, "B"), (5, "f"), (7, "h")]
+            if name not in refs] == [(4, "B"), (5, "f"), (7, "h"), (9, "X")]
 
 
 def test_no_dead_definitions():

@@ -48,10 +48,9 @@ def test_weyl_dim_dual_symmetry():
 
 
 def test_gt_pattern_count_agrees():
-    for w in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
-              (2, 0, 0, 0), (1, 0, 0, 1), (0, 2, 0, 0), (1, 1, 0, 1),
-              (2, 1, 1, 2), (3, 0, 0, 3)]:
-        assert gt_pattern_count(w) == weyl_dim(w)
+    # with the Weyl formula and with the nested-generator count it replaced
+    for w in product(range(4), repeat=4):
+        assert gt_pattern_count(w) == ref.gt_pattern_count(w) == weyl_dim(w)
 
 
 def test_build_small_irreps():

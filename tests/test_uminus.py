@@ -2,7 +2,7 @@ import hashlib
 import random
 from itertools import combinations_with_replacement as cwr
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kernel_refs as ref
 
@@ -10,7 +10,7 @@ from e510.e510_algebra import bracket
 from e510.scalars import Q
 from e510.sl5_reps import act_ambient
 from e510.uminus import (
-    EPS, TMATE, PAIR_INDEX, PAIRS, ONE_MONO, ZERO_PARTIALS,
+    EPS, TMATE, PAIR_INDEX, PAIRS, ONE_MONO, ZERO_PARTIALS, _order_forms,
     d_elem, p_elem, forms_elem, pbw_product, add_scaled, scale,
     oriented, form_step, pair_eps, pair_mate,
     mono_degree, mono_weight, dim_u_minus, enumerate_monomials,
@@ -341,6 +341,29 @@ def test_integer_words_match_fraction_reference(word):
         ref = pbw_product(ref, _ref_generator(g))
     assert got == ref
     assert all(type(c) is int for c in got.values())
+
+
+SORTED_WORDS = st.sets(st.integers(0, 9)).map(lambda s: tuple(sorted(s)))
+WORDS = st.lists(st.integers(0, 9), max_size=8).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SORTED_WORDS, WORDS)
+@example((), ())
+@example((3,), ())
+@example((), (9, 0, 7, 0))
+@example((0,), (0,))
+@example((7,), (0,))
+@example((0, 4, 7, 9), (9, 8, 1, 7, 2))
+def test_order_forms_matches_two_recursion_reference(left, right):
+    """The one recursion against the insert-then-order pair it replaced:
+    sorted left, any right word (unsorted, d_f d_f = 0, contractions, empty),
+    and the delta is ZERO_PARTIALS itself exactly when no p_t appeared."""
+    got = _order_forms(left, right)
+    assert dict(got) == dict(ref.order_forms(left, right))
+    for (dp, _), c in got:
+        assert c
+        assert (dp is ZERO_PARTIALS) == (not any(dp))
 
 
 SMALL_MONOS = [m for d in range(5) for m in enumerate_monomials(d)]
