@@ -9,7 +9,7 @@ import argparse
 import json
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .errors import ConfigError, VerificationError
 from .linalg import DEFAULT_ENTRY_CAP, MatrixTooLargeError
@@ -231,7 +231,6 @@ def _omega_suite(max_d, samples, seed):
     from .uminus import PAIRS
     from .verma import VermaModule
     failures = []
-    counts = {}
 
     keys = []
     for k in range(1, max_d + 1):
@@ -245,65 +244,48 @@ def _omega_suite(max_d, samples, seed):
         return (a != omega(tp) or a != omega_recursive(tp)
                 or (len(tp) <= _LITERAL_LIMIT and a != omega_symmetrized(tp)))
 
-    n = 0
     for tp in tuples:
         if routes_differ(tp):
             failures.append({"check": "routes", "pairs": list(tp)})
-        n += 1
-    counts["routes_exhaustive"] = n
 
     rng = random.Random(seed)
-    n = 0
     for _ in range(samples):
         d = rng.randrange(5, 9)
         sel = rng.sample(range(10), d)
         tp = tuple(PAIRS[i] for i in sel)
         if routes_differ(tp):
             failures.append({"check": "routes", "pairs": list(tp)})
-        n += 1
-    counts["routes_random"] = n
 
-    n = 0
     for tp in tuples:
         if ricomega_residual(tp):
             failures.append({"check": "removal", "pairs": list(tp)})
-        n += 1
-    counts["removal"] = n
 
-    n = 0
-    for i in range(1, 6):
-        for j in range(1, 6):
-            for tp in tuples:
-                if dw_product_residual(i, j, tp):
-                    failures.append({"check": "product",
-                                     "pair": [i, j], "pairs": list(tp)})
-                n += 1
-    counts["product"] = n
+    for i, j in product(range(1, 6), repeat=2):
+        for tp in tuples:
+            if dw_product_residual(i, j, tp):
+                failures.append({"check": "product",
+                                 "pair": [i, j], "pairs": list(tp)})
 
-    n = 0
-    for a in range(1, 6):
-        for b in range(1, 6):
-            if a == b:
-                continue
-            for tp in tuples:
-                if equivariance_residual(a, b, tp):
-                    failures.append({"check": "equivariance",
-                                     "op": [a, b], "pairs": list(tp)})
-                n += 1
-    counts["equivariance"] = n
+    # the ordered pairs (a, b) with a != b, a-major
+    ops = list(permutations(range(1, 6), 2))
+    for a, b in ops:
+        for tp in tuples:
+            if equivariance_residual(a, b, tp):
+                failures.append({"check": "equivariance",
+                                 "op": [a, b], "pairs": list(tp)})
 
     testmod = VermaModule((1, 0, 0, 0))
-    n = 0
-    for p in range(1, 6):
-        for q in range(1, 6):
-            if p == q:
-                continue
-            for tp in tuples:
-                if commutator_identity_residual(p, q, tp, testmod):
-                    failures.append({"check": "commutator",
-                                     "op": [p, q], "pairs": list(tp)})
-                n += 1
-    counts["commutator"] = n
+    for p, q in ops:
+        for tp in tuples:
+            if commutator_identity_residual(p, q, tp, testmod):
+                failures.append({"check": "commutator",
+                                 "op": [p, q], "pairs": list(tp)})
+
+    # each count is the size of what its loop swept
+    counts = {"routes_exhaustive": len(tuples), "routes_random": samples,
+              "removal": len(tuples), "product": 25 * len(tuples),
+              "equivariance": len(ops) * len(tuples),
+              "commutator": len(ops) * len(tuples)}
     return counts, failures
 
 
@@ -313,49 +295,37 @@ def _structure_suite():
     from .sl5_reps import build_irrep, gt_pattern_count, weyl_dim
     from .uminus import dim_u_minus, enumerate_monomials
     failures = []
-    counts = {}
 
     # genuine elements only: traceless diagonals, closed linear forms
-    pool_low = ([p_gen(i) for i in range(1, 6)]
-                + [d_gen(i, j) for i in range(1, 5)
-                   for j in range(i + 1, 6)])
-    pool_zero = ([e_gen(a, b) for a in range(1, 6) for b in range(1, 6)
-                  if a != b] + [cartan_gen(i) for i in range(1, 5)])
-    n = 0
-    for x in pool_low + pool_zero:
-        for y in pool_low + pool_zero:
-            for z in pool_low + pool_zero + g1_basis():
+    pool = ([p_gen(i) for i in range(1, 6)]
+            + [d_gen(i, j) for i in range(1, 5) for j in range(i + 1, 6)]
+            + [e_gen(a, b) for a, b in permutations(range(1, 6), 2)]
+            + [cartan_gen(i) for i in range(1, 5)])
+    g1 = g1_basis()
+    for x in pool:
+        for y in pool:
+            for z in pool + g1:
                 if jacobi_residual(x, y, z):
                     failures.append({"check": "jacobi"})
-                n += 1
-    counts["jacobi"] = n
 
-    if len(g1_basis()) != 40:
-        failures.append({"check": "dim_g1", "got": len(g1_basis())})
-    counts["dim_g1"] = 1
+    if len(g1) != 40:
+        failures.append({"check": "dim_g1", "got": len(g1)})
 
     table = [1, 10, 50, 170, 450, 1002, 1970, 3530]
     for d, want in enumerate(table):
         got = len(list(enumerate_monomials(d)))
         if got != want or dim_u_minus(d) != want:
             failures.append({"check": "dim_uminus", "degree": d, "got": got})
-    counts["dim_uminus"] = len(table)
 
-    n = 0
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for dd in range(4):
-                    w = (a, b, c, dd)
-                    wd = weyl_dim(w)
-                    if wd != gt_pattern_count(w):
-                        failures.append({"check": "weyl_vs_patterns",
-                                         "weight": list(w)})
-                    if sum(w) <= 3 and build_irrep(w).dim != wd:
-                        failures.append({"check": "closure_dim",
-                                         "weight": list(w)})
-                    n += 1
-    counts["dims"] = n
+    weights = list(product(range(4), repeat=4))
+    for w in weights:
+        wd = weyl_dim(w)
+        if wd != gt_pattern_count(w):
+            failures.append({"check": "weyl_vs_patterns", "weight": list(w)})
+        if sum(w) <= 3 and build_irrep(w).dim != wd:
+            failures.append({"check": "closure_dim", "weight": list(w)})
+    counts = {"jacobi": len(pool) ** 2 * (len(pool) + len(g1)), "dim_g1": 1,
+              "dim_uminus": len(table), "dims": len(weights)}
     return counts, failures
 
 
@@ -401,19 +371,23 @@ CHAIN7 = (
 
 
 def _theta_chain_seven(theta):
-    base_rs, base_codes, _ = CHAIN7[0]
-    base_pairs = tuple(divmod(t, 10) for t in base_codes)
-    base = theta.value(base_rs, base_pairs, 0)
+    from .omega_basis import canonical_index
+
+    def value(rs, codes):
+        """theta^rs on the source highest weight vector, column 0."""
+        res = {}
+        theta.add_to(res, 1, rs,
+                     canonical_index(tuple(divmod(t, 10) for t in codes)))
+        return res.get(0, {})
+
+    base = value(*CHAIN7[0][:2])
     failures = []
-    n = 0
     for rs, codes, c in CHAIN7:
-        pairs = tuple(divmod(t, 10) for t in codes)
         want = {i: v / Q(c) for i, v in base.items()}
-        if theta.value(rs, pairs, 0) != want:
+        if value(rs, codes) != want:
             failures.append({"check": "chain", "rs": list(rs),
                              "pairs": list(codes)})
-        n += 1
-    return n, failures
+    return len(CHAIN7), failures
 
 
 def cmd_identities(args):
@@ -517,6 +491,11 @@ def _cert_triples(path):
 def cmd_dual(args):
     from .singular_search import dual_pair_check
     if args.from_certs:
+        for name in ("mu", "degree", "weight"):
+            if getattr(args, name) is not None:
+                # the file's cells would be checked and the flag ignored
+                raise ConfigError("--%s does not apply with --from-certs"
+                                  % name)
         triples = _cert_triples(args.from_certs)
     elif args.mu and args.degree and args.weight:
         triples = [(_parse_mu(args.mu), _parse_int(args.degree),
@@ -679,7 +658,8 @@ def build_parser():
 
     p = sub.add_parser("dual", help="kernel dimensions match under duality")
     p.add_argument("--from-certs", default=None,
-                   help="JSON file with a certificate list")
+                   help="JSON file with a certificate list "
+                        "(not with --mu/--degree/--weight)")
     p.add_argument("--mu", default=None)
     p.add_argument("--degree", default=None)
     p.add_argument("--weight", default=None)

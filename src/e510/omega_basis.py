@@ -123,20 +123,23 @@ def _omega_key(key):
     return out
 
 
-def omega(pairs):
-    """The workhorse route: canonicalize, then use the cached recursion."""
-    sign, key = canonical_index(pairs)
+def _signed(table, got):
+    """sign * table(key) for the (sign, key) of canonical_index or
+    remove_index; {} when the sign is 0."""
+    sign, key = got
     if not sign:
         return {}
-    return scale(_omega_key(key), Q(sign))
+    return scale(table(key), Q(sign))
+
+
+def omega(pairs):
+    """The workhorse route: canonicalize, then use the cached recursion."""
+    return _signed(_omega_key, canonical_index(pairs))
 
 
 def omega_recursive(pairs):
     """omega via the uniform removal recursion, averaged over positions."""
-    sign, key = canonical_index(pairs)
-    if not sign:
-        return {}
-    return scale(_omega_sym_key(key), Q(sign))
+    return _signed(_omega_sym_key, canonical_index(pairs))
 
 
 # omega_symmetrized expands the permutation sum literally up to this many
@@ -154,15 +157,16 @@ def omega_symmetrized(pairs):
     if len(pairs) > _LITERAL_LIMIT:
         raise ValueError("omega_symmetrized expands at most %d factors, "
                          "not %d" % (_LITERAL_LIMIT, len(pairs)))
-    sign, key = canonical_index(pairs)
-    if not sign:
-        return {}
+    return _signed(_omega_literal, canonical_index(pairs))
+
+
+def _omega_literal(key):
     d = len(key)
     out = {}
     for order in permutations(range(d)):
         word = forms_elem([PAIRS[key[j]] for j in order])
         add_scaled(out, word, Q(perm_sign(order), factorial(d)))
-    return scale(out, Q(sign))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -185,28 +189,20 @@ def _omega_sym_key(key):
 
 
 def remove_index(pairs, removed):
-    """Wedge removal: (c, key) with x_I = c * x_removed ^ x_key, else None."""
+    """Wedge removal: (c, key) with x_I = c * x_removed ^ x_key, else
+    (0, None), as canonical_index gives for a degenerate wedge."""
     s_i, key_i = canonical_index(pairs)
-    if not s_i:
-        return None
     s_j, key_j = canonical_index(removed)
-    if not s_j:
-        return None
-    sub = set(key_j)
-    if not sub <= set(key_i):
-        return None
+    if not (s_i and s_j and set(key_j) <= set(key_i)):
+        return 0, None
     positions = [key_i.index(f) for f in key_j]
-    rest_pos = [n for n, f in enumerate(key_i) if f not in sub]
+    rest_pos = [n for n, f in enumerate(key_i) if f not in key_j]
     sigma = perm_sign(tuple(positions) + tuple(rest_pos))
     return s_i * sigma * s_j, tuple(key_i[n] for n in rest_pos)
 
 
 def omega_removed(pairs, removed):
-    got = remove_index(pairs, removed)
-    if got is None:
-        return {}
-    c, key = got
-    return scale(_omega_key(key), Q(c))
+    return _signed(_omega_key, remove_index(pairs, removed))
 
 
 def ricomega_residual(pairs):
@@ -340,16 +336,22 @@ class ThetaFamily:
         self.degree = degree
         self.maps = maps
 
-    def value(self, rs, pairs, col=0):
-        """theta^rs_pairs applied to the col-th source basis vector."""
-        sign, key = canonical_index(pairs)
-        if not sign:
-            return {}
-        cols = self.maps.get((tuple(sorted(rs)), key))
-        coords = cols.get(col) if cols else None
-        if not coords:
-            return {}
-        return {i: sign * c for i, c in coords.items()}
+    def add_to(self, res, c, rs, got, op=None):
+        """res[col] += c * sign * theta^{sorted rs}_key on every column.
+
+        got is the (sign, key) of canonical_index or remove_index, and a
+        zero sign adds nothing.  With op = (a, b), x_a p_b of the target
+        rep acts on each column first.
+        """
+        sign, key = got
+        cols = sign and self.maps.get((tuple(sorted(rs)), key))
+        if not cols:
+            return
+        c *= sign
+        for col, coords in cols.items():
+            if op:
+                coords = self.module.rep.act(*op, coords)
+            add_scaled(res.setdefault(col, {}), coords, c)
 
 
 def _expand_partial_omega(elem):
@@ -467,79 +469,30 @@ def reconstruct_theta(module, w, check=True):
     return ThetaFamily(module, rep_in, d, maps)
 
 
-def _sym_ref(rs, pairs):
-    """A single theta symbol as a canonical reference list."""
-    sign, key = canonical_index(pairs)
-    if not sign:
-        return []
-    return [(Q(sign), tuple(sorted(rs)), key)]
-
-
-def _sym_removed(rs, pairs, removed):
-    got = remove_index(pairs, removed)
-    if got is None:
-        return []
-    c, key = got
-    return [(Q(c), tuple(sorted(rs)), key)]
-
-
 def _rotated(p, gamma, rs, key):
-    """x_p p_gamma acting on a symbol through the defining isomorphism."""
-    out = []
-    for n, r in enumerate(rs):
-        if r == gamma:
-            out.append((Q(1), tuple(sorted(rs[:n] + (p,) + rs[n + 1:])), key))
+    """x_p p_gamma acting on a symbol through the defining isomorphism, as
+    (c, rs, (sign, key)) terms."""
+    out = [(1, rs[:n] + (p,) + rs[n + 1:], (1, key))
+           for n, r in enumerate(rs) if r == gamma]
     base = index_pairs(key)
     for n, f in enumerate(key):
         step = form_step(gamma, p, f)
         if step:
-            sign, key2 = canonical_index(
-                base[:n] + (PAIRS[step[0]],) + base[n + 1:])
-            if sign:
-                out.append((Q(-sign * step[1]), rs, key2))
+            out.append((-step[1], rs, canonical_index(
+                base[:n] + (PAIRS[step[0]],) + base[n + 1:])))
     return out
 
 
-def _eval_refs(theta, refs):
-    """Combine symbol references into a column -> coordinates map."""
-    out = {}
-    for c, rs, key in refs:
-        cols = theta.maps.get((rs, key))
-        if cols:
-            _map_add(out, cols, c)
-    return out
-
-
-def _map_add(dst, src, c):
-    for col, coords in src.items():
-        add_scaled(dst.setdefault(col, {}), coords, c)
-
-
-def _map_rep_act(theta, p, gamma, m):
-    out = {}
-    rep = theta.module.rep
-    for col, coords in m.items():
-        img = rep.act(p, gamma, coords)
-        if img:
-            out[col] = img
-    return out
-
-
-def _core(theta, p, cyc, e5, t_rs, key_pairs):
-    """The shared cyclic block: (eps/2) * sum(-rotation + 2 * module action)."""
-    res = {}
+def _core(theta, res, c, p, cyc, e5, t_rs, key_pairs):
+    """res += c * the shared cyclic block,
+    (e5/2) * sum(-rotation + 2 * module action)."""
     for al, be, ga in cyc:
-        refs = _sym_ref(t_rs, ((al, be),) + key_pairs)
-        if not refs:
+        sign, key = canonical_index(((al, be),) + key_pairs)
+        if not sign:
             continue
-        rot = []
-        for cc, rs, kk in refs:
-            rot.extend((cc * c2, rs2, kk2)
-                       for c2, rs2, kk2 in _rotated(p, ga, rs, kk))
-        _map_add(res, _eval_refs(theta, rot), Q(-e5, 2))
-        _map_add(res, _map_rep_act(theta, p, ga, _eval_refs(theta, refs)),
-                 Q(e5))
-    return res
+        for c2, rs, got in _rotated(p, ga, t_rs, key):
+            theta.add_to(res, Q(-c * e5 * sign * c2, 2), rs, got)
+        theta.add_to(res, c * e5, t_rs, (sign, key), (p, ga))
 
 
 def fundamental_equation_residuals(theta):
@@ -553,39 +506,37 @@ def fundamental_equation_residuals(theta):
     jkeys = list(combinations(range(10), d - 1)) if d >= 1 else []
     kkeys = list(combinations(range(10), d - 3)) if d >= 3 else []
     out = []
-    for p, q, a, b, c in permutations(range(1, 6)):
-        e5 = perm_sign((p, q, a, b, c))
+    for perm in permutations(range(1, 6)):
+        p, q, a, b, c = perm
+        e5 = perm_sign(perm)
         cyc = ((a, b, c), (b, c, a), (c, a, b))
         for key in jkeys:
             kp = index_pairs(key)
             res = {}
-            _map_add(res, _eval_refs(theta, _sym_removed((p,), kp, ((p, q),))),
-                     Q(-1))
-            _map_add(res, _core(theta, p, cyc, e5, (), kp), Q(1))
-            _collect(out, "deg1", (p, q, a, b, c), key, res)
+            theta.add_to(res, -1, (p,), remove_index(kp, ((p, q),)))
+            _core(theta, res, 1, p, cyc, e5, (), kp)
+            _collect(out, "deg1", perm, key, res)
         for key in kkeys:
             kp = index_pairs(key)
+            pq = remove_index(kp, ((p, q),))
             res = {}
-            _map_add(res, _eval_refs(
-                theta, _sym_ref((), ((a, b), (b, c), (c, q)) + kp)), Q(1, 4))
-            _map_add(res, _eval_refs(
-                theta, _sym_ref((), ((a, c), (c, b), (b, q)) + kp)), Q(1, 4))
-            _map_add(res, _eval_refs(theta, _sym_removed((a, p), kp, ((p, q),))),
-                     Q(-1))
-            _map_add(res, _core(theta, p, cyc, e5, (a,), kp), Q(1))
-            _collect(out, "deg3a", (p, q, a, b, c), key, res)
+            theta.add_to(res, Q(1, 4), (),
+                         canonical_index(((a, b), (b, c), (c, q)) + kp))
+            theta.add_to(res, Q(1, 4), (),
+                         canonical_index(((a, c), (c, b), (b, q)) + kp))
+            theta.add_to(res, -1, (a, p), pq)
+            _core(theta, res, 1, p, cyc, e5, (a,), kp)
+            _collect(out, "deg3a", perm, key, res)
             res = {}
-            _map_add(res, _eval_refs(theta, _sym_removed((p, p), kp, ((p, q),))),
-                     Q(-2))
-            _map_add(res, _core(theta, p, cyc, e5, (p,), kp), Q(1))
-            _collect(out, "deg3p", (p, q, a, b, c), key, res)
+            theta.add_to(res, -2, (p, p), pq)
+            _core(theta, res, 1, p, cyc, e5, (p,), kp)
+            _collect(out, "deg3p", perm, key, res)
             res = {}
-            _map_add(res, _eval_refs(theta, _sym_removed((p, q), kp, ((p, q),))),
-                     Q(-2))
-            _map_add(res, _eval_refs(
-                theta, _sym_ref((), ((a, b), (b, c), (c, a)) + kp)), Q(-1))
-            _map_add(res, _core(theta, p, cyc, e5, (q,), kp), Q(2))
-            _collect(out, "deg3q", (p, q, a, b, c), key, res)
+            theta.add_to(res, -2, (p, q), pq)
+            theta.add_to(res, -1, (),
+                         canonical_index(((a, b), (b, c), (c, a)) + kp))
+            _core(theta, res, 2, p, cyc, e5, (q,), kp)
+            _collect(out, "deg3q", perm, key, res)
     return out
 
 

@@ -38,10 +38,17 @@ _insert_form, which placed one form with its own cache, as insert_form,
 and _order_forms, which placed every form of the right word through it on
 each miss, as order_forms.  And sl5_reps.gt_pattern_count as it built
 the interlacing rows with nested generators.
+And the theta symbol readers of omega_basis before ThetaFamily.add_to
+became the one (sign, key) lookup: remove_index as it returned None for a
+failed removal, ThetaFamily.value as theta_value, the reference lists of
+_sym_ref and _sym_removed, _rotated with its Fraction coefficients,
+_eval_refs, _map_add and _map_rep_act, and the _core and
+fundamental_equation_residuals that built a column map per term.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import lcm
 from operator import add
 
@@ -49,10 +56,12 @@ from e510.linalg import (
     _INT, DEFAULT_ENTRY_CAP, Echelon, MatrixTooLargeError, _eliminate,
     _make_primitive, check_entry_cap,
 )
+from e510.omega_basis import _collect, canonical_index, index_pairs
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import _bump, _mono_eps_weight, act_ambient, build_irrep
 from e510.uminus import (
-    EPS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled, mono_weight,
+    EPS, PAIRS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled, form_step,
+    mono_weight, perm_sign,
 )
 from e510.singular_search import _peel
 from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
@@ -647,3 +656,154 @@ def gt_pattern_count(w) -> int:
         yield from rec(0, [])
 
     return count(top)
+
+
+def remove_index(pairs, removed):
+    """Wedge removal: (c, key) with x_I = c * x_removed ^ x_key, else None."""
+    s_i, key_i = canonical_index(pairs)
+    if not s_i:
+        return None
+    s_j, key_j = canonical_index(removed)
+    if not s_j:
+        return None
+    sub = set(key_j)
+    if not sub <= set(key_i):
+        return None
+    positions = [key_i.index(f) for f in key_j]
+    rest_pos = [n for n, f in enumerate(key_i) if f not in sub]
+    sigma = perm_sign(tuple(positions) + tuple(rest_pos))
+    return s_i * sigma * s_j, tuple(key_i[n] for n in rest_pos)
+
+
+def theta_value(theta, rs, pairs, col=0):
+    """theta^rs_pairs applied to the col-th source basis vector."""
+    sign, key = canonical_index(pairs)
+    if not sign:
+        return {}
+    cols = theta.maps.get((tuple(sorted(rs)), key))
+    coords = cols.get(col) if cols else None
+    if not coords:
+        return {}
+    return {i: sign * c for i, c in coords.items()}
+
+
+def _sym_ref(rs, pairs):
+    """A single theta symbol as a canonical reference list."""
+    sign, key = canonical_index(pairs)
+    if not sign:
+        return []
+    return [(Q(sign), tuple(sorted(rs)), key)]
+
+
+def _sym_removed(rs, pairs, removed):
+    got = remove_index(pairs, removed)
+    if got is None:
+        return []
+    c, key = got
+    return [(Q(c), tuple(sorted(rs)), key)]
+
+
+def _rotated(p, gamma, rs, key):
+    """x_p p_gamma acting on a symbol through the defining isomorphism."""
+    out = []
+    for n, r in enumerate(rs):
+        if r == gamma:
+            out.append((Q(1), tuple(sorted(rs[:n] + (p,) + rs[n + 1:])), key))
+    base = index_pairs(key)
+    for n, f in enumerate(key):
+        step = form_step(gamma, p, f)
+        if step:
+            sign, key2 = canonical_index(
+                base[:n] + (PAIRS[step[0]],) + base[n + 1:])
+            if sign:
+                out.append((Q(-sign * step[1]), rs, key2))
+    return out
+
+
+def _eval_refs(theta, refs):
+    """Combine symbol references into a column -> coordinates map."""
+    out = {}
+    for c, rs, key in refs:
+        cols = theta.maps.get((rs, key))
+        if cols:
+            _map_add(out, cols, c)
+    return out
+
+
+def _map_add(dst, src, c):
+    for col, coords in src.items():
+        add_scaled(dst.setdefault(col, {}), coords, c)
+
+
+def _map_rep_act(theta, p, gamma, m):
+    out = {}
+    rep = theta.module.rep
+    for col, coords in m.items():
+        img = rep.act(p, gamma, coords)
+        if img:
+            out[col] = img
+    return out
+
+
+def _core(theta, p, cyc, e5, t_rs, key_pairs):
+    """The shared cyclic block: (eps/2) * sum(-rotation + 2 * module action)."""
+    res = {}
+    for al, be, ga in cyc:
+        refs = _sym_ref(t_rs, ((al, be),) + key_pairs)
+        if not refs:
+            continue
+        rot = []
+        for cc, rs, kk in refs:
+            rot.extend((cc * c2, rs2, kk2)
+                       for c2, rs2, kk2 in _rotated(p, ga, rs, kk))
+        _map_add(res, _eval_refs(theta, rot), Q(-e5, 2))
+        _map_add(res, _map_rep_act(theta, p, ga, _eval_refs(theta, refs)),
+                 Q(e5))
+    return res
+
+
+def fundamental_equation_residuals(theta):
+    """Nonzero residual records of the four structural equations.
+
+    Returns a list of (name, (p,q,a,b,c), key, column, coords) entries over
+    all index permutations and all canonical index tuples; an empty list
+    certifies that every equation holds on every source basis column.
+    """
+    d = theta.degree
+    jkeys = list(combinations(range(10), d - 1)) if d >= 1 else []
+    kkeys = list(combinations(range(10), d - 3)) if d >= 3 else []
+    out = []
+    for p, q, a, b, c in permutations(range(1, 6)):
+        e5 = perm_sign((p, q, a, b, c))
+        cyc = ((a, b, c), (b, c, a), (c, a, b))
+        for key in jkeys:
+            kp = index_pairs(key)
+            res = {}
+            _map_add(res, _eval_refs(theta, _sym_removed((p,), kp, ((p, q),))),
+                     Q(-1))
+            _map_add(res, _core(theta, p, cyc, e5, (), kp), Q(1))
+            _collect(out, "deg1", (p, q, a, b, c), key, res)
+        for key in kkeys:
+            kp = index_pairs(key)
+            res = {}
+            _map_add(res, _eval_refs(
+                theta, _sym_ref((), ((a, b), (b, c), (c, q)) + kp)), Q(1, 4))
+            _map_add(res, _eval_refs(
+                theta, _sym_ref((), ((a, c), (c, b), (b, q)) + kp)), Q(1, 4))
+            _map_add(res, _eval_refs(theta, _sym_removed((a, p), kp, ((p, q),))),
+                     Q(-1))
+            _map_add(res, _core(theta, p, cyc, e5, (a,), kp), Q(1))
+            _collect(out, "deg3a", (p, q, a, b, c), key, res)
+            res = {}
+            _map_add(res, _eval_refs(theta, _sym_removed((p, p), kp, ((p, q),))),
+                     Q(-2))
+            _map_add(res, _core(theta, p, cyc, e5, (p,), kp), Q(1))
+            _collect(out, "deg3p", (p, q, a, b, c), key, res)
+            res = {}
+            _map_add(res, _eval_refs(theta, _sym_removed((p, q), kp, ((p, q),))),
+                     Q(-2))
+            _map_add(res, _eval_refs(
+                theta, _sym_ref((), ((a, b), (b, c), (c, a)) + kp)), Q(-1))
+            _map_add(res, _core(theta, p, cyc, e5, (q,), kp), Q(2))
+            _collect(out, "deg3q", (p, q, a, b, c), key, res)
+    return out

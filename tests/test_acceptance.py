@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from e510.catalog import classification_sweep, known_vector, verify_catalog
-from e510.cli import _fundamental_suite, _omega_suite, _structure_suite, main
+from e510.cli import main
 from e510.singular_search import (
     dominant_weights_up_to, dual_pair_check, sweep)
 from e510.sl5_reps import parse_weight
@@ -78,17 +78,31 @@ def test_duality_of_all_certificates(classification):
         assert chk["consistent"], chk
 
 
-def test_omega_identity_suite():
-    counts, failures = _omega_suite(4, 1000, 0)
-    assert not failures, failures[:3]
-    assert counts["routes_exhaustive"] == 385
-    assert counts["commutator"] == 7700
+def _identities(tmp_path, suite):
+    """The JSON report of one identity suite, run once through main, and
+    its SHA-256."""
+    out = tmp_path / ("identities_%s.json" % suite)
+    assert main(["identities", "--suite", suite, "--format", "json",
+                 "--output", str(out)]) == 0
+    return (json.loads(out.read_text()),
+            hashlib.sha256(out.read_bytes()).hexdigest())
 
 
-def test_fundamental_equation_suite():
-    counts, failures = _fundamental_suite()
-    assert not failures, failures[:3]
-    assert counts["chain_7"] == 16
+def test_omega_identity_suite(tmp_path):
+    rep, digest = _identities(tmp_path, "omega")
+    assert not rep["failures"], rep["failures"][:3]
+    assert rep["checks"]["routes_exhaustive"] == 385
+    assert rep["checks"]["commutator"] == 7700
+    assert digest == (
+        "81ced6ecf142c625c08baecdb02546e8f3cdf4a4816fbb52f85eb2c77b292dcc")
+
+
+def test_fundamental_equation_suite(tmp_path):
+    rep, digest = _identities(tmp_path, "fundamental")
+    assert not rep["failures"], rep["failures"][:3]
+    assert rep["checks"]["chain_7"] == 16
+    assert digest == (
+        "1426a090cecebcfa3f4aa762552de57187bda41018215e731a13afceef243376")
 
 
 def test_s5_baseline_exact(tmp_path):
@@ -101,10 +115,12 @@ def test_s5_baseline_exact(tmp_path):
     assert rep["unexpected"] == []
 
 
-def test_structural_self_tests():
-    counts, failures = _structure_suite()
-    assert not failures, failures[:3]
-    assert counts["dims"] == 256
+def test_structural_self_tests(tmp_path):
+    rep, digest = _identities(tmp_path, "structure")
+    assert not rep["failures"], rep["failures"][:3]
+    assert rep["checks"]["dims"] == 256
+    assert digest == (
+        "f63a6ff5f3cbfb5a0d784c5d2a7bcaa8248e13f840d186d569d7f46d9c1cf406")
 
 
 def test_composition_complexes(tmp_path):

@@ -437,6 +437,22 @@ def test_unparsable_numbers_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_dual_from_certs_with_cell_flags_exits_two(tmp_path, capsys):
+    # --mu/--degree/--weight next to --from-certs used to be ignored, the
+    # file's cells checked and the run exit 0
+    certs = tmp_path / "certs.json"
+    certs.write_text("[]")
+    for flags in (["--mu", "0,0,0,5"], ["--degree", "3"],
+                  ["--weight", "1,1,1,1"],
+                  ["--mu", "0,0,0,5", "--degree", "3", "--weight", "1,1,1,1"]):
+        assert main(["dual", "--from-certs", str(certs)] + flags) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "%s does not apply with --from-certs" % flags[0] in captured.err
+    assert main(["dual", "--from-certs", str(certs), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == []
+
+
 def test_dual_without_e510_certificates_exits_two(tmp_path, capsys):
     # certificates that all name another algebra leave nothing to check
     certs = tmp_path / "certs.json"

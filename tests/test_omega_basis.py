@@ -3,9 +3,11 @@
 import copy
 import random
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kernel_refs as ref
 from e510 import omega_basis
@@ -13,6 +15,8 @@ from e510.catalog import FAMILY_NAMES, _morphism_instances, known_vector
 from e510.scalars import Q
 from e510.uminus import PAIR_INDEX, add_scaled, d_elem, forms_elem, p_elem, pbw_product
 from e510.omega_basis import (
+    ThetaFamily,
+    canonical_index,
     commutator_identity_residual,
     crossing_number,
     dw_product_residual,
@@ -25,6 +29,7 @@ from e510.omega_basis import (
     omega_symmetrized,
     equivariant_family,
     reconstruct_theta,
+    remove_index,
     ricomega_residual,
     sif_sets,
 )
@@ -155,6 +160,23 @@ def test_symmetrized_refuses_six_factors():
     assert omega_direct(pairs)
     with pytest.raises(ValueError):
         omega_symmetrized(pairs)
+
+
+def test_remove_index_failures_give_zero_sign():
+    # a degenerate wedge, a degenerate removed wedge, and a removed wedge
+    # that is not part of the wedge each give the (0, None) of a
+    # degenerate canonical_index, and omega_removed gives zero
+    for pairs, removed in ((((1, 2), (2, 1)), ((1, 2),)),
+                           (((1, 2), (3, 3)), ((1, 2),)),
+                           (((1, 2), (3, 4)), ((1, 2), (2, 1))),
+                           (((1, 2), (3, 4)), ((4, 4),)),
+                           (((1, 2), (3, 4)), ((1, 5),)),
+                           (((1, 2),), ((1, 2), (3, 4)))):
+        assert remove_index(pairs, removed) == (0, None)
+        assert omega_removed(pairs, removed) == {}
+    # x_12 ^ x_34 = -x_34 ^ x_12
+    assert remove_index(((1, 2), (3, 4)), ((3, 4),)) == (
+        -1, (PAIR_INDEX[(1, 2)],))
 
 
 def test_omega_removed():
@@ -295,18 +317,27 @@ def test_commutator_identity_sweep():
         2, 4, ((1, 5), (2, 3), (2, 5)), mod, elems=[elem]) == {}
 
 
+def theta_at(theta, rs, pairs, col):
+    """theta^rs_pairs on the col-th source basis vector, through add_to."""
+    res = {}
+    theta.add_to(res, 1, rs, canonical_index(pairs))
+    return res.get(col, {})
+
+
 def test_reconstruct_theta_basic():
     mod = VermaModule((0, 0, 0, 0))
     w = mod.tensor(d_elem(1, 2), {0: Q(1)})
     theta = reconstruct_theta(mod, w)
     assert theta.degree == 1
     assert theta.rep_in.weight == (0, 1, 0, 0)
-    assert theta.value((), ((1, 2),), 0) == {0: Q(1)}
+    assert theta_at(theta, (), ((1, 2),), 0) == {0: Q(1)}
     # the lowering f2 sends the top pair basis line to the (1,3) line
     idx13 = next(j for j in range(theta.rep_in.dim)
                  if theta.rep_in.parents[j] == (0, 2))
-    assert theta.value((), ((1, 3),), idx13) == {0: Q(1)}
-    assert theta.value((), ((1, 3),), 0) == {}
+    assert theta_at(theta, (), ((1, 3),), idx13) == {0: Q(1)}
+    assert theta_at(theta, (), ((1, 3),), 0) == {}
+    # reversing the pair flips the sign
+    assert theta_at(theta, (), ((3, 1),), idx13) == {0: Q(-1)}
     bad = mod.tensor(p_elem(1), {0: Q(1)})
     with pytest.raises(ValueError):
         reconstruct_theta(mod, bad)
@@ -450,7 +481,8 @@ def test_reconstruct_theta_four_forms():
         col0 = cols.get(0)
         if col0:
             assert (rs, key) == ((), key0)
-    assert theta.value((), ((1, 2), (1, 3), (1, 4), (1, 5)), 0) == {0: Q(1)}
+    assert theta_at(theta, (), ((1, 2), (1, 3), (1, 4), (1, 5)), 0) == {
+        0: Q(1)}
 
 
 def test_fundamental_equations_low_degree():
@@ -469,3 +501,44 @@ def test_fundamental_equations_detect_fake():
     assert mod.is_singular(w) is False
     theta = reconstruct_theta(mod, w, check=False)
     assert fundamental_equation_residuals(theta) != []
+
+
+@lru_cache(maxsize=None)
+def catalog_theta(fam):
+    mod, w = known_vector(fam)
+    return reconstruct_theta(mod, w)
+
+
+def perturbed_theta(theta, pick, col_pick, i, c):
+    """theta with coordinate i of one column of one map entry moved by c."""
+    maps = dict(theta.maps)
+    entry = sorted(maps)[pick % len(maps)]
+    cols = maps[entry] = dict(maps[entry])
+    col = sorted(cols)[col_pick % len(cols)]
+    coords = cols[col] = dict(cols[col])
+    i %= theta.module.rep.dim
+    v = coords.get(i, 0) + c
+    if v:
+        coords[i] = v
+    else:
+        del coords[i]
+    return ThetaFamily(theta.module, theta.rep_in, theta.degree, maps)
+
+
+# degree 7 is left out: one residual pass takes about 9 s there
+@settings(max_examples=3, deadline=None)
+@given(st.sampled_from(("1A", "4D", "11")), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.fractions(-3, 3, max_denominator=6).filter(bool))
+@example("1A", 0, 0, 0, Fraction(1, 3))
+@example("4D", 7, 3, 1, Fraction(1, 3))
+@example("11", 29724, 936710, 876363, Fraction(1, 3))
+def test_fundamental_residuals_match_reference_on_perturbed_theta(
+        fam, pick, col_pick, i, c):
+    # the same records, in the same order and with the same values, as the
+    # symbol readers that built a column map per term; the 4D and 11
+    # examples leave 74 and 4 records, the 1A one none
+    theta = perturbed_theta(catalog_theta(fam), pick, col_pick, i,
+                            Q(c.numerator, c.denominator))
+    assert (fundamental_equation_residuals(theta)
+            == ref.fundamental_equation_residuals(theta))
