@@ -2,24 +2,28 @@
 
 Rows are dicts column_key -> value with arbitrary orderable column keys.
 One fraction-free reduction loop, Echelon._reduce, serves kernels and
-member coordinates: every row is scaled to an integer vector that the
-echelon owns and reduces in place, and the elimination never divides
-except by the gcd that keeps rows primitive.  Scalars are built only by
-kernel back-substitution and by coords.  All orderings are canonical, which
-makes results byte-for-byte reproducible.
+member coordinates: every vector is scaled to an integer vector that the
+echelon owns and reduces in place, with the combination of the members
+that gives it, and the elimination never divides except by the gcd that
+keeps both primitive.  Scalars are built only from the coordinates that
+Echelon.place and Echelon.coords read off.  All orderings are canonical,
+which makes results byte-for-byte reproducible.
 
-kernel_basis returns a function of the row space alone: the pivot columns
-of an echelon of a row space do not depend on the order or the positive
-scale of the rows that span it, and the kernel vector that is 1 on one
-free column and 0 on the others is unique.  So it may insert the rows in
-any order, and it inserts them in order of their last column, which keeps
-the pivot rows short; and it may stop inserting rows as soon as the pivots
-cover every column: the kernel is then 0, whatever the remaining rows are.
-Each row is copied once, into column positions; the echelon reduces that
-copy, so the caller's rows never change.  The search peels forced zeros
-off its rows before it asks for a kernel; why that keeps the kernel is
-argued once, in singular_search.  check_entry_cap is the one entry-cap
-test.
+kernel_basis eliminates columns, not rows.  The pivot columns of a reduced
+row echelon form are the columns that are independent of the columns
+before them, so a column is free exactly when it lies in the span of the
+earlier columns, and its coordinates in them give the unique kernel vector
+that is 1 on it and 0 on every other free column.  So the columns go into
+one Echelon in column order, each tagged with its position, and each
+kernel vector is read off Echelon.place; nothing is back-substituted.  A
+column is a vector over row numbers, and a permutation of the rows does
+not change which columns depend on which, so the row order only sets the
+cost: the rows are numbered in order of their last column, which keeps
+the pivot columns short.  Each row is copied once, into column positions,
+and transposed; the echelon reduces the columns, so the caller's rows never
+change.  The search peels forced zeros off its rows before it asks for a
+kernel; why that keeps the kernel is argued once, in singular_search.
+check_entry_cap is the one entry-cap test.
 """
 
 from math import gcd
@@ -46,16 +50,16 @@ def check_entry_cap(entries, entry_cap):
 
 
 def _make_primitive(row, combo):
-    """Divide row and combo, in place, by the gcd of all their entries."""
-    parts = (row,) if combo is None else (row, combo)
+    """Divide row and combo, in place, by the gcd of all their entries;
+    combo goes first, as a fresh {tag: 1} settles the gcd at once."""
     g = 0
-    for part in parts:
+    for part in (combo, row):
         for v in part.values():
             g = gcd(g, v)
             if g == 1:
                 return
     if g > 1:
-        for part in parts:
+        for part in (combo, row):
             for k in part:
                 part[k] //= g
 
@@ -63,7 +67,7 @@ def _make_primitive(row, combo):
 def _integer_row(row):
     """(den, a new dict of the nonzero int numerators of row over den)."""
     values = row.values()
-    if all(type(v) is int for v in values):
+    if _INT.issuperset(map(type, values)):
         if all(values):
             return 1, dict(row)
         return 1, {k: v for k, v in row.items() if v}
@@ -88,10 +92,9 @@ class Echelon:
     """Incremental fraction-free row echelon with member-coordinate tracking.
 
     Each pivot holds (row, combo), both integer dicts, with row equal to
-    sum(combo[t] * member_t) over the inserted members.  A member inserted
-    with a tag lets place() and coords() express any vector of the span in
-    the tagged members; tag None tracks no combinations (kernel_basis), and
-    an echelon uses either tags for all its members or None for all.
+    sum(combo[t] * member_t) over the inserted members.  Every member is
+    inserted under a tag, any hashable (None too), and place() and coords()
+    express a vector of the span in the tagged members.
     """
 
     def __init__(self):
@@ -103,7 +106,7 @@ class Echelon:
         # member_t).  A step is linear in (row, combo), so dividing by a gcd
         # only scales what follows: the pair is made primitive after the
         # steps that scale it by more than a sign, and once at the end.
-        combo = None if tag is None else {tag: den}
+        combo = {tag: den}
         while row:
             lead = min(row)
             hit = self.pivots.get(lead)
@@ -112,23 +115,15 @@ class Echelon:
             prow, pcombo = hit
             pivval, c = prow[lead], row[lead]
             _eliminate(row, pivval, c, prow)
-            if combo is not None:
-                _eliminate(combo, pivval, c, pcombo)
+            _eliminate(combo, pivval, c, pcombo)
             if pivval != 1 and pivval != -1:
                 _make_primitive(row, combo)
         _make_primitive(row, combo)
         return row, combo
 
-    def _insert(self, den, row, tag):
-        row, combo = self._reduce(den, row, tag)
-        if not row:
-            return False
-        self.pivots[min(row)] = (row, combo)
-        return True
-
     def insert(self, row, tag):
         """Add a vector as the member called tag; True if it was independent."""
-        return self._insert(*_integer_row(row), tag)
+        return self.place(row, tag) is None
 
     def place(self, row, tag):
         """Add a vector as the member called tag and return None if it was
@@ -158,18 +153,18 @@ def kernel_basis(rows, column_order, entry_cap=None):
     column_order: list fixing the canonical coordinate order.
     Returns kernel vectors as dicts column_key -> Q, each normalized so its
     first nonzero coordinate (in column_order) is 1, sorted by the position
-    of that coordinate.  The result depends only on the span of the rows
-    (module docstring): row order, duplicates and positive row scales do
-    not change it.  So each row is copied once, as an integer row over
-    column positions that the echelon reduces in place; the copies are
-    inserted in order of their last column, and the insertion stops with []
-    once the pivots cover every column.  entry_cap counts every entry of the
-    rows handed in.  The caller's rows are never changed.
+    of that coordinate.  There is one vector per free column, a column
+    that lies in the span of the columns before it (module docstring): it
+    is 1 there, 0 on the other free columns, and its keys are the free
+    column, then the pivot columns it uses in descending order.  Each row
+    is copied once, as an integer row over column positions; the copies
+    are numbered in order of their last column, and the columns over those
+    numbers go into one echelon in column order.  entry_cap counts every
+    entry of the rows handed in.  The caller's rows are never changed.
     """
     rows = [r for r in rows if r]
     check_entry_cap(sum(map(len, rows)), entry_cap)
     colpos = {c: i for i, c in enumerate(column_order)}
-    ncols = len(column_order)
     owned = []
     for r in rows:
         row = {colpos[c]: v for c, v in r.items() if v}
@@ -178,28 +173,21 @@ def kernel_basis(rows, column_order, entry_cap=None):
         if row:
             owned.append(row)
     owned.sort(key=max)
+    columns = [{} for _ in column_order]
+    for i, row in enumerate(owned):
+        for c, v in row.items():
+            columns[c][i] = v
     ech = Echelon()
-    pivots = ech.pivots
-    for row in owned:
-        ech._insert(1, row, None)
-        if len(pivots) == ncols:
-            return []
-
-    free = [i for i in range(ncols) if i not in pivots]
     basis = []
-    for f in free:
-        x = {f: Q(1)}
-        for p in sorted(pivots, reverse=True):
-            prow = pivots[p][0]
-            acc = Q(0)
-            for c, v in prow.items():
-                if c != p and c in x:
-                    acc += v * x[c]
-            if acc:
-                x[p] = -acc / prow[p]
-        first = min(x)
-        lead = x[first]
-        vec = {column_order[i]: v / lead for i, v in x.items() if v}
-        basis.append((first, vec))
+    for f, column in enumerate(columns):
+        got = ech.place(column, f)
+        if got is not None:
+            den, coords = got
+            x = {f: den}
+            for p in sorted(coords, reverse=True):
+                x[p] = -coords[p]
+            first = min(x)
+            basis.append((first, {column_order[i]: Q(v, x[first])
+                                  for i, v in x.items()}))
     basis.sort(key=lambda t: t[0])
     return [vec for _, vec in basis]

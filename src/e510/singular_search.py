@@ -22,13 +22,15 @@ later label's row on the live columns differs from its full row by a
 combination of those unit vectors, and, as _peel argues, the last peel's
 core over the live columns in block order gives the kernel of the full
 system, each vector's normalization and key order included.  So
-linalg.kernel_basis gets only that core.  The entry cap counts the
-entries assembled, checked before the elimination.  Any vector in the
-kernel is re-verified through the module action (InducedModule.is_singular,
-on the independent per-element path int_conditions) before being reported
-in a certificate; a vector that fails raises VerificationError naming the
-first condition it fails.  The search reads only the protocol of
-verma.InducedModule, so the S5 baseline of s5_verma runs through it too.
+linalg.kernel_basis gets only that core, and reads each kernel vector off
+a live column that lies in the span of the live columns before it.  The
+entry cap counts the entries assembled, checked before the elimination.
+Any vector in the kernel is re-verified through the module action
+(InducedModule.is_singular, on the independent per-element path
+int_conditions) before being reported in a certificate; a vector that
+fails raises VerificationError naming the first condition it fails.  The
+search reads only the protocol of verma.InducedModule, so the S5 baseline
+of s5_verma runs through it too.
 """
 
 import json

@@ -44,17 +44,22 @@ failed removal, ThetaFamily.value as theta_value, the reference lists of
 _sym_ref and _sym_removed, _rotated with its Fraction coefficients,
 _eval_refs, _map_add and _map_rep_act, and the _core and
 fundamental_equation_residuals that built a column map per term.
+Last, linalg.kernel_basis as it eliminated rows, stopped once the pivots
+covered every column and back-substituted over Fractions, before it
+eliminated columns, as row_kernel_basis.  It, unpeeled_kernel_basis and
+peeling_kernel_basis run on RowEchelon, the linalg.Echelon reduction with
+the untracked path that tag None took, and its _make_primitive.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from e510.linalg import (
     _INT, DEFAULT_ENTRY_CAP, Echelon, MatrixTooLargeError, _eliminate,
-    _make_primitive, check_entry_cap,
+    check_entry_cap,
 )
 from e510.omega_basis import _collect, canonical_index, index_pairs
 from e510.scalars import Q, _den, _numerators
@@ -184,6 +189,57 @@ def int_mat(rep, a, b):
     cols = mat(rep, a, b)
     den = _den(v for col in cols for v in col.values())
     return (den, [dict(_numerators(col, den)) for col in cols])
+
+
+def _make_primitive(row, combo):
+    """Divide row and combo, in place, by the gcd of all their entries."""
+    parts = (row,) if combo is None else (row, combo)
+    g = 0
+    for part in parts:
+        for v in part.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
+    if g > 1:
+        for part in parts:
+            for k in part:
+                part[k] //= g
+
+
+class RowEchelon:
+    """Echelon with its untracked path: tag None tracked no combinations."""
+
+    def __init__(self):
+        self.pivots = {}  # leading column -> (primitive int row, int combo)
+
+    def _reduce(self, den, row, tag):
+        # the integer row, which the echelon owns and reduces in place, is
+        # den * member_tag, and every step keeps row == sum(combo[t] *
+        # member_t).  A step is linear in (row, combo), so dividing by a gcd
+        # only scales what follows: the pair is made primitive after the
+        # steps that scale it by more than a sign, and once at the end.
+        combo = None if tag is None else {tag: den}
+        while row:
+            lead = min(row)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                break
+            prow, pcombo = hit
+            pivval, c = prow[lead], row[lead]
+            _eliminate(row, pivval, c, prow)
+            if combo is not None:
+                _eliminate(combo, pivval, c, pcombo)
+            if pivval != 1 and pivval != -1:
+                _make_primitive(row, combo)
+        _make_primitive(row, combo)
+        return row, combo
+
+    def _insert(self, den, row, tag):
+        row, combo = self._reduce(den, row, tag)
+        if not row:
+            return False
+        self.pivots[min(row)] = (row, combo)
+        return True
 
 
 class RationalEchelon:
@@ -368,7 +424,7 @@ def unpeeled_kernel_basis(rows, column_order, entry_cap=None):
         if row:
             owned.append(row)
     owned.sort(key=max)
-    ech = Echelon()
+    ech = RowEchelon()
     pivots = ech.pivots
     for row in owned:
         ech._insert(1, row, None)
@@ -452,7 +508,7 @@ def peeling_kernel_basis(rows, column_order, entry_cap=None):
     forced, owned = _peel(owned, ncols)
     owned.sort(key=max)
     nlive = ncols - len(forced)
-    ech = Echelon()
+    ech = RowEchelon()
     pivots = ech.pivots
     for row in owned:
         ech._insert(1, row, None)
@@ -807,3 +863,57 @@ def fundamental_equation_residuals(theta):
             _map_add(res, _core(theta, p, cyc, e5, (q,), kp), Q(2))
             _collect(out, "deg3q", (p, q, a, b, c), key, res)
     return out
+
+
+def row_kernel_basis(rows, column_order, entry_cap=None):
+    """Exact kernel of the linear map given by constraint rows.
+
+    rows: iterable of dicts column_key -> scalar (each row is one constraint).
+    column_order: list fixing the canonical coordinate order.
+    Returns kernel vectors as dicts column_key -> Q, each normalized so its
+    first nonzero coordinate (in column_order) is 1, sorted by the position
+    of that coordinate.  The result depends only on the span of the rows
+    (module docstring): row order, duplicates and positive row scales do
+    not change it.  So each row is copied once, as an integer row over
+    column positions that the echelon reduces in place; the copies are
+    inserted in order of their last column, and the insertion stops with []
+    once the pivots cover every column.  entry_cap counts every entry of the
+    rows handed in.  The caller's rows are never changed.
+    """
+    rows = [r for r in rows if r]
+    check_entry_cap(sum(map(len, rows)), entry_cap)
+    colpos = {c: i for i, c in enumerate(column_order)}
+    ncols = len(column_order)
+    owned = []
+    for r in rows:
+        row = {colpos[c]: v for c, v in r.items() if v}
+        if not _INT.issuperset(map(type, row.values())):
+            row = dict(_numerators(row, _den(row.values())))
+        if row:
+            owned.append(row)
+    owned.sort(key=max)
+    ech = RowEchelon()
+    pivots = ech.pivots
+    for row in owned:
+        ech._insert(1, row, None)
+        if len(pivots) == ncols:
+            return []
+
+    free = [i for i in range(ncols) if i not in pivots]
+    basis = []
+    for f in free:
+        x = {f: Q(1)}
+        for p in sorted(pivots, reverse=True):
+            prow = pivots[p][0]
+            acc = Q(0)
+            for c, v in prow.items():
+                if c != p and c in x:
+                    acc += v * x[c]
+            if acc:
+                x[p] = -acc / prow[p]
+        first = min(x)
+        lead = x[first]
+        vec = {column_order[i]: v / lead for i, v in x.items() if v}
+        basis.append((first, vec))
+    basis.sort(key=lambda t: t[0])
+    return [vec for _, vec in basis]

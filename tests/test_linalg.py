@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kernel_refs
 from e510.scalars import Q
@@ -275,6 +275,52 @@ def test_kernel_basis_matches_reference(matrix, data):
                                 max_size=len(more)))
     assert kernel_basis([{k: s * v for k, v in r.items()}
                          for r, s in zip(more, scales)], columns) == want
+
+
+_KEYS = {
+    "int": lambda c: c,
+    "str": lambda c: "c%d" % c,
+    "tuple": lambda c: ("m", c),
+    "fraction": lambda c: Fraction(c, 3),
+}
+
+
+@st.composite
+def _column_kernel_cases(draw):
+    """(rows, column_order): a matrix of _kernel_matrices with duplicate
+    rows, zero rows (empty, or all entries 0), unused columns, so more
+    columns than rows, and column keys that are not integers."""
+    rows, columns = draw(_kernel_matrices())
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    zero = draw(st.sampled_from((0, Q(0))))
+    rows += [{c: zero for c in draw(st.lists(st.sampled_from(columns),
+                                             max_size=2))}
+             for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    n = len(columns)
+    columns = draw(st.permutations(
+        columns + list(range(n, n + draw(st.integers(0, 3))))))
+    key = _KEYS[draw(st.sampled_from(sorted(_KEYS)))]
+    return ([{key(c): v for c, v in r.items()} for r in rows],
+            [key(c) for c in columns])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_kernel_cases())
+@example(([{0: 1, 1: 2}, {1: 3}, {0: 1, 1: 2}, {}], [0, 1, 2]))
+@example(([{"a": Q(1, 2), "b": Q(1)}, {"a": Q(1), "b": Q(2)},
+           {"c": Q(0)}], ["b", "a", "c", "d"]))
+def test_column_kernel_matches_the_row_kernel(case):
+    # the columns that depend on earlier columns give the kernel that
+    # row elimination and back-substitution gave: equal Fraction values,
+    # the same vectors in the same order, each with the same key order
+    rows, columns = case
+    want = kernel_refs.row_kernel_basis(rows, columns)
+    got = kernel_basis(rows, columns)
+    assert got == want
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert all(type(x) is Fraction for v in got for x in v.values())
 
 
 def _chain(n, one):

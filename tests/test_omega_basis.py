@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import kernel_refs as ref
 from e510 import omega_basis
 from e510.catalog import FAMILY_NAMES, _morphism_instances, known_vector
+from e510.cli import _fundamental_suite
 from e510.scalars import Q
 from e510.uminus import PAIR_INDEX, add_scaled, d_elem, forms_elem, p_elem, pbw_product
 from e510.omega_basis import (
@@ -523,6 +524,33 @@ def perturbed_theta(theta, pick, col_pick, i, c):
     else:
         del coords[i]
     return ThetaFamily(theta.module, theta.rep_in, theta.degree, maps)
+
+
+def test_fundamental_check_of_1a_reads_theta(monkeypatch):
+    # identities --suite fundamental checks 1A at m = 1, n = 0: there one
+    # theta coordinate moved by 1/3 leaves residuals, while at m = n = 0,
+    # whose target M(F(0,0,0,0)) reads no theta, the same move leaves none
+    def moved(theta):
+        return perturbed_theta(theta, 0, 0, 2, Q(1, 3))
+    for m, records in ((1, 12), (0, 0)):
+        theta = reconstruct_theta(*known_vector("1A", m, 0))
+        assert fundamental_equation_residuals(theta) == []
+        assert len(fundamental_equation_residuals(moved(theta))) == records
+    # and the suite reports it; the residuals of the other families, which
+    # take seconds, are left out
+    def reconstruct(mod, w):
+        theta = reconstruct_theta(mod, w)
+        return moved(theta) if theta.degree == 1 else theta
+
+    def residuals(theta):
+        return fundamental_equation_residuals(theta) if theta.degree == 1 \
+            else []
+    monkeypatch.setattr(omega_basis, "reconstruct_theta", reconstruct)
+    monkeypatch.setattr(omega_basis, "fundamental_equation_residuals",
+                        residuals)
+    counts, failures = _fundamental_suite()
+    assert [f["family"] for f in failures] == ["1A"]
+    assert counts["equations_1A"] == 1
 
 
 # degree 7 is left out: one residual pass takes about 9 s there

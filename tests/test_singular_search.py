@@ -560,6 +560,26 @@ def test_singular_block_hands_kernel_basis_only_the_core(monkeypatch):
     assert len(blocks) > 500 and cores > 50
 
 
+def test_every_core_gets_the_row_kernel(monkeypatch):
+    # five modules of classify --budget 2 --max-degree 4: on each core that
+    # singular_block hands over, the column kernel equals the reference
+    # that eliminated rows and back-substituted, key order included
+    handed = spy_kernel_basis(monkeypatch)
+    for mu in ((0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1),
+               (2, 0, 0, 0)):
+        for d in range(1, 5):
+            singular_search.search_blocks(VermaModule(mu), d)
+    kernels = [(kernel_basis(rows, columns),
+                kernel_refs.row_kernel_basis(rows, columns))
+               for rows, columns in handed]
+    for got, want in kernels:
+        assert got == want
+        assert [list(v.items()) for v in got] \
+            == [list(v.items()) for v in want]
+    assert sum(bool(rows) for rows, _ in handed) > 50
+    assert sum(len(got) for got, _ in kernels) >= 5
+
+
 def test_entry_cap_counts_the_assembled_rows_not_the_core(monkeypatch):
     # M(0,0,0,1), degree 11, weight (1,0,0,0): the block with a kernel;
     # the cap is met by the N entries the builders return, not by the
