@@ -1,192 +1,109 @@
 """The classification catalog: known singular vectors and their morphisms.
 
 Thirteen families of singular vectors cover every degenerate finite Verma
-module.  The formulas here are transcribed data; verification (exact
-singularity checks, weight and degree agreement, composition identities,
-and the classification sweep diff) is what the tests run.
+module.  The formulas here are transcribed data.  Each family's builder
+takes the module M(mu) for the mu that FAMILIES states and writes its
+element there as one list of (u, factors) terms, u in U(g_-) and factors
+an ambient monomial of F(mu), summed by InducedModule.tensor_sum; 5EA is
+d12 times the 4E element of the same module.  The three largest term
+tables live in vector_tables.  Verification (exact singularity checks,
+weight and degree agreement, composition identities, and the
+classification sweep diff) is what the tests run.
 """
 
 from .linalg import DEFAULT_ENTRY_CAP
-from .scalars import Q
-from .sl5_reps import ambient_monomial, parse_weight, weight_str
-from .uminus import PAIRS, add_scaled, d_elem, forms_elem, pbw_product
+from .sl5_reps import parse_weight, weight_str
+from .uminus import PAIRS, d_elem, forms_elem, pbw_product
 from .verma import VermaModule, proportional, tensor_from_terms
-
-# degree-7 vector: inner terms behind the common prefix d12 d13 d14 d15,
-# each row (sign, partial exponents, form pairs, dual index pair)
-W7_TERMS = (
-    (1, (0, 0, 0, 0, 0), ((2, 3), (2, 4), (2, 5)), (2, 2)),
-    (-1, (0, 0, 0, 0, 0), ((2, 3), (2, 5), (3, 4)), (2, 3)),
-    (-1, (0, 0, 0, 0, 0), ((2, 4), (2, 5), (3, 4)), (2, 4)),
-    (1, (0, 0, 0, 0, 0), ((2, 3), (2, 4), (3, 5)), (2, 3)),
-    (-1, (0, 0, 0, 0, 0), ((2, 4), (2, 5), (3, 5)), (2, 5)),
-    (1, (0, 0, 0, 0, 0), ((2, 3), (3, 4), (3, 5)), (3, 3)),
-    (1, (0, 0, 0, 0, 0), ((2, 4), (3, 4), (3, 5)), (3, 4)),
-    (1, (0, 0, 0, 0, 0), ((2, 5), (3, 4), (3, 5)), (3, 5)),
-    (1, (0, 0, 0, 0, 0), ((2, 3), (2, 4), (4, 5)), (2, 4)),
-    (1, (0, 0, 0, 0, 0), ((2, 3), (2, 5), (4, 5)), (2, 5)),
-    (1, (0, 0, 0, 0, 0), ((2, 3), (3, 4), (4, 5)), (3, 4)),
-    (1, (0, 0, 0, 0, 0), ((2, 4), (3, 4), (4, 5)), (4, 4)),
-    (1, (0, 0, 0, 0, 0), ((2, 5), (3, 4), (4, 5)), (4, 5)),
-    (1, (0, 0, 0, 0, 0), ((2, 3), (3, 5), (4, 5)), (3, 5)),
-    (1, (0, 0, 0, 0, 0), ((2, 4), (3, 5), (4, 5)), (4, 5)),
-    (1, (0, 0, 0, 0, 0), ((2, 5), (3, 5), (4, 5)), (5, 5)),
-    (1, (1, 0, 0, 0, 0), ((2, 3),), (2, 3)),
-    (1, (1, 0, 0, 0, 0), ((2, 4),), (2, 4)),
-    (1, (1, 0, 0, 0, 0), ((2, 5),), (2, 5)),
-    (-1, (0, 1, 0, 0, 0), ((2, 3),), (1, 3)),
-    (-1, (0, 1, 0, 0, 0), ((2, 4),), (1, 4)),
-    (-1, (0, 1, 0, 0, 0), ((2, 5),), (1, 5)),
-    (1, (0, 0, 1, 0, 0), ((2, 3),), (1, 2)),
-    (-1, (0, 0, 1, 0, 0), ((3, 4),), (1, 4)),
-    (-1, (0, 0, 1, 0, 0), ((3, 5),), (1, 5)),
-    (1, (0, 0, 0, 1, 0), ((2, 4),), (1, 2)),
-    (1, (0, 0, 0, 1, 0), ((3, 4),), (1, 3)),
-    (-1, (0, 0, 0, 1, 0), ((4, 5),), (1, 5)),
-    (1, (0, 0, 0, 0, 1), ((2, 5),), (1, 2)),
-    (1, (0, 0, 0, 0, 1), ((3, 5),), (1, 3)),
-    (1, (0, 0, 0, 0, 1), ((4, 5),), (1, 4)),
-)
 
 _PREFIX = ((1, 2), (1, 3), (1, 4), (1, 5))
 
 
-def _tensor(module, u, **factors):
-    """u (x) (ambient monomial) as a module element.
-
-    The monomial's coordinates come from Irrep.monomial_coords, so each
-    (irrep, monomial) pair costs one Gram solve however many terms and
-    instances name it.
-    """
-    amb = ambient_monomial(**factors)
-    return module.tensor(u, module.rep.monomial_coords(amb))
+def _table_u(sign, partials, forms):
+    """sign * p^partials * d_forms, the U(g_-) part of a table row."""
+    return pbw_product({(partials, ()): sign}, forms_elem(forms))
 
 
-def _w_1a(m, n):
-    mod = VermaModule((m, n, 0, 0))
-    return mod, _tensor(mod, d_elem(1, 2), x=(1,) * m, w=((1, 2),) * n)
+def _prefixed(rows):
+    """(d12 d13 d14 d15 times the U(g_-) part, last entry) of each row of a
+    degree-7 or degree-11 table."""
+    pre = forms_elem(_PREFIX)
+    return [(pbw_product(pre, _table_u(sign, partials, forms)), last)
+            for sign, partials, forms, last in rows]
 
 
-def _w_1b(m, n):
-    mod = VermaModule((m, 0, 0, n + 1))
-    out = _tensor(mod, d_elem(1, 5), x=(1,) * m, dx=(5,) * (n + 1))
-    for j in (2, 3, 4):
-        add_scaled(out, _tensor(mod, d_elem(1, j), x=(1,) * m,
-                                dx=(j,) + (5,) * n), Q(1))
-    return mod, out
+def _w_1a(mod, m, n):
+    return mod.tensor_sum([(d_elem(1, 2), dict(x=(1,) * m, w=((1, 2),) * n))])
 
 
-def _w_1c(m, n):
-    mod = VermaModule((0, 0, m + 1, n))
-    out = {}
-    for i, j in PAIRS:
-        add_scaled(out, _tensor(mod, d_elem(i, j),
-                                dw=((i, j),) + ((4, 5),) * m, dx=(5,) * n),
-                   Q(1))
-    return mod, out
+def _w_1b(mod, m, n):
+    return mod.tensor_sum([(d_elem(1, j), dict(x=(1,) * m, dx=(j,) + (5,) * n))
+                           for j in (2, 3, 4, 5)])
 
 
-def _w_2ba(m):
-    mod = VermaModule((m, 0, 0, 1))
-    out = {}
-    for j in (2, 3, 4, 5):
-        u = forms_elem(((1, 2), (1, j)))
-        if u:
-            add_scaled(out, _tensor(mod, u, x=(1,) * m, dx=(j,)), Q(1))
-    return mod, out
+def _w_1c(mod, m, n):
+    return mod.tensor_sum([(d_elem(i, j), dict(dw=((i, j),) + ((4, 5),) * m,
+                                               dx=(5,) * n))
+                           for i, j in PAIRS])
 
 
-def _w_2cb(n):
-    mod = VermaModule((0, 0, 1, n + 1))
-    out = {}
-    for j in (2, 3, 4, 5):
-        for h, k in PAIRS:
-            u = forms_elem(((1, j), (h, k)))
-            if u:
-                add_scaled(out, _tensor(mod, u, dw=((h, k),),
-                                        dx=(j,) + (5,) * n), Q(1))
-    return mod, out
+def _w_2ba(mod, m, n):
+    return mod.tensor_sum([(forms_elem(((1, 2), (1, j))),
+                            dict(x=(1,) * m, dx=(j,))) for j in (2, 3, 4, 5)])
 
 
-def _w_2ca():
-    mod = VermaModule((0, 0, 1, 0))
-    out = {}
-    for i, j in PAIRS:
-        u = forms_elem(((1, 2), (i, j)))
-        if u:
-            add_scaled(out, _tensor(mod, u, dw=((i, j),)), Q(1))
-    return mod, out
+def _w_2cb(mod, m, n):
+    return mod.tensor_sum([(forms_elem(((1, j), (h, k))),
+                            dict(dw=((h, k),), dx=(j,) + (5,) * n))
+                           for j in (2, 3, 4, 5) for h, k in PAIRS])
 
 
-def _w_3cba():
-    mod = VermaModule((0, 0, 1, 1))
-    out = {}
-    for j in (2, 3, 4, 5):
-        for k, l in PAIRS:
-            u = forms_elem(((1, 2), (1, j), (k, l)))
-            if u:
-                add_scaled(out, _tensor(mod, u, dx=(j,), dw=((k, l),)), Q(1))
-    return mod, out
+def _w_2ca(mod, m, n):
+    return mod.tensor_sum([(forms_elem(((1, 2), (i, j))), dict(dw=((i, j),)))
+                           for i, j in PAIRS])
 
 
-def _w_4d(m):
-    mod = VermaModule((m, 0, 0, 0))
-    return mod, _tensor(mod, forms_elem(_PREFIX), x=(1,) * m)
+def _w_3cba(mod, m, n):
+    return mod.tensor_sum([(forms_elem(((1, 2), (1, j), (k, l))),
+                            dict(dx=(j,), dw=((k, l),)))
+                           for j in (2, 3, 4, 5) for k, l in PAIRS])
 
 
-def _w_4e(n):
+def _w_4d(mod, m, n):
+    return mod.tensor_sum([(forms_elem(_PREFIX), dict(x=(1,) * m))])
+
+
+def _w_4e(mod, m, n):
     from .vector_tables import W4E_TERMS
-    mod = VermaModule((0, 0, 0, n + 3))
-    out = {}
-    for sign, partials, forms, fexp in W4E_TERMS:
-        u = pbw_product({(partials, ()): sign}, forms_elem(forms))
-        dx = []
-        for i in range(4):
-            dx.extend([i + 1] * fexp[i])
-        dx.extend([5] * (fexp[4] + n))
-        add_scaled(out, _tensor(mod, u, dx=tuple(dx)), Q(1))
-    return mod, out
+    # fexp = (e1, .., e4, k) stands for f1^e1 .. f4^e4 f5^(k + n)
+    return mod.tensor_sum([
+        (_table_u(sign, partials, forms),
+         dict(dx=sum(((i,) * e for i, e in enumerate(fexp, 1)), (5,) * n)))
+        for sign, partials, forms, fexp in W4E_TERMS])
 
 
-def _w_5cd():
+def _w_5cd(mod, m, n):
     # the sum runs over every pair avoiding index 1; the factors through
     # the degree-1 and degree-4 vectors confirm this normalization
-    mod = VermaModule((0, 0, 1, 0))
     pre = forms_elem(_PREFIX)
-    out = {}
-    for i, j in PAIRS:
-        u = pbw_product(pre, d_elem(i, j))
-        if u:
-            add_scaled(out, _tensor(mod, u, dw=((i, j),)), Q(1))
-    return mod, out
+    return mod.tensor_sum([(pbw_product(pre, d_elem(i, j)), dict(dw=((i, j),)))
+                           for i, j in PAIRS])
 
 
-def _w_5ea():
-    mod, w4 = _w_4e(0)
-    return mod, mod.mult(d_elem(1, 2), w4)
+def _w_5ea(mod, m, n):
+    return mod.mult(d_elem(1, 2), _w_4e(mod, 0, 0))
 
 
-def _w_7():
-    mod = VermaModule((0, 0, 0, 2))
-    pre = forms_elem(_PREFIX)
-    out = {}
-    for sign, partials, forms, (da, db) in W7_TERMS:
-        u = pbw_product(pre, pbw_product({(partials, ()): sign},
-                                         forms_elem(forms)))
-        add_scaled(out, _tensor(mod, u, dx=(da, db)), Q(1))
-    return mod, out
+def _w_7(mod, m, n):
+    from .vector_tables import W7_TERMS
+    return mod.tensor_sum([(u, dict(dx=pair))
+                           for u, pair in _prefixed(W7_TERMS)])
 
 
-def _w_11():
+def _w_11(mod, m, n):
     from .vector_tables import W11_TERMS
-    mod = VermaModule((0, 0, 0, 1))
-    pre = forms_elem(_PREFIX)
-    out = {}
-    for sign, partials, forms, di in W11_TERMS:
-        u = pbw_product(pre, pbw_product({(partials, ()): sign},
-                                         forms_elem(forms)))
-        add_scaled(out, _tensor(mod, u, dx=(di,)), Q(1))
-    return mod, out
+    return mod.tensor_sum([(u, dict(dx=(i,)))
+                           for u, i in _prefixed(W11_TERMS)])
 
 
 # family -> (parameters used, builder, (mu, lam, degree) as functions of m, n)
@@ -228,10 +145,13 @@ def family_data(family, m=0, n=0):
 
 
 def known_vector(family, m=0, n=0):
-    """The catalog singular vector; returns (module, element)."""
-    params, build, _ = FAMILIES[family]
-    args = tuple({"m": m, "n": n}[p] for p in params)
-    return build(*args)
+    """The catalog singular vector; returns (module, element).
+
+    The module is M(mu) for the mu of family_data, and the builder writes
+    the element in it; a parameter the family does not take is ignored.
+    """
+    mod = VermaModule(family_data(family, m, n)[0])
+    return mod, FAMILIES[family][1](mod, m, n)
 
 
 def verify_family(family, m=0, n=0, full_g1=True):
@@ -246,10 +166,8 @@ def verify_family(family, m=0, n=0, full_g1=True):
         "weight": weight_str(lam),
         "degree": deg,
     }
-    ok = bool(w) and mod.mu == tuple(mu)
-    if ok:
-        ok = (mod.element_degree(w) == deg
-              and tuple(mod.element_coords(w)) == tuple(lam))
+    ok = (bool(w) and mod.element_degree(w) == deg
+          and tuple(mod.element_coords(w)) == tuple(lam))
     if ok:
         rec["height"] = max(len(mono[1]) for mono, _ in w)
         ok = mod.is_singular(w, full_g1=full_g1)

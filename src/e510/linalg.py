@@ -19,11 +19,11 @@ kernel vector is read off Echelon.place; nothing is back-substituted.  A
 column is a vector over row numbers, and a permutation of the rows does
 not change which columns depend on which, so the row order only sets the
 cost: the rows are numbered in order of their last column, which keeps
-the pivot columns short.  Each row is copied once, into column positions,
-and transposed; the echelon reduces the columns, so the caller's rows never
-change.  The search peels forced zeros off its rows before it asks for a
-kernel; why that keeps the kernel is argued once, in singular_search.
-check_entry_cap is the one entry-cap test.
+the pivot columns short.  The rows are transposed straight into columns,
+and the echelon owns and reduces its integer copy of each column, so the
+caller's rows never change.  The search peels forced zeros off its rows
+before it asks for a kernel; why that keeps the kernel is argued once, in
+singular_search.  check_entry_cap is the one entry-cap test.
 """
 
 from math import gcd
@@ -156,27 +156,28 @@ def kernel_basis(rows, column_order, entry_cap=None):
     of that coordinate.  There is one vector per free column, a column
     that lies in the span of the columns before it (module docstring): it
     is 1 there, 0 on the other free columns, and its keys are the free
-    column, then the pivot columns it uses in descending order.  Each row
-    is copied once, as an integer row over column positions; the copies
-    are numbered in order of their last column, and the columns over those
-    numbers go into one echelon in column order.  entry_cap counts every
-    entry of the rows handed in.  The caller's rows are never changed.
+    column, then the pivot columns it uses in descending order.  The
+    nonempty rows are numbered in order of their last nonzero column (a
+    stable sort) and transposed straight into columns over those numbers,
+    which go into one echelon in column order; Echelon.place takes each
+    column to integers over its own denominator, so Fraction rows need no
+    conversion.  A zero entry is ignored, whatever its key.  entry_cap
+    counts every entry of the rows handed in.  The caller's rows are never
+    changed.
     """
     rows = [r for r in rows if r]
     check_entry_cap(sum(map(len, rows)), entry_cap)
     colpos = {c: i for i, c in enumerate(column_order)}
-    owned = []
-    for r in rows:
-        row = {colpos[c]: v for c, v in r.items() if v}
-        if not _INT.issuperset(map(type, row.values())):
-            row = dict(_numerators(row, _den(row.values())))
-        if row:
-            owned.append(row)
-    owned.sort(key=max)
+    last = {}
+    for k, r in enumerate(rows):
+        pos = [colpos[c] for c, v in r.items() if v]
+        if pos:
+            last[k] = max(pos)
     columns = [{} for _ in column_order]
-    for i, row in enumerate(owned):
-        for c, v in row.items():
-            columns[c][i] = v
+    for i, k in enumerate(sorted(last, key=last.get)):
+        for c, v in rows[k].items():
+            if v:
+                columns[colpos[c]][i] = v
     ech = Echelon()
     basis = []
     for f, column in enumerate(columns):

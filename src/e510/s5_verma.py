@@ -25,7 +25,7 @@ checking.
 from functools import lru_cache
 
 from .scalars import Q
-from .uminus import _partials_of_total, add_scaled, p_elem
+from .uminus import _partials_of_total, p_elem, scale
 from .linalg import DEFAULT_ENTRY_CAP
 from .singular_search import search_blocks
 from .verma import InducedModule
@@ -111,46 +111,23 @@ def rudakov_vectors():
 
     Returns {label: (lambda, degree, element)}. R6 is p_5 times R1.
     """
-    from .sl5_reps import ambient_monomial
-
-    def unit(i):
-        m = [0] * 5
-        m[i - 1] = 1
-        return (tuple(m), ())
-
-    out = {}
-    m1 = S5Verma((1, 0, 0, 0))
-    r1 = {}
-    for i in range(1, 6):
-        coeffs = m1.rep.project({ambient_monomial(x=(i,)): Q(1)})
-        add_scaled(r1, m1.tensor({unit(i): Q(1)}, coeffs), Q(1))
-    out["R1"] = ((1, 0, 0, 0), 2, r1)
-
-    m2 = S5Verma((0, 1, 0, 0))
-    r2 = {}
-    for j in range(2, 6):
-        coeffs = m2.rep.project({ambient_monomial(w=((1, j),)): Q(1)})
-        add_scaled(r2, m2.tensor({unit(j): Q(1)}, coeffs), Q(1))
-    out["R2"] = ((0, 1, 0, 0), 2, r2)
-
-    m3 = S5Verma((0, 0, 1, 0))
-    r3 = {}
-    # p3 (x) x45* + p4 (x) x53* + p5 (x) x34*, with x53* = -x35*
-    for i, pair, sgn in ((3, (4, 5), 1), (4, (3, 5), -1), (5, (3, 4), 1)):
-        coeffs = m3.rep.project({ambient_monomial(dw=(pair,)): Q(sgn)})
-        add_scaled(r3, m3.tensor({unit(i): Q(1)}, coeffs), Q(1))
-    out["R3"] = ((0, 0, 1, 0), 2, r3)
-
-    m4 = S5Verma((0, 0, 0, 1))
-    r4 = {}
-    for i, sgn in ((4, 1), (5, -1)):
-        coeffs = m4.rep.project({ambient_monomial(dx=(9 - i,)): Q(1)})
-        add_scaled(r4, m4.tensor({unit(i): Q(1)}, coeffs), Q(sgn))
-    out["R4"] = ((0, 0, 0, 1), 2, r4)
-
-    m5 = S5Verma((0, 0, 0, 0))
-    out["R5"] = ((0, 0, 0, 0), 2, m5.tensor({unit(5): Q(1)}, {0: Q(1)}))
-
-    r6 = m1.mult(p_elem(5), r1)
-    out["R6"] = ((1, 0, 0, 0), 4, r6)
+    # each R1..R4 is a sum of p_i (x) (ambient monomial), as (mu, terms)
+    sums = {
+        "R1": ((1, 0, 0, 0), [(p_elem(i), dict(x=(i,))) for i in range(1, 6)]),
+        "R2": ((0, 1, 0, 0),
+               [(p_elem(j), dict(w=((1, j),))) for j in range(2, 6)]),
+        # p3 (x) x45* + p4 (x) x53* + p5 (x) x34*, with x53* = -x35*
+        "R3": ((0, 0, 1, 0),
+               [(scale(p_elem(i), sgn), dict(dw=(pair,)))
+                for i, pair, sgn in ((3, (4, 5), 1), (4, (3, 5), -1),
+                                     (5, (3, 4), 1))]),
+        "R4": ((0, 0, 0, 1), [(scale(p_elem(i), sgn), dict(dx=(9 - i,)))
+                              for i, sgn in ((4, 1), (5, -1))]),
+    }
+    out = {label: (mu, 2, S5Verma(mu).tensor_sum(terms))
+           for label, (mu, terms) in sums.items()}
+    out["R5"] = ((0, 0, 0, 0), 2,
+                 S5Verma((0, 0, 0, 0)).tensor(p_elem(5), {0: Q(1)}))
+    out["R6"] = ((1, 0, 0, 0), 4,
+                 S5Verma((1, 0, 0, 0)).mult(p_elem(5), out["R1"][2]))
     return out

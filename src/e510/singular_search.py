@@ -39,6 +39,7 @@ from itertools import product
 
 from .errors import ConfigError, VerificationError
 from .sl5_reps import parse_weight, weight_str, dual_weight
+from .uminus import _partials_of_total
 from .linalg import DEFAULT_ENTRY_CAP, check_entry_cap, kernel_basis
 from .verma import VermaModule, tensor_from_terms, tensor_terms
 
@@ -165,14 +166,9 @@ def search_module(mu, d, nu=None, entry_cap=DEFAULT_ENTRY_CAP, full_g1=False):
 
 def dominant_weights_up_to(coord_sum):
     """All dominant weights with coordinate sum <= coord_sum, in
-    lexicographic order."""
-    out = []
-    for a in range(coord_sum + 1):
-        for b in range(coord_sum + 1 - a):
-            for c in range(coord_sum + 1 - a - b):
-                for d in range(coord_sum + 1 - a - b - c):
-                    out.append((a, b, c, d))
-    return out
+    lexicographic order: the first four exponents of the p-monomials of
+    that total, which uminus enumerates in that order."""
+    return [p[:4] for p in _partials_of_total(coord_sum)]
 
 
 def _is_cert_of(cert, key):

@@ -63,7 +63,7 @@ from .uminus import (
     mono_weight, add_scaled, d_elem, p_elem, form_step, product_int,
     enumerate_monomials, format_monomial, parse_monomial,
 )
-from .sl5_reps import build_irrep, eps_to_coords
+from .sl5_reps import ambient_monomial, build_irrep, eps_to_coords
 from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
@@ -294,6 +294,21 @@ class InducedModule:
                 c = cu * cv
                 if c:
                     out[(m, i)] = c
+        return out
+
+    def tensor_sum(self, terms):
+        """The sum of u (x) (ambient monomial) over (u, factors) terms.
+
+        factors are the keyword lists of sl5_reps.ambient_monomial.  The
+        monomial's coordinates come from Irrep.monomial_coords, so each
+        (irrep, monomial) pair costs one Gram solve however many terms and
+        instances name it; a term whose u is zero costs none.
+        """
+        out = {}
+        for u, factors in terms:
+            if u:
+                coords = self.rep.monomial_coords(ambient_monomial(**factors))
+                add_scaled(out, self.tensor(u, coords), 1)
         return out
 
     def mult(self, u, elem):

@@ -48,7 +48,13 @@ Last, linalg.kernel_basis as it eliminated rows, stopped once the pivots
 covered every column and back-substituted over Fractions, before it
 eliminated columns, as row_kernel_basis.  It, unpeeled_kernel_basis and
 peeling_kernel_basis run on RowEchelon, the linalg.Echelon reduction with
-the untracked path that tag None took, and its _make_primitive.
+the untracked path that tag None took, and its _make_primitive.  Then
+linalg.kernel_basis as it copied each row into column positions, as
+integers, before it transposed the copies into columns, as
+copying_kernel_basis.  Last, the thirteen catalog builders as each built
+its own VermaModule and added its terms one _tensor call at a time, with
+the known_vector that called them, as CATALOG_BUILDERS and
+catalog_known_vector.
 """
 
 from fractions import Fraction
@@ -57,19 +63,23 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import add
 
+from e510 import uminus
 from e510.linalg import (
     _INT, DEFAULT_ENTRY_CAP, Echelon, MatrixTooLargeError, _eliminate,
     check_entry_cap,
 )
 from e510.omega_basis import _collect, canonical_index, index_pairs
 from e510.scalars import Q, _den, _numerators
-from e510.sl5_reps import _bump, _mono_eps_weight, act_ambient, build_irrep
+from e510.sl5_reps import (
+    _bump, _mono_eps_weight, act_ambient, ambient_monomial, build_irrep,
+)
 from e510.uminus import (
-    EPS, PAIRS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled, form_step,
-    mono_weight, perm_sign,
+    EPS, PAIRS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled, d_elem,
+    form_step, forms_elem, mono_weight, perm_sign,
 )
 from e510.singular_search import _peel
-from e510.verma import _act_e_terms, _ad_e_forms, _leibniz_acc
+from e510.vector_tables import W4E_TERMS, W7_TERMS, W11_TERMS
+from e510.verma import VermaModule, _act_e_terms, _ad_e_forms, _leibniz_acc
 
 
 def mono_product(a, b):
@@ -917,3 +927,214 @@ def row_kernel_basis(rows, column_order, entry_cap=None):
         basis.append((first, vec))
     basis.sort(key=lambda t: t[0])
     return [vec for _, vec in basis]
+
+
+def copying_kernel_basis(rows, column_order, entry_cap=None):
+    """Exact kernel of the linear map given by constraint rows.
+
+    rows: iterable of dicts column_key -> scalar (each row is one constraint).
+    column_order: list fixing the canonical coordinate order.
+    Returns kernel vectors as dicts column_key -> Q, each normalized so its
+    first nonzero coordinate (in column_order) is 1, sorted by the position
+    of that coordinate.  There is one vector per free column, a column
+    that lies in the span of the columns before it (module docstring): it
+    is 1 there, 0 on the other free columns, and its keys are the free
+    column, then the pivot columns it uses in descending order.  Each row
+    is copied once, as an integer row over column positions; the copies
+    are numbered in order of their last column, and the columns over those
+    numbers go into one echelon in column order.  entry_cap counts every
+    entry of the rows handed in.  The caller's rows are never changed.
+    """
+    rows = [r for r in rows if r]
+    check_entry_cap(sum(map(len, rows)), entry_cap)
+    colpos = {c: i for i, c in enumerate(column_order)}
+    owned = []
+    for r in rows:
+        row = {colpos[c]: v for c, v in r.items() if v}
+        if not _INT.issuperset(map(type, row.values())):
+            row = dict(_numerators(row, _den(row.values())))
+        if row:
+            owned.append(row)
+    owned.sort(key=max)
+    columns = [{} for _ in column_order]
+    for i, row in enumerate(owned):
+        for c, v in row.items():
+            columns[c][i] = v
+    ech = Echelon()
+    basis = []
+    for f, column in enumerate(columns):
+        got = ech.place(column, f)
+        if got is not None:
+            den, coords = got
+            x = {f: den}
+            for p in sorted(coords, reverse=True):
+                x[p] = -coords[p]
+            first = min(x)
+            basis.append((first, {column_order[i]: Q(v, x[first])
+                                  for i, v in x.items()}))
+    basis.sort(key=lambda t: t[0])
+    return [vec for _, vec in basis]
+
+
+_PREFIX = ((1, 2), (1, 3), (1, 4), (1, 5))
+
+
+def _tensor(module, u, **factors):
+    """u (x) (ambient monomial) as a module element.
+
+    The monomial's coordinates come from Irrep.monomial_coords, so each
+    (irrep, monomial) pair costs one Gram solve however many terms and
+    instances name it.
+    """
+    amb = ambient_monomial(**factors)
+    return module.tensor(u, module.rep.monomial_coords(amb))
+
+
+def _w_1a(m, n):
+    mod = VermaModule((m, n, 0, 0))
+    return mod, _tensor(mod, d_elem(1, 2), x=(1,) * m, w=((1, 2),) * n)
+
+
+def _w_1b(m, n):
+    mod = VermaModule((m, 0, 0, n + 1))
+    out = _tensor(mod, d_elem(1, 5), x=(1,) * m, dx=(5,) * (n + 1))
+    for j in (2, 3, 4):
+        add_scaled(out, _tensor(mod, d_elem(1, j), x=(1,) * m,
+                                dx=(j,) + (5,) * n), Q(1))
+    return mod, out
+
+
+def _w_1c(m, n):
+    mod = VermaModule((0, 0, m + 1, n))
+    out = {}
+    for i, j in PAIRS:
+        add_scaled(out, _tensor(mod, d_elem(i, j),
+                                dw=((i, j),) + ((4, 5),) * m, dx=(5,) * n),
+                   Q(1))
+    return mod, out
+
+
+def _w_2ba(m):
+    mod = VermaModule((m, 0, 0, 1))
+    out = {}
+    for j in (2, 3, 4, 5):
+        u = forms_elem(((1, 2), (1, j)))
+        if u:
+            add_scaled(out, _tensor(mod, u, x=(1,) * m, dx=(j,)), Q(1))
+    return mod, out
+
+
+def _w_2cb(n):
+    mod = VermaModule((0, 0, 1, n + 1))
+    out = {}
+    for j in (2, 3, 4, 5):
+        for h, k in PAIRS:
+            u = forms_elem(((1, j), (h, k)))
+            if u:
+                add_scaled(out, _tensor(mod, u, dw=((h, k),),
+                                        dx=(j,) + (5,) * n), Q(1))
+    return mod, out
+
+
+def _w_2ca():
+    mod = VermaModule((0, 0, 1, 0))
+    out = {}
+    for i, j in PAIRS:
+        u = forms_elem(((1, 2), (i, j)))
+        if u:
+            add_scaled(out, _tensor(mod, u, dw=((i, j),)), Q(1))
+    return mod, out
+
+
+def _w_3cba():
+    mod = VermaModule((0, 0, 1, 1))
+    out = {}
+    for j in (2, 3, 4, 5):
+        for k, l in PAIRS:
+            u = forms_elem(((1, 2), (1, j), (k, l)))
+            if u:
+                add_scaled(out, _tensor(mod, u, dx=(j,), dw=((k, l),)), Q(1))
+    return mod, out
+
+
+def _w_4d(m):
+    mod = VermaModule((m, 0, 0, 0))
+    return mod, _tensor(mod, forms_elem(_PREFIX), x=(1,) * m)
+
+
+def _w_4e(n):
+    mod = VermaModule((0, 0, 0, n + 3))
+    out = {}
+    for sign, partials, forms, fexp in W4E_TERMS:
+        u = uminus.pbw_product({(partials, ()): sign}, forms_elem(forms))
+        dx = []
+        for i in range(4):
+            dx.extend([i + 1] * fexp[i])
+        dx.extend([5] * (fexp[4] + n))
+        add_scaled(out, _tensor(mod, u, dx=tuple(dx)), Q(1))
+    return mod, out
+
+
+def _w_5cd():
+    # the sum runs over every pair avoiding index 1; the factors through
+    # the degree-1 and degree-4 vectors confirm this normalization
+    mod = VermaModule((0, 0, 1, 0))
+    pre = forms_elem(_PREFIX)
+    out = {}
+    for i, j in PAIRS:
+        u = uminus.pbw_product(pre, d_elem(i, j))
+        if u:
+            add_scaled(out, _tensor(mod, u, dw=((i, j),)), Q(1))
+    return mod, out
+
+
+def _w_5ea():
+    mod, w4 = _w_4e(0)
+    return mod, mod.mult(d_elem(1, 2), w4)
+
+
+def _w_7():
+    mod = VermaModule((0, 0, 0, 2))
+    pre = forms_elem(_PREFIX)
+    out = {}
+    for sign, partials, forms, (da, db) in W7_TERMS:
+        u = uminus.pbw_product(pre, uminus.pbw_product({(partials, ()): sign},
+                                         forms_elem(forms)))
+        add_scaled(out, _tensor(mod, u, dx=(da, db)), Q(1))
+    return mod, out
+
+
+def _w_11():
+    mod = VermaModule((0, 0, 0, 1))
+    pre = forms_elem(_PREFIX)
+    out = {}
+    for sign, partials, forms, di in W11_TERMS:
+        u = uminus.pbw_product(pre, uminus.pbw_product({(partials, ()): sign},
+                                         forms_elem(forms)))
+        add_scaled(out, _tensor(mod, u, dx=(di,)), Q(1))
+    return mod, out
+
+
+# family -> (parameters used, builder), as catalog.FAMILIES held them
+CATALOG_BUILDERS = {
+    "1A": (("m", "n"), _w_1a),
+    "1B": (("m", "n"), _w_1b),
+    "1C": (("m", "n"), _w_1c),
+    "2BA": (("m",), _w_2ba),
+    "2CB": (("n",), _w_2cb),
+    "2CA": ((), _w_2ca),
+    "3CBA": ((), _w_3cba),
+    "4D": (("m",), _w_4d),
+    "4E": (("n",), _w_4e),
+    "5CD": ((), _w_5cd),
+    "5EA": ((), _w_5ea),
+    "7": ((), _w_7),
+    "11": ((), _w_11),
+}
+
+
+def catalog_known_vector(family, m=0, n=0):
+    """The catalog singular vector; returns (module, element)."""
+    params, build = CATALOG_BUILDERS[family]
+    args = tuple({"m": m, "n": n}[p] for p in params)
+    return build(*args)

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kernel_refs as ref
 
@@ -52,6 +53,18 @@ def test_heights():
                    ("7", 7), ("11", 9)]:
         _, w = known_vector(fam)
         assert max(len(mono[1]) for mono, _ in w) == h
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(FAMILY_NAMES), st.integers(0, 3), st.integers(0, 3))
+def test_known_vector_matches_the_reference_builders(family, m, n):
+    # the term lists, summed in the module that FAMILIES names, give the
+    # vectors that the hand-written builders gave, past the 0..2 grid that
+    # the golden digests pin
+    mod, w = known_vector(family, m, n)
+    want_mod, want = ref.catalog_known_vector(family, m, n)
+    assert mod.mu == want_mod.mu == family_data(family, m, n)[0]
+    assert w == want
 
 
 def test_weight_reading_spans_trace_branches():

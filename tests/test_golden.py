@@ -11,6 +11,7 @@ import pytest
 
 from e510.catalog import FAMILIES, FAMILY_NAMES, _param_grid, known_vector
 from e510.cli import main
+from e510.s5_verma import rudakov_vectors
 from e510.verma import tensor_terms
 
 GOLDEN_SHA256 = {
@@ -64,6 +65,18 @@ KNOWN_VECTOR_SHA256 = {
     "11": "244e2015f378627467eb01f2c4b7b7f060c423df961d93fc5781260493f0d6b8",
 }
 
+# SHA-256 of json.dumps(tensor_terms(w), sort_keys=True) for each of
+# Rudakov's vectors w of the baseline S5 modules; the s5-baseline report
+# holds their labels only
+RUDAKOV_SHA256 = {
+    "R1": "6ac2445717bf8a98c4c04cdd5d6802df120a75011e63eb5f93d9b82363fe4aa1",
+    "R2": "809629b984fd4b52b8c82c0b57df1863fb38d8a7a93238bc91254c0777259344",
+    "R3": "d3a30e223a4d8add98a45ac6b75b36ba99c1da6c559db204d1037b1917560539",
+    "R4": "5f20abf6a50742c4c97eaaa77c52787491e70507b16ac4fc3018a664276c8170",
+    "R5": "2a4780e4036f3bb583ab501917e0ff2860813adf5e6b4b31b91b8d7cbe98d732",
+    "R6": "c6f77d7245e0e9e6c9c6877fcb69bdcc0bc12b3395e866f6c512c14bd3e17e05",
+}
+
 # SHA-256 over json.dumps([family, m, n, tensor_terms(w)], sort_keys=True) of
 # the catalog vector w of every instance verify-catalog checks by default
 # (m, n in 0..2 where the family has those parameters), in family order
@@ -97,3 +110,12 @@ def test_known_vector_grid_is_byte_identical():
             count += 1
     assert count == 45
     assert h.hexdigest() == GRID_SHA256
+
+
+def test_rudakov_vectors_are_byte_identical():
+    vecs = rudakov_vectors()
+    assert sorted(vecs) == sorted(RUDAKOV_SHA256)
+    for label, (_, _, w) in vecs.items():
+        blob = json.dumps(tensor_terms(w), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == RUDAKOV_SHA256[label], \
+            label

@@ -313,13 +313,16 @@ def _column_kernel_cases(draw):
            {"c": Q(0)}], ["b", "a", "c", "d"]))
 def test_column_kernel_matches_the_row_kernel(case):
     # the columns that depend on earlier columns give the kernel that
-    # row elimination and back-substitution gave: equal Fraction values,
-    # the same vectors in the same order, each with the same key order
+    # row elimination and back-substitution gave, and the kernel of the
+    # integer row copies: equal Fraction values, the same vectors in the
+    # same order, each with the same key order
     rows, columns = case
     want = kernel_refs.row_kernel_basis(rows, columns)
+    copied = kernel_refs.copying_kernel_basis(rows, columns)
     got = kernel_basis(rows, columns)
-    assert got == want
-    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert got == want == copied
+    assert ([list(v.items()) for v in got] == [list(v.items()) for v in want]
+            == [list(v.items()) for v in copied])
     assert all(type(x) is Fraction for v in got for x in v.values())
 
 

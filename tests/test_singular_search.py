@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from operator import add
 
 import pytest
@@ -91,10 +91,12 @@ def test_dominant_weight_grid():
     assert grid == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0),
                     (0, 1, 0, 0), (1, 0, 0, 0)]
     assert len(dominant_weights_up_to(3)) == 35
-    # the nested loops yield lexicographic order, which sweep visits
-    for budget in range(6):
-        grid = dominant_weights_up_to(budget)
-        assert grid == sorted(grid)
+    # every weight of coordinate sum <= budget, in the lexicographic order
+    # that sweep visits
+    for budget in range(7):
+        assert dominant_weights_up_to(budget) == sorted(
+            w for w in product(range(budget + 1), repeat=4)
+            if sum(w) <= budget)
 
 
 def test_checkpoint_bytes_are_the_json_dump_of_the_state(tmp_path,
