@@ -150,10 +150,6 @@ def e_gen(a, b):
     return {("e", a, b): Q(1)}
 
 
-def raising_gen(i):
-    return e_gen(i, i + 1)
-
-
 def cartan_gen(i):
     return {("e", i, i): Q(1), ("e", i + 1, i + 1): Q(-1)}
 
@@ -171,7 +167,7 @@ def g1_basis():
     i = 0
     while i < len(basis):
         for r in range(1, 5):
-            img = bracket(raising_gen(r), basis[i])
+            img = bracket(e_gen(r, r + 1), basis[i])
             if img and ech.insert(img, len(basis)):
                 basis.append(img)
         i += 1

@@ -1,73 +1,61 @@
-"""Reference copies of the exact U(g_-) kernels that the package now keeps
-once, for the tests to check the one copy against.
+"""Reference copies of rules the package replaced, one per job, for the
+tests to check the package against.  Each is verbatim but for its names
+and caches.  Per entry: the job, the code it was taken from, and the
+tests that read it.
 
-Verbatim but for the names and the caches: mono_product and the pbw_product
-loop of uminus (now views of uminus.product_int), verma.ad_e_mono (now
-act_e on M(F(0,0,0,0))), and the rational Irrep.mat with its act and the
-integer conversion InducedModule._int_mat (now the (den, columns) of
-Irrep.mat).  Then linalg.kernel_basis before its early stop and its
-last-column row order, with the Echelon reduction that took every row
-through _den and _numerators, and singular_search.condition_rows as it
-built one one-term element per block column and applied int_conditions to
-it.  Then InducedModule.block_conditions and the singular_search
-condition_rows that transposed its images into rows, both now the label
-builders of InducedModule.condition_rows.  And linalg.kernel_basis with
-its early stop and last-column row order, before it peeled the forced
-zeros, as unpeeled_kernel_basis (kernel_basis is that again now, but for
-the entry-cap helper).  Then singular_search.singular_block as it kept
-every assembled row and handed them all to linalg.kernel_basis, which
-checked the entry cap and peeled them again, as assembled_singular_block.  Last, linalg.kernel_basis as it peeled the
-forced zeros of the rows handed in before the echelon, as
-peeling_kernel_basis; assembled_singular_block calls it.  Then
-omega_basis.equivariant_family as it checked each image through
-InducedModule.act_e_int, which takes the image's own denominator again,
-and as act_e_transport_family, as it transported w through
-InducedModule.act_e, one Fraction image at a time, and took the numerators
-of every image again for the check.
-InducedModule.element_weight, which only the tests read, is
-element_weight.  The rational Irrep.mat above is the ambient solve
-Irrep.mat made before it read its matrices off the closure; it solves with
-Irrep.coords, kept here as coords over echelons of the basis vectors of
-each weight, since Irrep.project became the one route to coordinates.
-Last, two rules the package dropped for a general one: scalars.qstr, the
-text of a rational that verma.tensor_terms wrote before it used str, and
-the a == b branch of sl5_reps.act_ambient, which scaled each ambient
-monomial by its eps-weight, as act_ambient_diagonal.  Then uminus's two
-normal-ordering recursions before they became the one _order_forms:
-_insert_form, which placed one form with its own cache, as insert_form,
-and _order_forms, which placed every form of the right word through it on
-each miss, as order_forms.  And sl5_reps.gt_pattern_count as it built
-the interlacing rows with nested generators.
-And the theta symbol readers of omega_basis before ThetaFamily.add_to
-became the one (sign, key) lookup: remove_index as it returned None for a
-failed removal, ThetaFamily.value as theta_value, the reference lists of
-_sym_ref and _sym_removed, _rotated with its Fraction coefficients,
-_eval_refs, _map_add and _map_rep_act, and the _core and
-fundamental_equation_residuals that built a column map per term.
-Last, linalg.kernel_basis as it eliminated rows, stopped once the pivots
-covered every column and back-substituted over Fractions, before it
-eliminated columns, as row_kernel_basis.  It, unpeeled_kernel_basis and
-peeling_kernel_basis run on RowEchelon, the linalg.Echelon reduction with
-the untracked path that tag None took, and its _make_primitive.  Then
-linalg.kernel_basis as it copied each row into column positions, as
-integers, before it transposed the copies into columns, as
-copying_kernel_basis.  Last, the thirteen catalog builders as each built
-its own VermaModule and added its terms one _tensor call at a time, with
-the known_vector that called them, as CATALOG_BUILDERS and
-catalog_known_vector.
+- PBW products in U(g_-), mono_product and pbw_product: the product loop
+  of uminus before it became views of uminus.product_int.  test_uminus,
+  and the Fraction module product of test_verma.
+- Normal ordering of form words, insert_form and order_forms: the two
+  recursions of uminus before they became the one _order_forms.
+  test_uminus.
+- The gl5 action, ad_e_mono and act_e: the bracket with a PBW monomial
+  memoized on whole monomials, before the form-word cache of verma, and
+  the Fraction loop over it and the rep matrix that the fraction-free
+  _act_e_terms replaced; S5 monomials have no forms, so one copy serves
+  both modules.  test_verma and test_s5_verma.
+- The weight of an element, element_weight: InducedModule.element_weight,
+  which only the tests read.  test_verma, test_s5_verma and test_catalog.
+- Irrep matrices, coords, mat, act and int_mat: the ambient solve of
+  Irrep.mat over echelons of the basis vectors of each weight, before it
+  read its matrices off the closure, with Irrep.act and the integer
+  InducedModule._int_mat.  test_sl5_reps; mat also serves the Fraction
+  actions of test_verma and test_s5_verma.
+- The diagonal action on ambient vectors, act_ambient_diagonal: the
+  a == b branch of sl5_reps.act_ambient.  test_sl5_reps.
+- The text of a rational, qstr: scalars.qstr, before verma.tensor_terms
+  used str.  test_verma.
+- Exact kernels, row_kernel_basis on RowEchelon: linalg.kernel_basis as
+  it eliminated rows, stopped once the pivots covered every column and
+  back-substituted over Fractions, on the Echelon reduction with the
+  untracked path of tag None.  test_linalg, beside sympy's nullspace, and
+  test_singular_search, on the full rows of a block and on every core
+  that singular_block hands over.
+- The equivariance check, act_e_transport_family:
+  omega_basis.equivariant_family as it transported w through
+  InducedModule.act_e, one Fraction image at a time.  test_omega_basis.
+- The structural equations, remove_index to
+  fundamental_equation_residuals: the theta symbol readers of omega_basis
+  before ThetaFamily.add_to became the one (sign, key) lookup, and the
+  _core and fundamental_equation_residuals that built a column map per
+  term.  test_omega_basis.
+- The catalog vectors, CATALOG_BUILDERS and catalog_known_vector: the
+  thirteen catalog builders as each built its own VermaModule and added
+  its terms one _tensor call at a time, and the known_vector that called
+  them.  test_catalog.
+
+The condition rows and weight blocks of a search block are checked
+against references in test_singular_search itself.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 from e510 import uminus
-from e510.linalg import (
-    _INT, DEFAULT_ENTRY_CAP, Echelon, MatrixTooLargeError, _eliminate,
-    check_entry_cap,
-)
+from e510.linalg import _INT, Echelon, _eliminate, check_entry_cap
 from e510.omega_basis import _collect, canonical_index, index_pairs
 from e510.scalars import Q, _den, _numerators
 from e510.sl5_reps import (
@@ -77,9 +65,8 @@ from e510.uminus import (
     EPS, PAIRS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled, d_elem,
     form_step, forms_elem, mono_weight, perm_sign,
 )
-from e510.singular_search import _peel
 from e510.vector_tables import W4E_TERMS, W7_TERMS, W11_TERMS
-from e510.verma import VermaModule, _act_e_terms, _ad_e_forms, _leibniz_acc
+from e510.verma import VermaModule, _act_e_terms
 
 
 def mono_product(a, b):
@@ -110,13 +97,24 @@ def pbw_product(a, b):
     return out
 
 
+_AD_E_CACHE = {}
+
+
+def shift(parts, u):
+    """p^parts * u for u in U(g_-): the p's are central, so exponents add."""
+    return {(tuple(map(add, parts, p2)), f2): c for (p2, f2), c in u.items()}
+
+
 def ad_e_mono(a, b, mono):
     """[x_a p_b, mono] inside U(g_-), extending the bracket as a derivation.
 
     Well defined termwise on PBW monomials; only traceless aggregates over
-    (a, b) are actions of actual algebra elements.  The p_a term, then the
-    pieces of the form word shifted by the p-exponents (module docstring).
+    (a, b) are actions of actual algebra elements.
     """
+    key = (a, b, mono)
+    got = _AD_E_CACHE.get(key)
+    if got is not None:
+        return got
     parts, forms = mono
     out = {}
     if parts[a - 1]:
@@ -124,8 +122,28 @@ def ad_e_mono(a, b, mono):
         pl[a - 1] -= 1
         pl[b - 1] += 1
         out[(tuple(pl), forms)] = -parts[a - 1]
-    return add_scaled(out, {(tuple(map(add, parts, dp)), f2): c
-                            for (dp, f2), c in _ad_e_forms(a, b, forms)}, 1)
+    for n, f in enumerate(forms):
+        step = form_step(a, b, f)
+        if step is None:
+            continue
+        g, sign = step
+        word = uminus.pbw_product({(ZERO_PARTIALS, forms[:n]): sign},
+                                  {(ZERO_PARTIALS, (g,)): 1})
+        word = uminus.pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): 1})
+        add_scaled(out, shift(parts, word), 1)
+    _AD_E_CACHE[key] = out
+    return out
+
+
+def act_e(module, a, b, elem):
+    """x_a p_b on a module element, one Fraction term at a time."""
+    out = {}
+    for (m, i), c in elem.items():
+        for m2, ca in ad_e_mono(a, b, m).items():
+            add_scaled(out, {(m2, i): Q(1)}, c * ca)
+        for i2, cv in mat(module.rep, a, b)[i].items():
+            add_scaled(out, {(m, i2): Q(1)}, c * cv)
+    return out
 
 
 def element_weight(module, elem):
@@ -252,158 +270,7 @@ class RowEchelon:
         return True
 
 
-class RationalEchelon:
-    """Echelon with the reduction that rescales every row as a rational."""
-
-    def __init__(self):
-        self.pivots = {}  # leading column -> (primitive int row, int combo)
-
-    def insert(self, row, tag):
-        row, combo = self._reduce(row, tag)
-        if not row:
-            return False
-        self.pivots[min(row)] = (row, combo)
-        return True
-
-    def _reduce(self, row, tag):
-        # the integer row starts as den * member_tag, and every step keeps
-        # row == sum(combo[t] * member_t)
-        den = _den(row.values())
-        row = {k: n for k, n in _numerators(row, den) if n}
-        combo = None if tag is None else {tag: den}
-        _make_primitive(row, combo)
-        while row:
-            lead = min(row)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                break
-            prow, pcombo = hit
-            pivval, c = prow[lead], row[lead]
-            _eliminate(row, pivval, c, prow)
-            if combo is not None:
-                _eliminate(combo, pivval, c, pcombo)
-            _make_primitive(row, combo)
-        return row, combo
-
-
-def kernel_basis(rows, column_order, entry_cap=None):
-    """Exact kernel of the linear map given by constraint rows.
-
-    rows: iterable of dicts column_key -> scalar (each row is one constraint).
-    column_order: list fixing the canonical coordinate order.
-    Returns kernel vectors as dicts column_key -> Q, each normalized so its
-    first nonzero coordinate (in column_order) is 1, sorted by the position
-    of that coordinate.
-    """
-    rows = [r for r in rows if r]
-    if entry_cap is not None:
-        entries = sum(len(r) for r in rows)
-        if entries > entry_cap:
-            raise MatrixTooLargeError(
-                "search block has %d stored entries (cap %d); raise the cap "
-                "to proceed" % (entries, entry_cap))
-    colpos = {c: i for i, c in enumerate(column_order)}
-    ech = RationalEchelon()
-    for row in sorted(({colpos[c]: v for c, v in r.items() if v} for r in rows),
-                      key=lambda r: (len(r), sorted(r))):
-        ech.insert(row, None)
-
-    pivots = ech.pivots
-    free = [i for i in range(len(column_order)) if i not in pivots]
-    basis = []
-    for f in free:
-        x = {f: Q(1)}
-        for p in sorted(pivots, reverse=True):
-            prow = pivots[p][0]
-            acc = Q(0)
-            for c, v in prow.items():
-                if c != p and c in x:
-                    acc += v * x[c]
-            if acc:
-                x[p] = -acc / prow[p]
-        first = min(x)
-        lead = x[first]
-        vec = {column_order[i]: v / lead for i, v in x.items() if v}
-        basis.append((first, vec))
-    basis.sort(key=lambda t: t[0])
-    return [vec for _, vec in basis]
-
-
-def condition_rows(module, block):
-    """Integer condition rows of a block, keyed by (label, image key).
-
-    Column j is the basis pair block[j], and its condition images
-    (module.int_conditions) give the entries of column j.  All rows of a
-    label share one denominator, the lcm of its images' denominators so
-    far: when an image's denominator does not divide it, the label's rows
-    are rescaled to the new lcm.  So each row is its rational row times the
-    label's final lcm.
-    """
-    rows = {}
-    dens = {}
-    for j, pair in enumerate(block):
-        for label, (acc, den) in module.int_conditions({pair: 1}):
-            common = dens.setdefault(label, den)
-            if common % den:
-                grown = lcm(common, den)
-                for (lab, _), row in rows.items():
-                    if lab == label:
-                        for k in row:
-                            row[k] *= grown // common
-                common = dens[label] = grown
-            s = common // den
-            for key, n in acc.items():
-                if n:
-                    rows.setdefault((label, key), {})[j] = n * s
-    return rows
-
-
-def block_conditions(module, block):
-    """int_conditions of each basis pair of a block, as integer images.
-
-    Yields, for each pair of block in order, the list of (label,
-    numerators) of its condition images.  A label's numerators share
-    one denominator over the block: that of e_a's rep matrix, and for
-    a positive generator that of its coefficients times the lcm of the
-    denominators of the rep matrices its terms use anywhere in block.
-    """
-    e_mats = [("e%d" % a, a, module.rep.mat(a, a + 1)) for a in range(1, 5)]
-    positive = []
-    for label, x in module.POSITIVE:
-        xnums = _numerators(x, _den(x.values()))
-        mats = {}
-        terms = [module._leibniz_terms(xnums, ((pair, 1),), mats)
-                 for pair in block]
-        positive.append((label, terms, mats,
-                         lcm(*(d for d, _ in mats.values()))))
-    for j, pair in enumerate(block):
-        one = ((pair, 1),)
-        images = [(label, _act_e_terms(a, a + 1, one, mat))
-                  for label, a, mat in e_mats]
-        images += [(label, _leibniz_acc(terms[j], mats, mden))
-                   for label, terms, mats, mden in positive]
-        yield images
-
-
-def block_condition_rows(module, block):
-    """Integer condition rows of a block, keyed by (label, image key).
-
-    Column j is the basis pair block[j], and its condition images
-    (module.block_conditions) give the entries of column j.  Rows appear
-    column by column, labels in condition order within a column.  All rows
-    of a label share one denominator over the block, so each row is its
-    rational row times one positive integer per label.
-    """
-    rows = {}
-    for j, images in enumerate(block_conditions(module, block)):
-        for label, acc in images:
-            for key, n in acc.items():
-                if n:
-                    rows.setdefault((label, key), {})[j] = n
-    return rows
-
-
-def unpeeled_kernel_basis(rows, column_order, entry_cap=None):
+def row_kernel_basis(rows, column_order, entry_cap=None):
     """Exact kernel of the linear map given by constraint rows.
 
     rows: iterable of dicts column_key -> scalar (each row is one constraint).
@@ -415,15 +282,11 @@ def unpeeled_kernel_basis(rows, column_order, entry_cap=None):
     not change it.  So each row is copied once, as an integer row over
     column positions that the echelon reduces in place; the copies are
     inserted in order of their last column, and the insertion stops with []
-    once the rank is full.  The caller's rows are never changed.
+    once the pivots cover every column.  entry_cap counts every entry of the
+    rows handed in.  The caller's rows are never changed.
     """
     rows = [r for r in rows if r]
-    if entry_cap is not None:
-        entries = sum(len(r) for r in rows)
-        if entries > entry_cap:
-            raise MatrixTooLargeError(
-                "search block has %d stored entries (cap %d); raise the cap "
-                "to proceed" % (entries, entry_cap))
+    check_entry_cap(sum(map(len, rows)), entry_cap)
     colpos = {c: i for i, c in enumerate(column_order)}
     ncols = len(column_order)
     owned = []
@@ -459,132 +322,6 @@ def unpeeled_kernel_basis(rows, column_order, entry_cap=None):
         basis.append((first, vec))
     basis.sort(key=lambda t: t[0])
     return [vec for _, vec in basis]
-
-
-def assembled_singular_block(module, d, nu, entry_cap=DEFAULT_ENTRY_CAP):
-    """Block basis and exact kernel of the module's singularity conditions.
-
-    The rows are assembled one condition label at a time, in the order of
-    module.condition_rows, and only on the columns that the rows so far
-    leave live (module docstring); every assembled row goes to kernel_basis.
-    The rows so far force what the last peel forced plus what its core,
-    the rows left on the live columns, forces with the new rows, so each
-    peel runs over that core and the new rows.
-    """
-    block = module.weight_space(d, tuple(nu))
-    ncols = len(block)
-    rows, core, live = [], [], range(ncols)
-    for _, build in module.condition_rows(block):
-        if not live:
-            break
-        new = list(build(live).values())
-        rows += new
-        forced, core = _peel(core + new, ncols)
-        live = [j for j in live if j not in forced]
-    kern = peeling_kernel_basis(rows, list(range(ncols)), entry_cap=entry_cap)
-    vectors = [{block[j]: c for j, c in k.items()} for k in kern]
-    return block, vectors
-
-
-def peeling_kernel_basis(rows, column_order, entry_cap=None):
-    """Exact kernel of the linear map given by constraint rows.
-
-    rows: iterable of dicts column_key -> scalar (each row is one constraint).
-    column_order: list fixing the canonical coordinate order.
-    Returns kernel vectors as dicts column_key -> Q, each normalized so its
-    first nonzero coordinate (in column_order) is 1, sorted by the position
-    of that coordinate.  The result depends only on the span of the rows
-    (linalg module docstring): row order, duplicates and positive row
-    scales do not change it.  So each row is copied once, as an integer row
-    over column positions that the echelon reduces in place.  The forced
-    zeros are peeled off first (singular_search._peel): only the copies
-    with two or more live entries, restricted to the live columns, are
-    inserted, in order of their last column, and the insertion stops with
-    [] once the pivots cover the live columns; back-substitution runs over
-    the live free columns.  entry_cap counts every entry of the rows handed in,
-    before the peel.  The caller's rows are never changed.
-    """
-    rows = [r for r in rows if r]
-    check_entry_cap(sum(map(len, rows)), entry_cap)
-    colpos = {c: i for i, c in enumerate(column_order)}
-    ncols = len(column_order)
-    owned = []
-    for r in rows:
-        row = {colpos[c]: v for c, v in r.items() if v}
-        if not _INT.issuperset(map(type, row.values())):
-            row = dict(_numerators(row, _den(row.values())))
-        if row:
-            owned.append(row)
-    forced, owned = _peel(owned, ncols)
-    owned.sort(key=max)
-    nlive = ncols - len(forced)
-    ech = RowEchelon()
-    pivots = ech.pivots
-    for row in owned:
-        ech._insert(1, row, None)
-        if len(pivots) == nlive:
-            return []
-
-    free = [i for i in range(ncols) if i not in pivots and i not in forced]
-    basis = []
-    for f in free:
-        x = {f: Q(1)}
-        for p in sorted(pivots, reverse=True):
-            prow = pivots[p][0]
-            acc = Q(0)
-            for c, v in prow.items():
-                if c != p and c in x:
-                    acc += v * x[c]
-            if acc:
-                x[p] = -acc / prow[p]
-        first = min(x)
-        lead = x[first]
-        vec = {column_order[i]: v / lead for i, v in x.items() if v}
-        basis.append((first, vec))
-    basis.sort(key=lambda t: t[0])
-    return [vec for _, vec in basis]
-
-
-def equivariant_family(module, w, check=True):
-    """Images of a weight-module basis under the map generated by w.
-
-    Transports w along the lowering tree of its weight module and verifies
-    that the family intertwines the sl5 action: for each simple raising or
-    lowering E and each j, E images[j] == sum_i M[i, j] images[i] with M
-    the matrix of E on rep_in, compared as integer numerators over one
-    common denominator.  Returns (rep_in, images).
-    """
-    if not w:
-        raise ValueError("zero vector has no morphism")
-    if check and not module.is_singular(w):
-        raise ValueError("vector is not singular")
-    lam = tuple(module.element_coords(w))
-    if min(lam) < 0:
-        raise ValueError("weight of the vector is not dominant")
-    rep_in = build_irrep(lam)
-    images = [None] * rep_in.dim
-    images[0] = w
-    for jj in range(1, rep_in.dim):
-        par, low = rep_in.parents[jj]
-        images[jj] = module.act_e(low + 1, low, images[par])
-    iden = _den(v for im in images for v in im.values())
-    nums = [_numerators(im, iden) for im in images]
-    for aa in range(1, 5):
-        for x, y in ((aa, aa + 1), (aa + 1, aa)):
-            mden, cols = rep_in.mat(x, y)
-            for jj in range(rep_in.dim):
-                acc, den = module.act_e_int(x, y, images[jj])
-                common = lcm(den, mden * iden)
-                s, t = common // den, common // (mden * iden)
-                got = {k: n * s for k, n in acc.items()}
-                for ii, cc in cols[jj].items():
-                    tc = t * cc
-                    for k, n in nums[ii]:
-                        got[k] = got.get(k, 0) - tc * n
-                if any(got.values()):
-                    raise ValueError(
-                        "vector does not generate an equivariant family")
-    return rep_in, images
 
 
 def act_e_transport_family(module, w, check=True):
@@ -693,37 +430,6 @@ def order_forms(left, right):
     return tuple(terms.items())
 
 
-def gt_pattern_count(w) -> int:
-    """Dimension of F(w) by counting Gelfand-Tsetlin branching patterns.
-
-    Independent of weyl_dim: recursively counts chains of interlacing
-    partitions down the gl5 > gl4 > ... > gl1 restriction tower.
-    """
-    a, b, c, d = w
-    top = (a + b + c + d, b + c + d, c + d, d, 0)
-
-    @lru_cache(maxsize=None)
-    def count(row):
-        if len(row) == 1:
-            return 1
-        total = 0
-        for nxt in _interlacing(row):
-            total += count(nxt)
-        return total
-
-    def _interlacing(row):
-        def rec(i, prefix):
-            if i == len(row) - 1:
-                yield tuple(prefix)
-                return
-            lo, hi = row[i + 1], row[i]
-            for v in range(lo, hi + 1):
-                yield from rec(i + 1, prefix + [v])
-        yield from rec(0, [])
-
-    return count(top)
-
-
 def remove_index(pairs, removed):
     """Wedge removal: (c, key) with x_I = c * x_removed ^ x_key, else None."""
     s_i, key_i = canonical_index(pairs)
@@ -739,18 +445,6 @@ def remove_index(pairs, removed):
     rest_pos = [n for n, f in enumerate(key_i) if f not in sub]
     sigma = perm_sign(tuple(positions) + tuple(rest_pos))
     return s_i * sigma * s_j, tuple(key_i[n] for n in rest_pos)
-
-
-def theta_value(theta, rs, pairs, col=0):
-    """theta^rs_pairs applied to the col-th source basis vector."""
-    sign, key = canonical_index(pairs)
-    if not sign:
-        return {}
-    cols = theta.maps.get((tuple(sorted(rs)), key))
-    coords = cols.get(col) if cols else None
-    if not coords:
-        return {}
-    return {i: sign * c for i, c in coords.items()}
 
 
 def _sym_ref(rs, pairs):
@@ -873,107 +567,6 @@ def fundamental_equation_residuals(theta):
             _map_add(res, _core(theta, p, cyc, e5, (q,), kp), Q(2))
             _collect(out, "deg3q", (p, q, a, b, c), key, res)
     return out
-
-
-def row_kernel_basis(rows, column_order, entry_cap=None):
-    """Exact kernel of the linear map given by constraint rows.
-
-    rows: iterable of dicts column_key -> scalar (each row is one constraint).
-    column_order: list fixing the canonical coordinate order.
-    Returns kernel vectors as dicts column_key -> Q, each normalized so its
-    first nonzero coordinate (in column_order) is 1, sorted by the position
-    of that coordinate.  The result depends only on the span of the rows
-    (module docstring): row order, duplicates and positive row scales do
-    not change it.  So each row is copied once, as an integer row over
-    column positions that the echelon reduces in place; the copies are
-    inserted in order of their last column, and the insertion stops with []
-    once the pivots cover every column.  entry_cap counts every entry of the
-    rows handed in.  The caller's rows are never changed.
-    """
-    rows = [r for r in rows if r]
-    check_entry_cap(sum(map(len, rows)), entry_cap)
-    colpos = {c: i for i, c in enumerate(column_order)}
-    ncols = len(column_order)
-    owned = []
-    for r in rows:
-        row = {colpos[c]: v for c, v in r.items() if v}
-        if not _INT.issuperset(map(type, row.values())):
-            row = dict(_numerators(row, _den(row.values())))
-        if row:
-            owned.append(row)
-    owned.sort(key=max)
-    ech = RowEchelon()
-    pivots = ech.pivots
-    for row in owned:
-        ech._insert(1, row, None)
-        if len(pivots) == ncols:
-            return []
-
-    free = [i for i in range(ncols) if i not in pivots]
-    basis = []
-    for f in free:
-        x = {f: Q(1)}
-        for p in sorted(pivots, reverse=True):
-            prow = pivots[p][0]
-            acc = Q(0)
-            for c, v in prow.items():
-                if c != p and c in x:
-                    acc += v * x[c]
-            if acc:
-                x[p] = -acc / prow[p]
-        first = min(x)
-        lead = x[first]
-        vec = {column_order[i]: v / lead for i, v in x.items() if v}
-        basis.append((first, vec))
-    basis.sort(key=lambda t: t[0])
-    return [vec for _, vec in basis]
-
-
-def copying_kernel_basis(rows, column_order, entry_cap=None):
-    """Exact kernel of the linear map given by constraint rows.
-
-    rows: iterable of dicts column_key -> scalar (each row is one constraint).
-    column_order: list fixing the canonical coordinate order.
-    Returns kernel vectors as dicts column_key -> Q, each normalized so its
-    first nonzero coordinate (in column_order) is 1, sorted by the position
-    of that coordinate.  There is one vector per free column, a column
-    that lies in the span of the columns before it (module docstring): it
-    is 1 there, 0 on the other free columns, and its keys are the free
-    column, then the pivot columns it uses in descending order.  Each row
-    is copied once, as an integer row over column positions; the copies
-    are numbered in order of their last column, and the columns over those
-    numbers go into one echelon in column order.  entry_cap counts every
-    entry of the rows handed in.  The caller's rows are never changed.
-    """
-    rows = [r for r in rows if r]
-    check_entry_cap(sum(map(len, rows)), entry_cap)
-    colpos = {c: i for i, c in enumerate(column_order)}
-    owned = []
-    for r in rows:
-        row = {colpos[c]: v for c, v in r.items() if v}
-        if not _INT.issuperset(map(type, row.values())):
-            row = dict(_numerators(row, _den(row.values())))
-        if row:
-            owned.append(row)
-    owned.sort(key=max)
-    columns = [{} for _ in column_order]
-    for i, row in enumerate(owned):
-        for c, v in row.items():
-            columns[c][i] = v
-    ech = Echelon()
-    basis = []
-    for f, column in enumerate(columns):
-        got = ech.place(column, f)
-        if got is not None:
-            den, coords = got
-            x = {f: den}
-            for p in sorted(coords, reverse=True):
-                x[p] = -coords[p]
-            first = min(x)
-            basis.append((first, {column_order[i]: Q(v, x[first])
-                                  for i, v in x.items()}))
-    basis.sort(key=lambda t: t[0])
-    return [vec for _, vec in basis]
 
 
 _PREFIX = ((1, 2), (1, 3), (1, 4), (1, 5))

@@ -2,7 +2,9 @@
 there, and every function, class and module-level name the package defines
 is referenced by a program: the package itself, a demo or the benchmark.
 A reference from a test does not count, so code that only tests call is
-reported."""
+reported.  And every helper a test file defines at module level, a
+function, class or assigned name other than a test_* function, is
+referenced from some test file."""
 
 import ast
 from pathlib import Path
@@ -46,11 +48,13 @@ def test_no_unused_imports():
     assert found == []
 
 
-def definitions(source):
+def definitions(source, top_level=False):
     """(line, name) of each function, method and class, and of each name a
-    module-level assignment binds, dunders excepted."""
+    module-level assignment binds, dunders excepted; with top_level, only
+    the module-level functions and classes, so no methods."""
     tree = ast.parse(source)
-    found = [(node.lineno, node.name) for node in ast.walk(tree)
+    found = [(node.lineno, node.name)
+             for node in (tree.body if top_level else ast.walk(tree))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))]
     for node in tree.body:
@@ -83,6 +87,8 @@ def test_scan_finds_unreferenced_definitions():
     refs = references(src)
     assert [(line, name) for line, name in definitions(src)
             if name not in refs] == [(4, "B"), (5, "f"), (7, "h"), (9, "X")]
+    assert [name for _, name in definitions(src, top_level=True)] \
+        == ["A", "B", "f", "g", "h", "X", "Y"]
 
 
 def test_no_dead_definitions():
@@ -90,4 +96,14 @@ def test_no_dead_definitions():
     found = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
              for p in sorted((ROOT / "src/e510").glob("*.py"))
              for line, name in definitions(p.read_text()) if name not in refs]
+    assert found == []
+
+
+def test_no_dead_test_helpers():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    refs = set().union(*(references(p.read_text()) for p in tests))
+    found = ["%s:%d %s" % (p.relative_to(ROOT), line, name)
+             for p in tests
+             for line, name in definitions(p.read_text(), top_level=True)
+             if not name.startswith("test_") and name not in refs]
     assert found == []

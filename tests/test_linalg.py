@@ -213,9 +213,9 @@ def _kernel_matrices(draw):
     others get at most n - 1 random rows and combinations of them, so both
     kinds occur.  Cascades start with a chain of rows, the k-th with a
     nonzero entry at chain[k] and others only at chain[:k], so the peel of
-    kernel_refs.peeling_kernel_basis forces the whole chain.  A chain over
-    every column leaves nothing to eliminate; a shorter one leaves a core
-    of fewer rows than live columns, so its kernel is not 0.
+    singular_search._peel forces the whole chain.  A chain over every
+    column leaves nothing to eliminate; a shorter one leaves a core of
+    fewer rows than live columns, so its kernel is not 0.
     """
     n = draw(st.integers(1, 6))
     entry = draw(st.sampled_from((st.integers(-4, 4), _FRAC)))
@@ -257,17 +257,11 @@ def test_kernel_basis_matches_reference(matrix, data):
     # the output is a function of the row space: duplicated rows, another
     # row order and positive row scales give the reference's kernel
     rows, columns = matrix
-    want = kernel_refs.kernel_basis(rows, columns)
+    want = kernel_refs.row_kernel_basis(rows, columns)
     got = kernel_basis(rows, columns)
     assert got == want
-    # the key order of each vector too, as the references without and with
-    # the forced-zero peel give it
-    assert ([list(v.items()) for v in got]
-            == [list(v.items()) for v in want]
-            == [list(v.items())
-                for v in kernel_refs.unpeeled_kernel_basis(rows, columns)]
-            == [list(v.items())
-                for v in kernel_refs.peeling_kernel_basis(rows, columns)])
+    # the key order of each vector too
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
     more = rows + data.draw(st.lists(st.sampled_from(rows), max_size=3)
                             if rows else st.just([]))
     more = data.draw(st.permutations(more))
@@ -313,17 +307,35 @@ def _column_kernel_cases(draw):
            {"c": Q(0)}], ["b", "a", "c", "d"]))
 def test_column_kernel_matches_the_row_kernel(case):
     # the columns that depend on earlier columns give the kernel that
-    # row elimination and back-substitution gave, and the kernel of the
-    # integer row copies: equal Fraction values, the same vectors in the
-    # same order, each with the same key order
+    # row elimination and back-substitution gave: equal Fraction values,
+    # the same vectors in the same order, each with the same key order
     rows, columns = case
     want = kernel_refs.row_kernel_basis(rows, columns)
-    copied = kernel_refs.copying_kernel_basis(rows, columns)
     got = kernel_basis(rows, columns)
-    assert got == want == copied
-    assert ([list(v.items()) for v in got] == [list(v.items()) for v in want]
-            == [list(v.items()) for v in copied])
+    assert got == want
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
     assert all(type(x) is Fraction for v in got for x in v.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_kernel_cases())
+@example(([], ["a", "b"]))
+@example(([{0: 1, 1: 2}, {1: 3}, {0: 1, 1: 2}, {}], [0, 1, 2]))
+def test_kernel_basis_is_the_normalized_sympy_nullspace(case):
+    # sympy's nullspace over the columns in column_order, each vector
+    # scaled so that its first nonzero coordinate is 1, and the vectors
+    # ordered by that position: exactly the vectors of kernel_basis
+    rows, columns = case
+    dense = sympy.Matrix(len(rows), len(columns),
+                         [sympy.Rational(r.get(c, 0))
+                          for r in rows for c in columns])
+    want = []
+    for vec in dense.nullspace():
+        first = next(j for j, x in enumerate(vec) if x)
+        want.append((first, {columns[j]: Fraction(int(x.p), int(x.q))
+                             for j, x in enumerate(vec / vec[first]) if x}))
+    want.sort(key=lambda t: t[0])
+    assert kernel_basis(rows, columns) == [vec for _, vec in want]
 
 
 def _chain(n, one):
@@ -334,14 +346,12 @@ def _chain(n, one):
 
 
 def test_entry_cap_counts_every_entry_before_the_peel():
-    # the cap sees all 19 entries of the chain, also in the reference whose
-    # peel leaves nothing of it
+    # the cap sees all 19 entries of the chain, though a peel of its forced
+    # zeros (singular_search._peel) would leave nothing of it
     rows = _chain(10, 1)
-    for kb in (kernel_basis, kernel_refs.unpeeled_kernel_basis,
-               kernel_refs.peeling_kernel_basis):
-        with pytest.raises(MatrixTooLargeError, match="19 stored entries"):
-            kb(rows, list(range(10)), entry_cap=18)
-        assert kb(rows, list(range(10)), entry_cap=19) == []
+    with pytest.raises(MatrixTooLargeError, match="19 stored entries"):
+        kernel_basis(rows, list(range(10)), entry_cap=18)
+    assert kernel_basis(rows, list(range(10)), entry_cap=19) == []
 
 
 def test_kernel_basis_leaves_the_callers_rows_alone():

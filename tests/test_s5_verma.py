@@ -97,24 +97,11 @@ def test_search_finds_exactly_rudakov():
         assert proportional(by_cell[(lam, d)], w)
 
 
-# Reference actions: the S5 module's own nested loops over Fraction
-# coefficients, one singleton add_scaled per term, that the shared
-# fraction-free kernel of verma.InducedModule replaces.  Elements are keyed
-# by form-free monomials (parts, ()).
-
-def ref_act_e(module, a, b, elem):
-    """gl5 symbol x_a p_b; [x_a p_b, p_c] = -delta_ca p_b on monomials."""
-    out = {}
-    for ((m, _), i), c in elem.items():
-        if m[a - 1]:
-            m2 = list(m)
-            m2[a - 1] -= 1
-            m2[b - 1] += 1
-            add_scaled(out, {((tuple(m2), ()), i): Q(1)}, Q(-m[a - 1]) * c)
-        for i2, cv in ref.mat(module.rep, a, b)[i].items():
-            add_scaled(out, {((m, ()), i2): Q(1)}, c * cv)
-    return out
-
+# Reference action of the quadratic fields: the S5 module's own nested loops
+# over Fraction coefficients, one singleton add_scaled per term, that the
+# shared fraction-free kernel of verma.InducedModule replaces.  Elements are
+# keyed by form-free monomials (parts, ()), so the gl5 symbols are checked
+# against ref.act_e, the reference of VermaModule.
 
 def ref_act_quad(module, field, elem):
     """A quadratic field (dict (a,b,k) -> scalar) on an element."""
@@ -193,7 +180,7 @@ def test_shared_kernel_matches_reference(data):
     elem = data.draw(module_elems(lam))
     a, b = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
     got = m.act_e(a, b, elem)
-    assert got == ref_act_e(m, a, b, elem) and exact_and_sparse(got)
+    assert got == ref.act_e(m, a, b, elem) and exact_and_sparse(got)
     field = data.draw(st.sampled_from(FIELDS))
     got = m.act(field, elem)
     assert got == ref_act_quad(m, field, elem) and exact_and_sparse(got)

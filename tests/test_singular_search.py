@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 from itertools import permutations, product
-from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,7 +146,8 @@ def test_sweep_with_checkpoint(tmp_path):
 
 # Reference blocks and rows: the scan of every monomial against every rep
 # vector that weight_blocks replaces, and the row assembly from Fraction
-# images that condition_rows replaces.  Verbatim but for the names.
+# images of one one-term element per column, through int_conditions, that
+# condition_rows replaces.  Verbatim but for the names.
 
 def ref_weight_blocks(self, d):
     blocks = {}
@@ -157,27 +157,6 @@ def ref_weight_blocks(self, d):
             c = eps_to_coords(tuple(x + y for x, y in zip(mw, rw)))
             if is_dominant(c):
                 blocks.setdefault(c, []).append((mono, i))
-    for pairs in blocks.values():
-        pairs.sort()
-    return blocks
-
-
-def ref_crossed_blocks(self, d):
-    # the crossing of coordinate groups as it first was, with a tuple key
-    # and is_dominant for each pair of groups
-    monos, reps = {}, {}
-    for mono in self.monomials(d):
-        c = eps_to_coords(mono_weight(mono))
-        monos.setdefault(c, []).append(mono)
-    for i, rw in enumerate(self.rep.eps_weights):
-        reps.setdefault(eps_to_coords(rw), []).append(i)
-    blocks = {}
-    for mc, ms in monos.items():
-        for rc, idx in reps.items():
-            c = tuple(map(add, mc, rc))
-            if is_dominant(c):
-                blocks.setdefault(c, []).extend(
-                    (m, i) for m in ms for i in idx)
     for pairs in blocks.values():
         pairs.sort()
     return blocks
@@ -209,11 +188,6 @@ def assert_rows_match_reference(rows, ref):
     return scale
 
 
-def ordered(rows):
-    """The rows as lists: key order, column order and integers all count."""
-    return [(key, list(row.items())) for key, row in rows.items()]
-
-
 def full_condition_rows(module, block):
     """Every row of a block, keyed by (label, image key), from the label
     builders of module.condition_rows over all columns.
@@ -232,6 +206,16 @@ def full_condition_rows(module, block):
     return dict(rows)
 
 
+def full_singular_block(module, d, nu):
+    """(block, kernel vectors) of a block: the kernel of every row over
+    every column, from the row-elimination reference."""
+    block = module.weight_space(d, tuple(nu))
+    kern = kernel_refs.row_kernel_basis(
+        list(full_condition_rows(module, block).values()),
+        list(range(len(block))))
+    return block, [{block[j]: c for j, c in k.items()} for k in kern]
+
+
 MODULE_CLASSES = st.sampled_from((VermaModule, S5Verma))
 SMALL_MUS = st.sampled_from(dominant_weights_up_to(3))
 
@@ -245,18 +229,21 @@ def test_weight_blocks_match_reference(cls, mu, d):
 
 @pytest.mark.parametrize("cls, degrees", [(VermaModule, range(1, 5)),
                                          (S5Verma, range(1, 7))])
-def test_weight_blocks_match_the_crossing_reference(cls, degrees):
+def test_weight_blocks_match_the_reference_key_order(cls, degrees):
     # same keys in the same order, same pairs in the same order
     for mu in dominant_weights_up_to(2):
         m = cls(mu)
         for d in degrees:
             assert (list(m.weight_blocks(d).items())
-                    == list(ref_crossed_blocks(m, d).items()))
+                    == list(ref_weight_blocks(m, d).items()))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4), st.data())
 def test_condition_rows_and_kernels_match_reference(cls, mu, d, data):
+    # the label builders of condition_rows over all columns against one
+    # one-term element per column through int_conditions: the same rows in
+    # the same order, each a positive integer multiple per label
     m = cls(mu)
     blocks = m.weight_blocks(d)
     if not blocks:  # S5 has no monomials of odd degree
@@ -269,6 +256,18 @@ def test_condition_rows_and_kernels_match_reference(cls, mu, d, data):
         == kernel_basis(list(ref.values()), columns)
 
 
+@settings(max_examples=40, deadline=None)
+@given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4))
+def test_condition_rows_match_the_one_term_reference(cls, mu, d):
+    # every block of the degree, not one drawn block: the label builders
+    # of condition_rows against one one-term element per column through
+    # int_conditions, down to key order, column order and integers
+    m = cls(mu)
+    for block in m.weight_blocks(d).values():
+        assert_rows_match_reference(full_condition_rows(m, block),
+                                    ref_condition_rows(m, block))
+
+
 def test_condition_rows_rescale_when_the_denominator_grows():
     # a classify --budget 2 cell: the x5d45 images of the three columns
     # have denominators 2, 4 and 8, so the label's rows are rescaled twice
@@ -279,7 +278,6 @@ def test_condition_rows_rescale_when_the_denominator_grows():
         == [2, 4, 8]
     rows, ref = full_condition_rows(m, block), ref_condition_rows(m, block)
     assert assert_rows_match_reference(rows, ref)["x5d45"] == 8
-    assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
     columns = list(range(len(block)))
     assert kernel_basis(list(rows.values()), columns) \
         == kernel_basis(list(ref.values()), columns) == []
@@ -296,29 +294,10 @@ def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
     block = m.weight_space(d, nu)
     rows, ref = full_condition_rows(m, block), ref_condition_rows(m, block)
     assert_rows_match_reference(rows, ref)
-    assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
     columns = list(range(len(block)))
     kern = kernel_basis(list(rows.values()), columns)
     assert len(kern) == 1
     assert kern == kernel_basis(list(ref.values()), columns)
-
-
-@settings(max_examples=40, deadline=None)
-@given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4), st.data())
-def test_condition_rows_match_the_one_term_reference(cls, mu, d, data):
-    # the older assemblies: one one-term element per column through
-    # int_conditions, with the label rows rescaled as the lcm grows; and
-    # the block-wide images transposed into rows, which the label builders
-    # of condition_rows over all columns equal exactly, down to key order
-    # and integers
-    m = cls(mu)
-    blocks = m.weight_blocks(d)
-    if not blocks:
-        return
-    block = blocks[data.draw(st.sampled_from(sorted(blocks)))]
-    rows = full_condition_rows(m, block)
-    assert_rows_match_reference(rows, kernel_refs.condition_rows(m, block))
-    assert ordered(rows) == ordered(kernel_refs.block_condition_rows(m, block))
 
 
 # e-kernel dimension = m(nu), the multiplicity of F(nu) in the degree-d
@@ -439,11 +418,9 @@ def test_singular_block_is_the_kernel_of_the_full_rows(cls, mu, d, data):
     nu = data.draw(st.sampled_from(sorted(blocks)))
     block, vectors = singular_search.singular_block(m, d, nu)
     assert block == blocks[nu]
-    full = kernel_refs.block_condition_rows(m, block)
-    ref = kernel_refs.kernel_basis(list(full.values()),
-                                   list(range(len(block))))
-    assert vectors == [{block[j]: c for j, c in k.items()} for k in ref]
-    assert all(list(v) == [block[j] for j in k] for v, k in zip(vectors, ref))
+    ref_block, ref_vectors = full_singular_block(m, d, nu)
+    assert block == ref_block and vectors == ref_vectors
+    assert [list(v) for v in vectors] == [list(v) for v in ref_vectors]
 
 
 def calls_by_block(calls):
@@ -507,7 +484,7 @@ def test_a_block_forced_by_x5d45_never_builds_an_e_row(monkeypatch):
     # 10 columns, though the e_i rows are not empty
     m = VermaModule((1, 0, 0, 0))
     block = m.weight_space(3, (0, 0, 1, 1))
-    full = kernel_refs.block_condition_rows(m, block)
+    full = full_condition_rows(m, block)
     x_rows = [row for (label, _), row in full.items() if label == "x5d45"]
     assert len(forced_columns(x_rows)) == len(block) == 10
     assert len(x_rows) < len(full)
@@ -537,17 +514,17 @@ def spy_kernel_basis(monkeypatch):
 
 def test_singular_block_hands_kernel_basis_only_the_core(monkeypatch):
     # every candidate block of classify --budget 2 --max-degree 4 and of
-    # the S5 baseline gives the (block, vectors) of the reference that
-    # handed over every assembled row, key order included; kernel_basis
-    # gets each block once, with rows of two or more entries in its column
-    # order, so no row of what it gets forces a column
+    # the S5 baseline gives the (block, vectors) of the kernel of every row
+    # over every column, key order included; kernel_basis gets each block
+    # once, with rows of two or more entries in its column order, so no row
+    # of what it gets forces a column
     cells = [(VermaModule, mu, d) for mu in dominant_weights_up_to(2)
              for d in range(1, 5)]
     cells += [(S5Verma, lam, d) for lam in dominant_weights_up_to(1)
               for d in (2, 4)]
     blocks = [(cls(mu), d, nu) for cls, mu, d in cells
               for nu in candidate_weights(cls(mu), d)]
-    refs = [kernel_refs.assembled_singular_block(*b) for b in blocks]
+    refs = [full_singular_block(*b) for b in blocks]
     handed = spy_kernel_basis(monkeypatch)
     cores = 0
     for (m, d, nu), (ref_block, ref_vectors) in zip(blocks, refs):
@@ -585,7 +562,7 @@ def test_every_core_gets_the_row_kernel(monkeypatch):
 def test_entry_cap_counts_the_assembled_rows_not_the_core(monkeypatch):
     # M(0,0,0,1), degree 11, weight (1,0,0,0): the block with a kernel;
     # the cap is met by the N entries the builders return, not by the
-    # fewer entries of the core, and the reference refuses the same caps
+    # fewer entries of the core
     m = VermaModule((0, 0, 0, 1))
     nu = (1, 0, 0, 0)
     calls = spy_builders(monkeypatch, VermaModule)
@@ -597,9 +574,7 @@ def test_entry_cap_counts_the_assembled_rows_not_the_core(monkeypatch):
     assert 0 < sum(map(len, core)) < n
     assert singular_search.singular_block(m, 11, nu, entry_cap=n) \
         == (block, vectors)
-    for singular_block in (singular_search.singular_block,
-                           kernel_refs.assembled_singular_block):
-        with pytest.raises(MatrixTooLargeError,
-                           match="has %d stored entries \\(cap %d\\)"
-                           % (n, n - 1)):
-            singular_block(m, 11, nu, entry_cap=n - 1)
+    with pytest.raises(MatrixTooLargeError,
+                       match="has %d stored entries \\(cap %d\\)"
+                       % (n, n - 1)):
+        singular_search.singular_block(m, 11, nu, entry_cap=n - 1)

@@ -9,11 +9,11 @@ from e510 import verma
 from e510.scalars import Q
 from e510.uminus import (
     EPS, PAIRS, TMATE, ONE_MONO, ZERO_PARTIALS, add_scaled, d_elem, p_elem,
-    pbw_product, enumerate_monomials, scale, form_step,
+    pbw_product, enumerate_monomials, scale,
 )
 from e510.sl5_reps import ambient_monomial
 from e510.e510_algebra import (
-    bracket, d_gen, e_gen, p_gen, xd_gen, raising_gen, cartan_gen, g1_basis,
+    bracket, d_gen, e_gen, p_gen, xd_gen, cartan_gen, g1_basis,
 )
 from e510.verma import (
     VermaModule, tensor_terms, tensor_from_terms, proportional,
@@ -114,8 +114,8 @@ def test_operator_bracket_consistency():
     m = VermaModule((0, 0, 0, 1))
     rng = random.Random(7)
     pairs = [
-        (raising_gen(4), xd_gen(5, 4, 5), 0),   # even * odd
-        (e_gen(3, 2), raising_gen(2), 0),       # even * even
+        (e_gen(4, 5), xd_gen(5, 4, 5), 0),      # even * odd
+        (e_gen(3, 2), e_gen(2, 3), 0),          # even * even
         (p_gen(5), xd_gen(5, 4, 5), 0),         # even * odd
         (d_gen(1, 2), xd_gen(5, 4, 5), 1),      # odd * odd
         (d_gen(3, 4), g1_basis()[3], 1),        # odd * odd
@@ -165,50 +165,9 @@ def test_proportional():
     assert ratio == Q(-1) and type(ratio) is Q
 
 
-# Reference g_0 action on U(g_-): the bracket memoized on whole monomials,
-# p-exponents included, which the form-word cache of verma replaces.
-# Verbatim but for the names and the cache.
-
-_REF_AD_E_CACHE = {}
-
-
-def ref_shift(parts, u):
-    """p^parts * u for u in U(g_-): the p's are central, so exponents add."""
-    return {(tuple(map(add, parts, p2)), f2): c for (p2, f2), c in u.items()}
-
-
-def ref_ad_e_mono(a, b, mono):
-    """[x_a p_b, mono] inside U(g_-), extending the bracket as a derivation.
-
-    Well defined termwise on PBW monomials; only traceless aggregates over
-    (a, b) are actions of actual algebra elements.
-    """
-    key = (a, b, mono)
-    got = _REF_AD_E_CACHE.get(key)
-    if got is not None:
-        return got
-    parts, forms = mono
-    out = {}
-    if parts[a - 1]:
-        pl = list(parts)
-        pl[a - 1] -= 1
-        pl[b - 1] += 1
-        out[(tuple(pl), forms)] = -parts[a - 1]
-    for n, f in enumerate(forms):
-        step = form_step(a, b, f)
-        if step is None:
-            continue
-        g, sign = step
-        word = pbw_product({(ZERO_PARTIALS, forms[:n]): sign},
-                           {(ZERO_PARTIALS, (g,)): 1})
-        word = pbw_product(word, {(ZERO_PARTIALS, forms[n + 1:]): 1})
-        add_scaled(out, ref_shift(parts, word), 1)
-    _REF_AD_E_CACHE[key] = out
-    return out
-
-
 # Reference actions: the nested loops over Fraction coefficients that the
-# fraction-free kernel replaces, one singleton add_scaled per product term.
+# fraction-free kernel replaces, one singleton add_scaled per product term
+# (ref.act_e is the one for the gl5 symbols).
 
 def ref_mult(u, elem):
     out = {}
@@ -216,16 +175,6 @@ def ref_mult(u, elem):
         for mu_, cu in u.items():
             for m2, kk in ref.mono_product(mu_, m).items():
                 add_scaled(out, {(m2, i): Q(1)}, c * cu * kk)
-    return out
-
-
-def ref_act_e(module, a, b, elem):
-    out = {}
-    for (m, i), c in elem.items():
-        for m2, ca in ref_ad_e_mono(a, b, m).items():
-            add_scaled(out, {(m2, i): Q(1)}, c * ca)
-        for i2, cv in ref.mat(module.rep, a, b)[i].items():
-            add_scaled(out, {(m, i2): Q(1)}, c * cv)
     return out
 
 
@@ -274,7 +223,7 @@ def test_fraction_free_kernel_matches_reference(data):
     assert got == ref_mult(u, elem) and exact_and_sparse(got)
     a, b = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
     got = m.act_e(a, b, elem)
-    assert got == ref_act_e(m, a, b, elem) and exact_and_sparse(got)
+    assert got == ref.act_e(m, a, b, elem) and exact_and_sparse(got)
     k, f = data.draw(st.tuples(st.integers(1, 5), st.integers(0, 9)))
     got = m.act({("xd", k, f): 1}, elem)
     assert got == ref_act_xd(m, k, f, elem) and exact_and_sparse(got)
@@ -311,7 +260,7 @@ def test_act_on_cartan_and_negative_part(data):
     elem = data.draw(module_elems(mu))
     x = cartan_gen(data.draw(st.integers(1, 4)))
     got = m.act(x, elem)
-    want = scaled_sum((c, ref_act_e(m, a, b, elem))
+    want = scaled_sum((c, ref.act_e(m, a, b, elem))
                       for (_, a, b), c in x.items())
     assert got == want and exact_and_sparse(got)
     # a combination of p_i and d_ij acts as left multiplication by it
@@ -444,7 +393,7 @@ def ref_xd_mono(k, f, mono):
         e = EPS[f][q]
         if e:
             t = TMATE[f][q]
-            add_scaled(A, ref_ad_e_mono(k, t, rest), e)
+            add_scaled(A, ref.ad_e_mono(k, t, rest), e)
             bu = B.setdefault((k, t), {})
             add_scaled(bu, {rest: 1}, e)
             if not bu:
@@ -551,11 +500,11 @@ def test_ad_e_matches_reference(word, exps, i, word2):
     for a in range(1, 6):
         for b in range(1, 6):
             got = trivial_ad_e(a, b, mono)
-            assert got == ref_ad_e_mono(a, b, mono)
+            assert got == ref.ad_e_mono(a, b, mono)
             assert all(type(c) is int and c for c in got.values())
             acc, den = m.act_e_int(a, b, elem)
             assert {k: Q(n, den) for k, n in acc.items() if n} \
-                == ref_act_e(m, a, b, elem)
+                == ref.act_e(m, a, b, elem)
     if mono == (ZERO_PARTIALS, (4, 9)):
         assert trivial_ad_e(1, 4, mono) \
             == {(ZERO_PARTIALS, (3, 4)): -1, ((0, 0, 0, 1, 0), ()): -1}
