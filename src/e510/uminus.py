@@ -31,7 +31,7 @@ views of it, and the g_0 and g_1 actions of verma read _order_forms too.
 """
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb, lcm
 from operator import add
 
@@ -269,14 +269,18 @@ def _partials_of_total(total):
 
 
 def enumerate_monomials(d: int):
-    """All PBW monomials of degree d, in canonical order."""
+    """All PBW monomials of degree d, in canonical order.
+
+    The order of (parts, forms) tuples: the p-parts of every total, sorted,
+    each followed by its form words of length d - 2 * total, which
+    combinations yields in order.  The words of one length are shared.
+    """
+    words = {k: list(combinations(range(10), k))
+             for k in range(d % 2, min(d, 10) + 1, 2)}
     out = []
-    for k in range(d % 2, min(d, 10) + 1, 2):
-        r = (d - k) // 2
-        for parts in _partials_of_total(r):
-            for forms in combinations(range(10), k):
-                out.append((parts, forms))
-    out.sort()
+    for parts in sorted(chain.from_iterable(
+            _partials_of_total((d - k) // 2) for k in words)):
+        out.extend(zip(repeat(parts), words[d - 2 * sum(parts)]))
     return out
 
 

@@ -39,6 +39,13 @@ take numerators and rep matrices as arguments, so condition_rows gives
 one row builder per condition label: it applies that condition to the
 basis pairs of given columns of a search block, with the rep matrices
 looked up once per call, and builds integer rows without a scalar.  The
+Leibniz rule has one accumulator, _leibniz_acc, and it is tagged: every
+term carries a tag, and it writes rows image key -> {tag: numerator}.  A
+positive generator's builder makes one pass over all its columns, tag =
+column; g1_failure makes one pass over all 40 g_1 elements, tag = basis
+index; act_pieces_int is its one-tag case.  e_a applies _act_e_terms per
+column and _transpose turns the images into rows: a flat loop stays
+cheaper for the many one-element calls of the gl5 action.  The
 labels come in search order, the POSITIVE generators (x_5 d_45), then e_4,
 e_3, e_2, e_1: singular_search.singular_block peels the forced zeros
 after each label and builds the next one only on the columns still live,
@@ -174,26 +181,59 @@ def _transpose(images):
 
 
 def _leibniz_acc(terms, mats, mden):
-    """The integer numerators over mden of InducedModule._leibniz_terms.
+    """Rows image key -> {tag: numerator over mden} of tagged Leibniz terms.
 
-    mats maps every (a, b) of the terms' B parts to its (den, columns);
-    each den divides mden.
+    terms are the (tag, base, i, n, A, B) of InducedModule._leibniz_terms,
+    each tag's terms contiguous.  mats maps every (a, b) of the B parts to
+    its (den, columns); each den divides mden.  Each entry is summed in
+    place, and one left at zero is dropped when its tag ends, with its row
+    if it was the only entry.  So rows and entries come in the order in
+    which the tags' nonzero images, read one after another, add them: a row
+    at its first term in the first tag that leaves it nonzero.
     """
-    acc = {}
-    for base, i, n, A, B in terms:
+    rows, zeros, tag = {}, [], None
+    for t, base, i, n, A, B in terms:
+        if t != tag:
+            _drop_zeros(rows, zeros, tag)
+            tag = t
         na = n * mden
         for (dp, f2), ca in A:
             key = ((base if dp is ZERO_PARTIALS else
                     tuple(map(add, base, dp)), f2), i)
-            acc[key] = acc.get(key, 0) + na * ca
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {t: na * ca}
+            else:
+                s = row[t] = row.get(t, 0) + na * ca
+                if not s:
+                    zeros.append(key)
         for ab, f2, cb in B:
             d, cols = mats[ab]
             m2 = (base, f2)
             nb = n * (mden // d) * cb
             for i2, cv in cols[i].items():
                 key = (m2, i2)
-                acc[key] = acc.get(key, 0) + nb * cv
-    return acc
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {t: nb * cv}
+                else:
+                    s = row[t] = row.get(t, 0) + nb * cv
+                    if not s:
+                        zeros.append(key)
+    _drop_zeros(rows, zeros, tag)
+    return rows
+
+
+def _drop_zeros(rows, keys, tag):
+    """Drop tag's zero entries from the rows of keys, and each row left
+    empty; keys is cleared."""
+    for key in keys:
+        row = rows.get(key)
+        if row is not None and row.get(tag) == 0:
+            del row[tag]
+            if not row:
+                del rows[key]
+    keys.clear()
 
 
 class InducedModule:
@@ -338,48 +378,55 @@ class InducedModule:
         """x (a dict symbol -> scalar) on elem, as (numerators, denominator).
 
         The subclass's pieces give the terms of each symbol; act takes the
-        scalars.  Numerators may be zero, as in act_e_int.  _leibniz_terms
-        collects the terms of x on elem, and _leibniz_acc adds them up over
-        the lcm of the denominators of the rep matrices they use; x, elem
-        and those matrices share one denominator.
+        scalars.  It is the one-tag case of the tagged Leibniz pass:
+        _leibniz_terms collects the terms of x on elem under tag 0, and
+        _leibniz_acc adds them up over the lcm of the denominators of the
+        rep matrices they use, so the numerators are nonzero; x, elem and
+        those matrices share one denominator.
         """
         xden, eden = _den(x.values()), _den(elem.values())
         mats = {}
-        terms = self._leibniz_terms(_numerators(x, xden),
-                                    _numerators(elem, eden), mats)
+        terms = self._leibniz_terms(
+            _numerators(x, xden),
+            ((0, key, n) for key, n in _numerators(elem, eden)), mats)
         mden = lcm(*(d for d, _ in mats.values()))
-        return _leibniz_acc(terms, mats, mden), xden * eden * mden
+        rows = _leibniz_acc(terms, mats, mden)
+        return {key: row[0] for key, row in rows.items()}, xden * eden * mden
 
-    def _leibniz_terms(self, xnums, enums, mats):
-        """The Leibniz terms (base, i, n, A, B) of x on an element.
+    def _leibniz_terms(self, xnums, tagged, mats):
+        """The tagged Leibniz terms (tag, base, i, n, A, B) of x on elements.
 
-        xnums and enums are the (key, numerator) lists of x and of the
-        element.  pieces(sym, forms) gives the p-free Leibniz terms X_D of
-        sym on the form word w of p^P w (module docstring) as int tuples
-        (D, c, A, B), D the pairs (i, D_i) of its nonzero entries: X_D w v =
-        c (A v + sum n d_forms2 x_a p_b v) over the triples ((a, b),
-        forms2, n) of B, with A int pieces ((dparts, forms2), n) relative
-        to p^(P - D).  Only here is p^P applied: C(P, D) and P - D enter the
-        term, as base and n.  mats gets the rep matrix of every (a, b) of
-        the B parts, as Irrep.mat gives it.
+        xnums is the (symbol, numerator) list of x, and tagged the (tag,
+        key, numerator) terms of the elements x acts on, each tag's terms
+        contiguous.  The terms come in the order of tagged, the symbols
+        inner, so each tag's terms stay contiguous.  pieces(sym, forms)
+        gives the p-free Leibniz terms X_D of sym on the form word w of
+        p^P w (module docstring) as int tuples (D, c, A, B), D the pairs
+        (i, D_i) of its nonzero entries: X_D w v = c (A v + sum n d_forms2
+        x_a p_b v) over the triples ((a, b), forms2, n) of B, with A int
+        pieces ((dparts, forms2), n) relative to p^(P - D).  Only here is
+        p^P applied: C(P, D) and P - D enter the term, as base and n, and a
+        term with n = 0 is left out.  mats gets the rep matrix of every
+        (a, b) of the B parts, as Irrep.mat gives it.
         """
         terms = []
-        for sym, nx in xnums:
-            for ((parts, forms), i), n in enums:
+        for tag, ((parts, forms), i), n in tagged:
+            for sym, nx in xnums:
                 for D, c, A, B in self.pieces(sym, forms):
+                    c *= nx * n
                     base = parts
                     if D:
                         pl = list(parts)
                         for k, dk in D:
                             c *= comb(pl[k - 1], dk)
                             pl[k - 1] -= dk
-                        if not c:
-                            continue
                         base = tuple(pl)
+                    if not c:
+                        continue
                     for ab, _, _ in B:
                         if ab not in mats:
                             mats[ab] = self.rep.mat(*ab)
-                    terms.append((base, i, nx * n * c, A, B))
+                    terms.append((tag, base, i, c, A, B))
         return terms
 
     def act(self, x, elem):
@@ -446,13 +493,12 @@ class InducedModule:
 
     def _leibniz_rows(self, block, x, columns):
         """condition_rows of the positive generator x on the columns of
-        block, over the lcm of the rep matrix denominators they use."""
-        xnums = _numerators(x, _den(x.values()))
+        block: one tagged Leibniz pass, tag = column, over the lcm of the
+        rep matrix denominators the columns use."""
         mats = {}
-        terms = [(j, self._leibniz_terms(xnums, ((block[j], 1),), mats))
-                 for j in columns]
-        mden = lcm(*(d for d, _ in mats.values()))
-        return _transpose((j, _leibniz_acc(t, mats, mden)) for j, t in terms)
+        terms = self._leibniz_terms(_numerators(x, _den(x.values())),
+                                    ((j, block[j], 1) for j in columns), mats)
+        return _leibniz_acc(terms, mats, lcm(*(d for d, _ in mats.values())))
 
     def failed_condition(self, elem):
         """Label of the first condition that does not kill elem, or None."""
@@ -494,11 +540,22 @@ class VermaModule(InducedModule):
         return label
 
     def g1_failure(self, elem):
-        """"g1[n]" for the first g1_basis()[n] not killing elem, or None."""
+        """"g1[n]" for the first g1_basis()[n] not killing elem, or None.
+
+        One tagged Leibniz pass, tag = n, applies all 40 basis elements to
+        elem, each to the same numerators of elem, and each still stands on
+        its own: a tag's entries are the numerators of its element's image,
+        so the label is the first tag left with a row entry.
+        """
+        enums = _numerators(elem, _den(elem.values()))
+        mats, terms = {}, []
         for n, x in enumerate(g1_basis()):
-            if self.act(x, elem):
-                return "g1[%d]" % n
-        return None
+            terms += self._leibniz_terms(
+                _numerators(x, _den(x.values())),
+                ((n, key, e) for key, e in enums), mats)
+        rows = _leibniz_acc(terms, mats, lcm(*(d for d, _ in mats.values())))
+        tags = {t for row in rows.values() for t in row}
+        return "g1[%d]" % min(tags) if tags else None
 
 
 def tensor_terms(elem):

@@ -14,6 +14,11 @@ tests that read it.
   the Fraction loop over it and the rep matrix that the fraction-free
   _act_e_terms replaced; S5 monomials have no forms, so one copy serves
   both modules.  test_verma and test_s5_verma.
+- The Leibniz rule of the positive part, leibniz_terms to g1_failure:
+  the flat accumulator of verma before _leibniz_acc became one tagged
+  pass, with the per-column condition rows it built through transpose,
+  act_pieces_int over it, and VermaModule.g1_failure as 40 act calls.
+  test_verma and test_singular_search.
 - The weight of an element, element_weight: InducedModule.element_weight,
   which only the tests read.  test_verma, test_s5_verma and test_catalog.
 - Irrep matrices, coords, mat, act and int_mat: the ambient solve of
@@ -51,13 +56,14 @@ against references in test_singular_search itself.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd, lcm
 from operator import add
 
 from e510 import uminus
+from e510.e510_algebra import g1_basis
 from e510.linalg import _INT, Echelon, _eliminate, check_entry_cap
 from e510.omega_basis import _collect, canonical_index, index_pairs
-from e510.scalars import Q, _den, _numerators
+from e510.scalars import Q, _den, _numerators, _scalars
 from e510.sl5_reps import (
     _bump, _mono_eps_weight, act_ambient, ambient_monomial, build_irrep,
 )
@@ -144,6 +150,108 @@ def act_e(module, a, b, elem):
         for i2, cv in mat(module.rep, a, b)[i].items():
             add_scaled(out, {(m, i2): Q(1)}, c * cv)
     return out
+
+
+def leibniz_terms(module, xnums, enums, mats):
+    """The Leibniz terms (base, i, n, A, B) of x on an element.
+
+    xnums and enums are the (key, numerator) lists of x and of the
+    element.  pieces(sym, forms) gives the p-free Leibniz terms X_D of
+    sym on the form word w of p^P w (module docstring) as int tuples
+    (D, c, A, B), D the pairs (i, D_i) of its nonzero entries: X_D w v =
+    c (A v + sum n d_forms2 x_a p_b v) over the triples ((a, b),
+    forms2, n) of B, with A int pieces ((dparts, forms2), n) relative
+    to p^(P - D).  Only here is p^P applied: C(P, D) and P - D enter the
+    term, as base and n.  mats gets the rep matrix of every (a, b) of
+    the B parts, as Irrep.mat gives it.
+    """
+    terms = []
+    for sym, nx in xnums:
+        for ((parts, forms), i), n in enums:
+            for D, c, A, B in module.pieces(sym, forms):
+                base = parts
+                if D:
+                    pl = list(parts)
+                    for k, dk in D:
+                        c *= comb(pl[k - 1], dk)
+                        pl[k - 1] -= dk
+                    if not c:
+                        continue
+                    base = tuple(pl)
+                for ab, _, _ in B:
+                    if ab not in mats:
+                        mats[ab] = module.rep.mat(*ab)
+                terms.append((base, i, nx * n * c, A, B))
+    return terms
+
+
+def leibniz_acc(terms, mats, mden):
+    """The integer numerators over mden of leibniz_terms.
+
+    mats maps every (a, b) of the terms' B parts to its (den, columns);
+    each den divides mden.
+    """
+    acc = {}
+    for base, i, n, A, B in terms:
+        na = n * mden
+        for (dp, f2), ca in A:
+            key = ((base if dp is ZERO_PARTIALS else
+                    tuple(map(add, base, dp)), f2), i)
+            acc[key] = acc.get(key, 0) + na * ca
+        for ab, f2, cb in B:
+            d, cols = mats[ab]
+            m2 = (base, f2)
+            nb = n * (mden // d) * cb
+            for i2, cv in cols[i].items():
+                key = (m2, i2)
+                acc[key] = acc.get(key, 0) + nb * cv
+    return acc
+
+
+def transpose(images):
+    """Rows image key -> {j: n} from the (j, numerators) images of columns."""
+    rows = {}
+    for j, acc in images:
+        for key, n in acc.items():
+            if n:
+                rows.setdefault(key, {})[j] = n
+    return rows
+
+
+def act_pieces_int(module, x, elem):
+    """x (a dict symbol -> scalar) on elem, as (numerators, denominator).
+
+    The subclass's pieces give the terms of each symbol; act takes the
+    scalars.  Numerators may be zero, as in act_e_int.  leibniz_terms
+    collects the terms of x on elem, and leibniz_acc adds them up over
+    the lcm of the denominators of the rep matrices they use; x, elem
+    and those matrices share one denominator.
+    """
+    xden, eden = _den(x.values()), _den(elem.values())
+    mats = {}
+    terms = leibniz_terms(module, _numerators(x, xden),
+                          _numerators(elem, eden), mats)
+    mden = lcm(*(d for d, _ in mats.values()))
+    return leibniz_acc(terms, mats, mden), xden * eden * mden
+
+
+def leibniz_rows(module, block, x, columns):
+    """condition_rows of the positive generator x on the columns of
+    block, over the lcm of the rep matrix denominators they use."""
+    xnums = _numerators(x, _den(x.values()))
+    mats = {}
+    terms = [(j, leibniz_terms(module, xnums, ((block[j], 1),), mats))
+             for j in columns]
+    mden = lcm(*(d for d, _ in mats.values()))
+    return transpose((j, leibniz_acc(t, mats, mden)) for j, t in terms)
+
+
+def g1_failure(module, elem):
+    """"g1[n]" for the first g1_basis()[n] not killing elem, or None."""
+    for n, x in enumerate(g1_basis()):
+        if _scalars(*act_pieces_int(module, x, elem)):
+            return "g1[%d]" % n
+    return None
 
 
 def element_weight(module, elem):

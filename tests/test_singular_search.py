@@ -268,6 +268,28 @@ def test_condition_rows_match_the_one_term_reference(cls, mu, d):
                                     ref_condition_rows(m, block))
 
 
+@settings(max_examples=40, deadline=None)
+@given(MODULE_CLASSES, SMALL_MUS, st.integers(1, 4),
+       st.randoms(use_true_random=False))
+def test_leibniz_rows_match_the_per_column_reference(cls, mu, d, rnd):
+    # the one tagged pass per label against one flat image per column,
+    # transposed: the same rows in the same order, each with the same
+    # integers in the same column order, over every column of every block
+    # and over a random subset of them, as the live columns of a peel
+    m = cls(mu)
+    for block in m.weight_blocks(d).values():
+        every = range(len(block))
+        some = sorted(rnd.sample(every, rnd.randint(1, len(block))))
+        for columns in (every, some):
+            for _, x in m.POSITIVE:
+                got = m._leibniz_rows(block, x, columns)
+                want = kernel_refs.leibniz_rows(m, block, x, columns)
+                assert [(k, list(r.items())) for k, r in got.items()] \
+                    == [(k, list(r.items())) for k, r in want.items()]
+                assert all(type(n) is int for r in got.values()
+                           for n in r.values())
+
+
 def test_condition_rows_rescale_when_the_denominator_grows():
     # a classify --budget 2 cell: the x5d45 images of the three columns
     # have denominators 2, 4 and 8, so the label's rows are rescaled twice
@@ -283,12 +305,15 @@ def test_condition_rows_rescale_when_the_denominator_grows():
         == kernel_basis(list(ref.values()), columns) == []
 
 
-@pytest.mark.parametrize("cls, mu, d, nu", [
+KNOWN_KERNELS = [
     (VermaModule, (0, 0, 0, 0), 1, (0, 1, 0, 0)),
     (VermaModule, (0, 0, 0, 1), 2, (1, 1, 0, 0)),
     (S5Verma, (1, 0, 0, 0), 2, (0, 0, 0, 0)),
     (S5Verma, (1, 0, 0, 0), 4, (0, 0, 0, 1)),
-])
+]
+
+
+@pytest.mark.parametrize("cls, mu, d, nu", KNOWN_KERNELS)
 def test_condition_rows_keep_the_known_kernels(cls, mu, d, nu):
     m = cls(mu)
     block = m.weight_space(d, nu)
@@ -421,6 +446,32 @@ def test_singular_block_is_the_kernel_of_the_full_rows(cls, mu, d, data):
     ref_block, ref_vectors = full_singular_block(m, d, nu)
     assert block == ref_block and vectors == ref_vectors
     assert [list(v) for v in vectors] == [list(v) for v in ref_vectors]
+
+
+# every rep matrix of the four known kernels has denominator 1, so these
+# classify --budget 2 blocks with a kernel are added, whose x5d45 rows use
+# matrices with denominators above 1
+@pytest.mark.parametrize("cls, mu, d, nu", KNOWN_KERNELS + [
+    (VermaModule, (0, 0, 1, 1), 1, (0, 0, 0, 1)),
+    (VermaModule, (1, 0, 0, 1), 2, (2, 1, 0, 0)),
+    (VermaModule, (0, 0, 2, 0), 1, (0, 0, 1, 0)),
+])
+def test_singular_block_keeps_the_known_kernels(cls, mu, d, nu):
+    # the blocks that test_singular_block_is_the_kernel_of_the_full_rows
+    # rarely draws: a kernel of dimension 1, the kernel of every row over
+    # every column, key order included, and the kernel of the rows of the
+    # one-term elements through int_conditions
+    m = cls(mu)
+    block, vectors = singular_search.singular_block(m, d, nu)
+    ref_block, ref_vectors = full_singular_block(m, d, nu)
+    assert len(vectors) == 1
+    assert block == ref_block and vectors == ref_vectors
+    assert [list(v.items()) for v in vectors] \
+        == [list(v.items()) for v in ref_vectors]
+    kern = kernel_refs.row_kernel_basis(
+        list(ref_condition_rows(m, block).values()),
+        list(range(len(block))))
+    assert vectors == [{block[j]: c for j, c in k.items()} for k in kern]
 
 
 def calls_by_block(calls):

@@ -57,11 +57,13 @@ def test_dimension_series():
     # closed-form count: sum over k = #forms of C(10,k) * C((d-k)/2 + 4, 4)
     assert [dim_u_minus(d) for d in range(8)] == \
         [1, 10, 50, 170, 450, 1002, 1970, 3530]
-    for d in range(8):
+    # canonical order is the order of (parts, forms) tuples
+    for d in range(15):
         monos = enumerate_monomials(d)
         assert len(monos) == dim_u_minus(d)
         assert len(set(monos)) == len(monos)
         assert all(2 * sum(m[0]) + len(m[1]) == d for m in monos)
+        assert monos == sorted(monos)
 
 
 def test_product_hand_examples():

@@ -203,9 +203,9 @@ monos = st.sampled_from(SMALL_MONOS)
 u_elems = st.dictionaries(monos, scalars, max_size=4)
 
 
-def module_elems(mu):
+def module_elems(mu, min_size=0):
     keys = st.tuples(monos, st.integers(0, PROPERTY_MODULES[mu].rep.dim - 1))
-    return st.dictionaries(keys, scalars, max_size=5)
+    return st.dictionaries(keys, scalars, min_size=min_size, max_size=5)
 
 
 def exact_and_sparse(out):
@@ -284,6 +284,50 @@ def test_act_on_g1_element_is_one_kernel_pass():
     for x in g1_basis():
         m.act(x, elem)
     assert seen == list(g1_basis())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_act_pieces_int_matches_the_flat_reference(data):
+    # the one-tag case of the tagged Leibniz pass against the flat
+    # accumulator it replaced, on several symbols and a multi-term element:
+    # the same nonzero numerators over the same denominator
+    mu = data.draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    m = PROPERTY_MODULES[mu]
+    elem = data.draw(module_elems(mu, min_size=2))
+    syms = st.tuples(st.just("xd"), st.integers(1, 5), st.integers(0, 9))
+    x = data.draw(st.dictionaries(syms, scalars, min_size=1, max_size=4))
+    got, den = m.act_pieces_int(x, elem)
+    want, want_den = ref.act_pieces_int(m, x, elem)
+    assert den == want_den
+    assert got == {k: n for k, n in want.items() if n}
+    assert all(type(n) is int and n for n in got.values())
+
+
+def test_g1_failure_labels_every_one_term_element_as_the_reference():
+    # the 40-tag pass against 40 act calls, on every one-term element of
+    # degree 1 and 2: most fail at g1[0], the others at middle indices or
+    # nowhere
+    labels = set()
+    for mu, m in sorted(PROPERTY_MODULES.items()):
+        for mono in enumerate_monomials(1) + enumerate_monomials(2):
+            for i in range(m.rep.dim):
+                elem = {(mono, i): Q(1)}
+                label = m.g1_failure(elem)
+                assert label == ref.g1_failure(m, elem), (mu, mono, i)
+                labels.add(label)
+    assert None in labels and len(labels) > 30
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_g1_failure_matches_the_reference(data):
+    # multi-term elements: the first g1 element that fails on any term's
+    # image, unless the images cancel
+    mu = data.draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    m = PROPERTY_MODULES[mu]
+    elem = data.draw(module_elems(mu))
+    assert m.g1_failure(elem) == ref.g1_failure(m, elem)
 
 
 def test_condition_labels():
