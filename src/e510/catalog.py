@@ -11,24 +11,27 @@ weight and degree agreement, composition identities, and the
 classification sweep diff) is what the tests run.
 """
 
+from operator import add
+
 from .linalg import DEFAULT_ENTRY_CAP
 from .sl5_reps import parse_weight, weight_str
-from .uminus import PAIRS, d_elem, forms_elem, pbw_product
+from .uminus import PAIRS, d_elem, forms_elem
 from .verma import VermaModule, proportional, tensor_from_terms
 
 _PREFIX = ((1, 2), (1, 3), (1, 4), (1, 5))
 
 
-def _table_u(sign, partials, forms):
-    """sign * p^partials * d_forms, the U(g_-) part of a table row."""
-    return pbw_product({(partials, ()): sign}, forms_elem(forms))
+def _table_u(sign, partials, pairs):
+    """sign * p^partials * d_pairs, the U(g_-) part of a table row: the
+    form word ordered once, its terms shifted by the central p-part."""
+    return {(tuple(map(add, partials, parts)), forms): sign * c
+            for (parts, forms), c in forms_elem(pairs).items()}
 
 
 def _prefixed(rows):
     """(d12 d13 d14 d15 times the U(g_-) part, last entry) of each row of a
-    degree-7 or degree-11 table."""
-    pre = forms_elem(_PREFIX)
-    return [(pbw_product(pre, _table_u(sign, partials, forms)), last)
+    degree-7 or degree-11 table, the prefix ordered with the row's word."""
+    return [(_table_u(sign, partials, _PREFIX + forms), last)
             for sign, partials, forms, last in rows]
 
 
@@ -85,9 +88,8 @@ def _w_4e(mod, m, n):
 def _w_5cd(mod, m, n):
     # the sum runs over every pair avoiding index 1; the factors through
     # the degree-1 and degree-4 vectors confirm this normalization
-    pre = forms_elem(_PREFIX)
-    return mod.tensor_sum([(pbw_product(pre, d_elem(i, j)), dict(dw=((i, j),)))
-                           for i, j in PAIRS])
+    return mod.tensor_sum([(forms_elem(_PREFIX + ((i, j),)),
+                            dict(dw=((i, j),))) for i, j in PAIRS])
 
 
 def _w_5ea(mod, m, n):

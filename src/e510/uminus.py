@@ -28,6 +28,8 @@ word is its cached shorter prefix with one more form placed, and one
 form moves left by the relation above.  product_int is the one product
 loop; pbw_product and the left multiplication of the Verma modules are
 views of it, and the g_0 and g_1 actions of verma read _order_forms too.
+A product of generators d_ij is one word: forms_word gives it with its
+orientation sign, and forms_elem orders it in one _order_forms call.
 """
 
 from functools import lru_cache
@@ -241,12 +243,29 @@ def p_elem(i):
     return {(tuple(parts), ()): 1}
 
 
-def forms_elem(pairs):
-    """Product d_{pairs[0]} d_{pairs[1]} ... of oriented pairs, normal ordered."""
-    out = {ONE_MONO: 1}
+def forms_word(pairs):
+    """(sign, word) with d_{pairs[0]} d_{pairs[1]} ... = sign * d_word.
+
+    word holds the form indices in the given order, so it may be unsorted
+    or repeat a form; sign is 0 when a pair repeats its index (dii = 0).
+    """
+    sign, word = 1, []
     for i, j in pairs:
-        out = pbw_product(out, d_elem(i, j))
-    return out
+        o = oriented(i, j)
+        if o is None:
+            return 0, ()
+        word.append(o[0])
+        sign *= o[1]
+    return sign, tuple(word)
+
+
+def forms_elem(pairs):
+    """Product d_{pairs[0]} d_{pairs[1]} ... of oriented pairs, normal
+    ordered: one _order_forms call on its word."""
+    sign, word = forms_word(pairs)
+    if not sign:
+        return {}
+    return {m: sign * c for m, c in _order_forms((), word)}
 
 
 def dim_u_minus(d: int) -> int:

@@ -32,6 +32,10 @@ and index rules of uminus (signs, exponents and eps values), so they are
 stored as ints.  Both caches are keyed on form words, not monomials:
 _AD_E_CACHE on (a, b, w), at most 25 x 2^10 entries, and _XD_CACHE on
 (k, f, w), at most 50 x 2^10; p^P enters while the actions accumulate.
+_AD_E_CACHE fills by prefixes: a miss on w = w' q reads (a, b, w') first,
+filling it on a miss too, and builds [x_a p_b, d_w] from its pieces, each
+times d_q, and from d_w' times the one form of [x_a p_b, d_q]: two
+single-form orderings per piece.
 act_e_int, act_pieces_int and int_conditions return the integer
 numerators with their denominator; the rep matrices are those of
 Irrep.mat.  Their loops, _act_e_terms, _leibniz_terms and _leibniz_acc,
@@ -71,7 +75,6 @@ from .uminus import (
     enumerate_monomials, format_monomial, parse_monomial,
 )
 from .sl5_reps import ambient_monomial, build_irrep, eps_to_coords
-from .e510_algebra import g1_basis
 
 _AD_E_CACHE = {}
 _XD_CACHE = {}
@@ -83,19 +86,28 @@ def _ad_e_forms(a, b, forms):
 
     A tuple of int pieces ((dparts, forms2), c): dparts is the p-delta of a
     d_p d_q contraction, ZERO_PARTIALS itself when there is none.  Cached
-    per (a, b, forms), at most 25 x 2^10 entries.
+    per (a, b, forms), at most 25 x 2^10 entries, and built from the entry
+    of its prefix, [E, d_w' d_q] = [E, d_w'] d_q + d_w' [E, d_q].
     """
     key = (a, b, forms)
     got = _AD_E_CACHE.get(key)
     if got is None:
-        out = {}
-        for n, f in enumerate(forms):
-            step = form_step(a, b, f)
+        acc = {}
+        if forms:
+            head, tail = forms[:-1], forms[-1:]
+            for (dp, f2), c in _ad_e_forms(a, b, head):
+                for (dp2, f3), c2 in _order_forms(f2, tail):
+                    if dp is not ZERO_PARTIALS:
+                        dp2 = dp if dp2 is ZERO_PARTIALS else \
+                            tuple(map(add, dp, dp2))
+                    m = (dp2, f3)
+                    acc[m] = acc.get(m, 0) + c * c2
+            step = form_step(a, b, tail[0])
             if step is not None:
                 g, sign = step
-                word = _order_forms(forms[:n], (g,) + forms[n + 1:])
-                add_scaled(out, dict(word), sign)
-        got = _AD_E_CACHE[key] = tuple(out.items())
+                for m, c in _order_forms(head, (g,)):
+                    acc[m] = acc.get(m, 0) + sign * c
+        got = _AD_E_CACHE[key] = tuple((m, c) for m, c in acc.items() if c)
     return got
 
 
@@ -545,8 +557,11 @@ class VermaModule(InducedModule):
         One tagged Leibniz pass, tag = n, applies all 40 basis elements to
         elem, each to the same numerators of elem, and each still stands on
         its own: a tag's entries are the numerators of its element's image,
-        so the label is the first tag left with a row entry.
+        so the label is the first tag left with a row entry.  The basis is
+        imported here, its one use, so a search without full_g1 never
+        loads e510_algebra.
         """
+        from .e510_algebra import g1_basis
         enums = _numerators(elem, _den(elem.values()))
         mats, terms = {}, []
         for n, x in enumerate(g1_basis()):

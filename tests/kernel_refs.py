@@ -44,10 +44,16 @@ tests that read it.
   before ThetaFamily.add_to became the one (sign, key) lookup, and the
   _core and fundamental_equation_residuals that built a column map per
   term.  test_omega_basis.
+- Products of form words, forms_elem, table_u, prefixed and ad_e_forms:
+  uminus.forms_elem as a chain of pbw_product calls, one per pair, the
+  catalog's _table_u and _prefixed over it, and verma._ad_e_forms as it
+  normal-ordered the word once per position, before each became one
+  _order_forms call per new form.  test_uminus, test_catalog and
+  test_verma.
 - The catalog vectors, CATALOG_BUILDERS and catalog_known_vector: the
   thirteen catalog builders as each built its own VermaModule and added
   its terms one _tensor call at a time, and the known_vector that called
-  them.  test_catalog.
+  them, on the forms_elem above.  test_catalog.
 
 The condition rows and weight blocks of a search block are checked
 against references in test_singular_search itself.
@@ -68,8 +74,8 @@ from e510.sl5_reps import (
     _bump, _mono_eps_weight, act_ambient, ambient_monomial, build_irrep,
 )
 from e510.uminus import (
-    EPS, PAIRS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled, d_elem,
-    form_step, forms_elem, mono_weight, perm_sign,
+    EPS, ONE_MONO, PAIRS, TMATE, ZERO_PARTIALS, _order_forms, add_scaled,
+    d_elem, form_step, mono_weight, perm_sign,
 )
 from e510.vector_tables import W4E_TERMS, W7_TERMS, W11_TERMS
 from e510.verma import VermaModule, _act_e_terms
@@ -139,6 +145,43 @@ def ad_e_mono(a, b, mono):
         add_scaled(out, shift(parts, word), 1)
     _AD_E_CACHE[key] = out
     return out
+
+
+def forms_elem(pairs):
+    """Product d_{pairs[0]} d_{pairs[1]} ... of oriented pairs, normal ordered."""
+    out = {ONE_MONO: 1}
+    for i, j in pairs:
+        out = uminus.pbw_product(out, d_elem(i, j))
+    return out
+
+
+def table_u(sign, partials, forms):
+    """sign * p^partials * d_forms, the U(g_-) part of a table row."""
+    return uminus.pbw_product({(partials, ()): sign}, forms_elem(forms))
+
+
+def prefixed(rows):
+    """(d12 d13 d14 d15 times the U(g_-) part, last entry) of each row of a
+    degree-7 or degree-11 table."""
+    pre = forms_elem(_PREFIX)
+    return [(uminus.pbw_product(pre, table_u(sign, partials, forms)), last)
+            for sign, partials, forms, last in rows]
+
+
+def ad_e_forms(a, b, forms):
+    """[x_a p_b, d_w] for the sorted form word w, normal ordered.
+
+    A tuple of int pieces ((dparts, forms2), c): dparts is the p-delta of a
+    d_p d_q contraction, ZERO_PARTIALS itself when there is none.
+    """
+    out = {}
+    for n, f in enumerate(forms):
+        step = form_step(a, b, f)
+        if step is not None:
+            g, sign = step
+            word = _order_forms(forms[:n], (g,) + forms[n + 1:])
+            add_scaled(out, dict(word), sign)
+    return tuple(out.items())
 
 
 def act_e(module, a, b, elem):

@@ -16,6 +16,7 @@ from e510.catalog import (
 from e510.cli import main
 from e510.scalars import Q
 from e510.uminus import ONE_MONO, add_scaled, d_elem, p_elem
+from e510.vector_tables import W4E_TERMS, W7_TERMS, W11_TERMS
 from e510.verma import VermaModule, proportional
 
 
@@ -65,6 +66,33 @@ def test_known_vector_matches_the_reference_builders(family, m, n):
     want_mod, want = ref.catalog_known_vector(family, m, n)
     assert mod.mu == want_mod.mu == family_data(family, m, n)[0]
     assert w == want
+
+
+def test_table_rows_match_the_product_chain():
+    # every row of the three tables, its form word ordered once against the
+    # chain of pbw_product calls: the same terms in the same order
+    for sign, partials, forms, _ in W4E_TERMS:
+        got = catalog._table_u(sign, partials, forms)
+        assert list(got.items()) \
+            == list(ref.table_u(sign, partials, forms).items())
+    for rows in (W7_TERMS, W11_TERMS):
+        got, want = catalog._prefixed(rows), ref.prefixed(rows)
+        assert len(got) == len(want) == len(rows)
+        for (u, last), (u2, last2) in zip(got, want):
+            assert list(u.items()) == list(u2.items()) and u
+            assert last == last2
+
+
+# the table words are sorted, so no row contracts d_p d_q into a p_t; random
+# pair lists reach the shift of a contraction's p_t by the row's p-part
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, -1)),
+       st.lists(st.integers(0, 2), min_size=5, max_size=5).map(tuple),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=7))
+def test_table_u_matches_the_product_chain_on_any_word(sign, partials, pairs):
+    got = catalog._table_u(sign, partials, tuple(pairs))
+    want = ref.table_u(sign, partials, tuple(pairs))
+    assert list(got.items()) == list(want.items())
 
 
 def test_weight_reading_spans_trace_branches():

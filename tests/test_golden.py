@@ -11,6 +11,7 @@ import pytest
 
 from e510.catalog import FAMILIES, FAMILY_NAMES, _param_grid, known_vector
 from e510.cli import main
+from e510.vector_tables import W4E_TERMS, W7_TERMS, W11_TERMS
 from e510.s5_verma import rudakov_vectors
 from e510.verma import tensor_terms
 
@@ -83,6 +84,11 @@ RUDAKOV_SHA256 = {
 GRID_SHA256 = \
     "2173f2ece3a94bfd49db2635c4576fe9a056982526526f4e73b778711f8333d3"
 
+# SHA-256 of repr((W4E_TERMS, W7_TERMS, W11_TERMS)), the catalog's term
+# tables as the tuples the builders read
+VECTOR_TABLES_SHA256 = \
+    "acfddc59c74f85d142d7bbe4a44f521d97a7d50da252a0d22c36b90278016c49"
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=" ".join)
 def test_report_is_byte_identical(tmp_path, argv):
@@ -119,3 +125,9 @@ def test_rudakov_vectors_are_byte_identical():
         blob = json.dumps(tensor_terms(w), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == RUDAKOV_SHA256[label], \
             label
+
+
+def test_vector_tables_are_byte_identical():
+    assert (len(W4E_TERMS), len(W7_TERMS), len(W11_TERMS)) == (200, 31, 50)
+    blob = repr((W4E_TERMS, W7_TERMS, W11_TERMS)).encode()
+    assert hashlib.sha256(blob).hexdigest() == VECTOR_TABLES_SHA256

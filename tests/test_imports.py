@@ -7,6 +7,9 @@ function, class or assigned name other than a test_* function, is
 referenced from some test file."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +110,22 @@ def test_no_dead_test_helpers():
              for line, name in definitions(p.read_text(), top_level=True)
              if not name.startswith("test_") and name not in refs]
     assert found == []
+
+
+def test_search_does_not_load_the_catalog_side(tmp_path):
+    """A search without --full-g1 needs neither the catalog nor the g_1
+    basis, so a fresh process never imports their modules."""
+    code = ("import sys\n"
+            "from e510.cli import main\n"
+            "assert main(['search', '--mu', '0,0,0,1', '--degree', '1',"
+            " '--format', 'json', '--output', 'rep.json']) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "e510.verma" in loaded
+    assert not loaded & {"e510.catalog", "e510.omega_basis",
+                         "e510.vector_tables", "e510.e510_algebra"}

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import combinations_with_replacement as cwr
+from math import prod
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,7 +12,8 @@ from e510.scalars import Q
 from e510.sl5_reps import act_ambient
 from e510.uminus import (
     EPS, TMATE, PAIR_INDEX, PAIRS, ONE_MONO, ZERO_PARTIALS, _order_forms,
-    d_elem, p_elem, forms_elem, pbw_product, add_scaled, scale,
+    d_elem, p_elem, forms_elem, forms_word, pbw_product, add_scaled,
+    scale,
     oriented, form_step, pair_eps, pair_mate,
     mono_degree, mono_weight, dim_u_minus, enumerate_monomials,
     parse_monomial, format_monomial,
@@ -388,3 +390,31 @@ def test_pbw_product_matches_mono_product_loop(a, b):
     assert [type(got[m]) for m in want] == [type(c) for c in want.values()]
     if all(type(c) is int for c in (*a.values(), *b.values())):
         assert all(type(c) is int for c in got.values())
+
+
+# oriented pairs over [5]: i == j repeats an index (dii = 0), and a list may
+# name one form twice, in either orientation (d_f d_f = 0)
+ORIENTED_PAIRS = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                          max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ORIENTED_PAIRS)
+@example([])
+@example([(3, 3)])
+@example([(1, 2), (2, 1)])
+@example([(4, 5), (1, 2), (1, 3), (2, 3)])
+@example([(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
+def test_forms_elem_matches_the_product_chain(pairs):
+    """One _order_forms call on the word against the chain of pbw_product
+    calls it replaced: the same terms in the same order, int coefficients."""
+    got = forms_elem(pairs)
+    want = ref.forms_elem(pairs)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is int and c for c in got.values())
+    orients = [oriented(i, j) for i, j in pairs]
+    if None in orients:
+        assert forms_word(pairs) == (0, ())
+    else:
+        assert forms_word(pairs) == (prod(s for _, s in orients),
+                                     tuple(f for f, _ in orients))

@@ -574,6 +574,27 @@ def test_act_e_on_trivial_module_matches_ad_e_mono(u):
             assert all(i == 0 for _, i in got) and exact_and_sparse(got)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 1023).map(
+    lambda w: tuple(q for q in range(10) if w >> q & 1)))
+@example(())
+@example(tuple(range(10)))
+@example((4, 9))
+def test_ad_e_forms_matches_the_per_position_reference(forms):
+    """The word built from its cached prefix against the word normal
+    ordered once per position: the same pieces in the same order, for all
+    25 symbols x_a p_b, and each prefix cached on the way."""
+    for a in range(1, 6):
+        for b in range(1, 6):
+            got = verma._ad_e_forms(a, b, forms)
+            assert got == ref.ad_e_forms(a, b, forms)
+            assert all(type(c) is int and c for _, c in got)
+            assert all((dp is ZERO_PARTIALS) == (not any(dp))
+                       for (dp, _), _ in got)
+            assert all((a, b, forms[:n]) in verma._AD_E_CACHE
+                       for n in range(len(forms)))
+
+
 def test_ad_e_cache_is_keyed_on_form_words():
     m = PROPERTY_MODULES[(0, 0, 0, 1)]
     elem = {(mono, i): Q(1) for mono in enumerate_monomials(3)
